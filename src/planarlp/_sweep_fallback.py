@@ -3,8 +3,6 @@ operation so both backends agree to the last bit on the same inputs."""
 
 import math
 
-import numpy as np
-
 BACKEND = "python"
 
 
@@ -30,6 +28,8 @@ def argmax_at(phi, vx, vy, rel_tol):
 
 
 def argmax_grid(phis, vx, vy, rel_tol):
+    import numpy as np  # loaded on first use, not with the package
+
     vx_l = [float(v) for v in vx]
     vy_l = [float(v) for v in vy]
     out = np.empty(len(phis), dtype=np.int64)

@@ -23,12 +23,13 @@ from .errors import (
     PlanarLPError,
     Unbounded,
     UnboundedRegion,
+    ZeroObjective,
 )
 from .geometry import PolarVector, Vec2, circular_delta
 from .lp_io import load_lp
 from .lp_model import Vertex
 from .oracle import stable_interval_by_sweep
-from .sensitivity import AngleInterval, SensitivityReport, analyze
+from .sensitivity import AngleInterval, SensitivityReport, _analyze_region
 from .solver import enumerate_vertices, solve_enumeration
 from .svg import emit_svg
 
@@ -254,12 +255,13 @@ def run_sensitivity(
     tol: float = 1e-9,
 ) -> int:
     lp = load_lp(path)
-    report = analyze(lp, tol=tol)
+    if lp.objective.is_zero():
+        raise ZeroObjective("objective is (0, 0)")
+    region = enumerate_vertices(lp, tol=tol)
+    report = _analyze_region(lp, region)
 
     oracle_check = None
-    region = None
     if check_sweep_deg is not None:
-        region = enumerate_vertices(lp, tol=tol)
         step = math.radians(check_sweep_deg)
         sweep = stable_interval_by_sweep(region, report.optimal_vertex, step)
         est = sweep.estimated_interval
@@ -283,8 +285,6 @@ def run_sensitivity(
         print(render_text(doc, radians))
 
     if svg_path is not None:
-        if region is None:
-            region = enumerate_vertices(lp, tol=tol)
         emit_svg(region, report, svg_path)
 
     if oracle_check is not None and not oracle_check.agrees:
@@ -296,6 +296,13 @@ def run_sensitivity(
     return 0
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planarlp",
@@ -305,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="maximize the objective over the region")
     ps.add_argument("file", help="LP text file")
-    ps.add_argument("--tol", type=float, default=1e-9, metavar="EPS",
+    ps.add_argument("--tol", type=_tolerance, default=1e-9, metavar="EPS",
                     help="feasibility tolerance (default 1e-9)")
 
     pn = sub.add_parser(
@@ -322,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also report the cone clipped to (0°, 90°)")
     pn.add_argument("--check-sweep", type=float, metavar="STEP",
                     help="certify the cone with a sweep at STEP degrees")
-    pn.add_argument("--tol", type=float, default=1e-9, metavar="EPS",
+    pn.add_argument("--tol", type=_tolerance, default=1e-9, metavar="EPS",
                     help="feasibility tolerance (default 1e-9)")
     return parser
 

@@ -51,7 +51,11 @@ def value_distance_ratio(x: Vec2, c: Vec2) -> float:
     side = side_of(x, c)
     if side is HalfPlaneSide.ON:
         raise PointOnLine("ratio undefined on the objective's zero line")
-    return c.dot(x) / distance_to_line(x, objective_line(c))
+    # The ratio does not depend on |x|; on the unit vector along x a
+    # subnormal coordinate cannot underflow in the quotient.
+    n = x.norm()
+    u = Vec2(x.x1 / n, x.x2 / n)
+    return c.dot(u) / distance_to_line(u, objective_line(c))
 
 
 @dataclass(frozen=True)

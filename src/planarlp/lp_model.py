@@ -83,20 +83,28 @@ class FeasibleRegion:
         n = len(vs)
         if n < 3:
             raise ValueError(f"a region needs at least 3 vertices, got {n}")
+        edges = [vs[(i + 1) % n].point - vs[i].point for i in range(n)]
+        lengths = [e.norm() for e in edges]
         for i in range(n):
-            for j in range(i + 1, n):
-                if (vs[i].point - vs[j].point).norm() <= MERGE_TOL:
-                    raise ValueError(
-                        f"vertices {i} and {j} coincide within the merge tolerance"
-                    )
+            if lengths[i] <= MERGE_TOL:
+                raise ValueError(
+                    f"vertices {i} and {(i + 1) % n} coincide within the merge tolerance"
+                )
+        # Every turn is left (or straight) and below a half turn, and the
+        # turns add up to one full turn: a convex cycle wound once.
+        turning = 0.0
         for i in range(n):
-            e1 = vs[(i + 1) % n].point - vs[i].point
-            e2 = vs[(i + 2) % n].point - vs[(i + 1) % n].point
-            scale = e1.norm() * e2.norm()
-            if cross(e1, e2) <= -1e-9 * scale:
+            e1, e2 = edges[i], edges[(i + 1) % n]
+            c, d = cross(e1, e2), e1.dot(e2)
+            if c <= -1e-9 * lengths[i] * lengths[(i + 1) % n] or (c <= 0.0 and d < 0.0):
                 raise ValueError(
                     f"vertex cycle is not convex counterclockwise at index {(i + 1) % n}"
                 )
+            turning += math.atan2(c, d)
+        if abs(turning - math.tau) > math.pi:
+            raise ValueError(
+                f"vertex cycle winds {round(turning / math.tau)} times, not once"
+            )
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
+    import numpy as np
 
 try:
     from . import _sweep_kernel as _kernel
@@ -58,6 +60,8 @@ class SweepResult:
 
 
 def _coords(region: FeasibleRegion) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     vx = np.ascontiguousarray([v.point.x1 for v in region.vertices], dtype=float)
     vy = np.ascontiguousarray([v.point.x2 for v in region.vertices], dtype=float)
     return vx, vy
@@ -65,6 +69,8 @@ def _coords(region: FeasibleRegion) -> tuple[np.ndarray, np.ndarray]:
 
 def _simplex_argmax(lp: LinearProgram2D, region: FeasibleRegion, phi: float) -> int:
     """Per-sample cross-solver mode: rerun the simplex at this angle."""
+    import numpy as np
+
     sol = solve_simplex(
         LinearProgram2D(Vec2(math.cos(phi), math.sin(phi)), lp.constraints)
     )
@@ -88,6 +94,8 @@ def sweep_argmax(
     With cross_check_lp the winner at every sample is recomputed by the
     simplex instead of the kernel (much slower; used for certification).
     """
+    import numpy as np
+
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if not phi_lo < phi_hi:
@@ -110,6 +118,8 @@ def sweep_argmax(
 def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as inclusive (start, end) pairs, with a wrap
     across the array seam merged into one cyclic run."""
+    import numpy as np
+
     idx = np.flatnonzero(mask)
     runs: list[tuple[int, int]] = []
     start = prev = int(idx[0])
@@ -141,6 +151,8 @@ def stable_interval_by_sweep(
     where x0 wins strictly, and bisects each run boundary down to
     step/1024.  Raises VertexNeverOptimal when no sample picks x0.
     """
+    import numpy as np
+
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if not region.vertices:

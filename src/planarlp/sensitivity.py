@@ -30,8 +30,15 @@ from .geometry import (
     line_direction_angle,
     polar_of,
 )
-from .lp_model import MERGE_TOL, LinearProgram2D, Vertex, evaluate, validate
-from .normalization import normalize
+from .lp_model import (
+    MERGE_TOL,
+    FeasibleRegion,
+    LinearProgram2D,
+    Vertex,
+    evaluate,
+    validate,
+)
+from .normalization import normalizing_rotation
 from .solver import VALUE_TIE_REL, adjacent_vertices, enumerate_vertices
 
 
@@ -146,10 +153,15 @@ def analyze(lp: LinearProgram2D, *, tol: float = 1e-9) -> SensitivityReport:
     gradient angle at which the tie occurs.
     """
     validate(lp)
-    c = lp.objective
-    if c.is_zero():
+    if lp.objective.is_zero():
         raise ZeroObjective("objective is (0, 0)")
-    region = enumerate_vertices(lp, tol=tol)
+    return _analyze_region(lp, enumerate_vertices(lp, tol=tol))
+
+
+def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityReport:
+    """analyze() on the already built region of lp, whose objective is
+    nonzero."""
+    c = lp.objective
     values = [evaluate(lp, v.point) for v in region.vertices]
     best = 0
     for i in range(1, len(values)):
@@ -175,18 +187,10 @@ def analyze(lp: LinearProgram2D, *, tol: float = 1e-9) -> SensitivityReport:
     pred, succ = adjacent_vertices(region, x0)
     theta1, theta2 = edge_angles(pred, x0, succ)
 
-    if c.x1 < 0.0 or c.x2 < 0.0:
-        # Work in the rotated pose where the objective is componentwise
-        # nonnegative, then shift the cone back.
-        norm = normalize(region, c)
-        rp = norm.region.vertices
-        interval = stable_angle_interval(
-            rp[best - 1], rp[best], rp[(best + 1) % n]
-        ).shifted(-norm.theta0)
-        theta0 = norm.theta0
-    else:
-        interval = stable_angle_interval(pred, x0, succ)
-        theta0 = 0.0
+    # The cone turns with the polygon, so it needs no rotated copy; theta0
+    # only reports the rotation that would normalize the objective.
+    interval = stable_angle_interval(pred, x0, succ)
+    theta0 = normalizing_rotation(c) if c.x1 < 0.0 or c.x2 < 0.0 else 0.0
 
     pv = polar_of(c)
     d = (pv.phi - interval.lo) % TAU

@@ -1,7 +1,7 @@
 """Two independent solvers for the planar LP, plus region construction.
 
-solve_enumeration intersects constraint lines pairwise, keeps the feasible
-intersections and picks the best vertex.  solve_simplex runs a classic
+solve_enumeration builds the feasible polygon by sorted half-plane
+intersection and picks the best vertex.  solve_simplex runs a classic
 two-phase tableau simplex with Bland's rule.  They share no code on the
 solve path, which is what makes cross-checking one against the other
 meaningful.
@@ -10,20 +10,19 @@ meaningful.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import (
     DegenerateRegion,
     Infeasible,
-    NonFiniteEntry,
     Unbounded,
     UnboundedRegion,
     ZeroObjective,
 )
-from .geometry import Vec2
+from .geometry import TAU, Vec2, _atan2
 from .lp_model import (
     MERGE_TOL,
     X1_NONNEG,
@@ -33,7 +32,6 @@ from .lp_model import (
     LinearProgram2D,
     Vertex,
     evaluate,
-    is_feasible,
     validate,
 )
 
@@ -99,61 +97,205 @@ def check_recession(lp: LinearProgram2D) -> Recession:
     return Recession.BOUNDED
 
 
-def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleRegion:
-    """Build the feasible polygon by pairwise line intersection.
+def _parallel(ri: ConstraintRow, rj: ConstraintRow) -> bool:
+    """The rows' normals point the same way, to within _DET_TOL."""
+    det = ri.a1 * rj.a2 - ri.a2 * rj.a1
+    scale = math.hypot(ri.a1, ri.a2) * math.hypot(rj.a1, rj.a2)
+    return abs(det) <= _DET_TOL * scale and ri.a1 * rj.a1 + ri.a2 * rj.a2 > 0.0
 
-    Raises Infeasible when no intersection is feasible, UnboundedRegion when
-    the recession cone is nonzero, and DegenerateRegion when fewer than
-    three distinct vertices survive deduplication.
+
+def _turns_left(ri: ConstraintRow, rj: ConstraintRow) -> bool:
+    """rj's normal lies counterclockwise of ri's by strictly less than a
+    half turn, so the two boundary lines cross."""
+    det = ri.a1 * rj.a2 - ri.a2 * rj.a1
+    return det > _DET_TOL * math.hypot(ri.a1, ri.a2) * math.hypot(rj.a1, rj.a2)
+
+
+def _crossing(ri: ConstraintRow, rj: ConstraintRow) -> Vec2:
+    """Where the boundary lines of two crossing rows meet."""
+    det = ri.a1 * rj.a2 - ri.a2 * rj.a1
+    x1 = (ri.b * rj.a2 - rj.b * ri.a2) / det
+    x2 = (ri.a1 * rj.b - rj.a1 * ri.b) / det
+    return Vec2(x1, x2)
+
+
+def _outside(row: ConstraintRow, p: Vec2, tol: float) -> bool:
+    """The row rejects p, by the scaled test of is_feasible."""
+    return row.residual(p) > tol * row.scale()
+
+
+def _advance(row: ConstraintRow, other: ConstraintRow, corner: Vec2) -> float:
+    """Signed distance from corner to the crossing of row and other, along
+    row's boundary line walked with the region on its left."""
+    p = _crossing(row, other)
+    along = (p.x2 - corner.x2) * row.a1 - (p.x1 - corner.x1) * row.a2
+    return along / math.hypot(row.a1, row.a2)
+
+
+def _foot(row: ConstraintRow) -> Vec2:
+    """A point on the row's boundary line."""
+    norm = math.hypot(row.a1, row.a2)
+    s = row.b / norm / norm
+    return Vec2(s * row.a1, s * row.a2)
+
+
+def _sweep(lines, tol: float, closed: bool):
+    """Intersect half-planes given in increasing normal angle.
+
+    lines holds (angle, row) pairs, angles unwrapped so they increase.
+    Returns the pairs that bound the intersection, counterclockwise, with
+    the corners between consecutive ones, or None when it is empty.  When
+    closed, the normals go round the full circle and the boundary is a
+    cycle; otherwise they span at most a half turn and the boundary is an
+    open chain, whose corners the caller does not need.
     """
-    validate(lp)
-    rows = _indexed_rows(lp)
-    candidates: list[Vec2] = []
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            _, ri = rows[a]
-            _, rj = rows[b]
-            det = ri.a1 * rj.a2 - ri.a2 * rj.a1
-            scale = math.hypot(ri.a1, ri.a2) * math.hypot(rj.a1, rj.a2)
-            if abs(det) <= _DET_TOL * scale:
-                continue
-            x1 = (ri.b * rj.a2 - rj.b * ri.a2) / det
-            x2 = (ri.a1 * rj.b - rj.a1 * ri.b) / det
-            try:
-                p = Vec2(x1, x2)
-            except NonFiniteEntry:
-                continue
-            if is_feasible(lp, p, tol):
-                candidates.append(p)
-    if not candidates:
-        raise Infeasible("no feasible intersection of constraint boundaries")
-    if check_recession(lp) is Recession.UNBOUNDED:
-        raise UnboundedRegion("the feasible region has a recession direction")
+    dq = deque()
+    corners = deque()  # corners[k] is where dq[k] and dq[k + 1] cross
 
-    # Deduplicate: greedy clustering at the merge tolerance, cluster mean as
-    # the representative point.
-    clusters: list[list[Vec2]] = []
-    for p in candidates:
-        for cl in clusters:
-            if (p - cl[0]).norm() <= MERGE_TOL:
-                cl.append(p)
-                break
-        else:
-            clusters.append([p])
-    points = [
-        Vec2(sum(q.x1 for q in cl) / len(cl), sum(q.x2 for q in cl) / len(cl))
-        for cl in clusters
-    ]
-    if len(points) < 3:
-        raise DegenerateRegion(
-            f"feasible set has only {len(points)} distinct corner(s)"
+    def cuts_back(h: ConstraintRow) -> bool:
+        # h drops dq[-1] if it rejects the last corner, or if the tolerance
+        # let that corner stand but h crosses dq[-1] more than MERGE_TOL
+        # before it: the corners along dq[-1] would run backwards.
+        last = dq[-1][1]
+        return _outside(h, corners[-1], tol) or (
+            _turns_left(last, h) and _advance(last, h, corners[-1]) < -MERGE_TOL
         )
 
-    cx = sum(p.x1 for p in points) / len(points)
-    cy = sum(p.x2 for p in points) / len(points)
-    points.sort(key=lambda p: math.atan2(p.x2 - cy, p.x1 - cx))
+    def cuts_front(h: ConstraintRow) -> bool:
+        # The same test at the front, where h closes the cycle.
+        first = dq[0][1]
+        return _outside(h, corners[0], tol) or (
+            _turns_left(h, first) and _advance(first, h, corners[0]) > MERGE_TOL
+        )
+
+    for line in lines:
+        h = line[1]
+        while corners and cuts_back(h):
+            dq.pop()
+            corners.pop()
+        while corners and _outside(h, corners[0], tol):
+            dq.popleft()
+            corners.popleft()
+        if dq and not _turns_left(dq[-1][1], h):
+            # h faces dq[-1]: a cycle cannot continue, and an open chain
+            # has reached its far end, where the strip between the two
+            # rows is all that can still be empty.
+            if closed or _outside(h, _foot(dq[-1][1]), tol):
+                return None
+            return list(dq), list(corners)
+        if dq:
+            corners.append(_crossing(dq[-1][1], h))
+        dq.append(line)
+    if closed:
+        while len(corners) >= 2 and cuts_back(dq[0][1]):
+            dq.pop()
+            corners.pop()
+        while len(corners) >= 2 and cuts_front(dq[-1][1]):
+            dq.popleft()
+            corners.popleft()
+        if len(dq) < 3 or not _turns_left(dq[-1][1], dq[0][1]):
+            return None
+        corners.append(_crossing(dq[-1][1], dq[0][1]))
+    return list(dq), list(corners)
+
+
+def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleRegion:
+    """Build the feasible polygon by sorted half-plane intersection, O(m log m).
+
+    The constraint rows and the two x >= 0 rows are sorted by normal angle
+    and swept once with a deque (Preparata & Shamos 1985; de Berg et al.,
+    ch. 4).  A point is outside a row when its residual exceeds
+    tol * row.scale(), as in is_feasible; corners within MERGE_TOL of each
+    other merge into one vertex.
+
+    Raises ValueError for a negative or non-finite tol, Infeasible when the
+    rows leave no feasible point, UnboundedRegion when the recession cone is
+    nonzero, and DegenerateRegion when fewer than three distinct vertices
+    remain.
+    """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"need a finite tolerance >= 0, got {tol}")
+    validate(lp)
+    rows = sorted(
+        ((_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)),
+        key=lambda t: t[0],
+    )
+    # Start after the widest gap between normals, so that an unbounded
+    # region's boundary is a chain from the first line to the last.
+    n_rows = len(rows)
+    gaps = [rows[k + 1][0] - rows[k][0] for k in range(n_rows - 1)]
+    gaps.append(rows[0][0] + TAU - rows[-1][0])
+    start = (max(range(n_rows), key=gaps.__getitem__) + 1) % n_rows
+    lines: list[tuple[float, ConstraintRow]] = []
+    for k in range(n_rows):
+        ang, _, row = rows[(start + k) % n_rows]
+        if start + k >= n_rows:
+            ang += TAU
+        if lines and _parallel(lines[-1][1], row):
+            # Of rows facing the same way only the tightest bounds.
+            kept = lines[-1][1]
+            if row.b / math.hypot(row.a1, row.a2) < kept.b / math.hypot(
+                kept.a1, kept.a2
+            ):
+                lines[-1] = (ang, row)
+            continue
+        lines.append((ang, row))
+
+    bounded = check_recession(lp) is Recession.BOUNDED
+    swept = _sweep(lines, tol, closed=bounded)
+    if swept is None:
+        raise Infeasible("the constraints leave no feasible point")
+    if not bounded:
+        raise UnboundedRegion("the feasible region has a recession direction")
+    lines, corners = swept
+
+    # Merge runs of consecutive corners within MERGE_TOL of the run's first
+    # corner, starting where a run begins so that none wraps past the end.
+    n_corners = len(corners)
+    first = next(
+        (
+            k
+            for k in range(n_corners)
+            if (corners[k] - corners[k - 1]).norm() > MERGE_TOL
+        ),
+        0,
+    )
+    runs: list[list[Vec2]] = []
+    run_of = [0] * n_corners
+    for j in range(n_corners):
+        k = (first + j) % n_corners
+        if runs and (corners[k] - runs[-1][0]).norm() <= MERGE_TOL:
+            runs[-1].append(corners[k])
+        else:
+            runs.append([corners[k]])
+        run_of[k] = len(runs) - 1
+    points = [
+        Vec2(sum(q.x1 for q in run) / len(run), sum(q.x2 for q in run) / len(run))
+        for run in runs
+    ]
+    n = len(points)
+    if n < 3:
+        raise DegenerateRegion(f"feasible set has only {n} distinct corner(s)")
+
+    # Corner k owns the normal angles from lines[k] to lines[k + 1].  A row
+    # can be tight only at the vertex owning its normal angle or at one of
+    # that vertex's two neighbours.
+    phis = [ang for ang, _ in lines]
+    active: list[set[int]] = [set() for _ in range(n)]
+    for ang, idx, row in rows:
+        k = bisect_right(phis, phis[0] + (ang - phis[0]) % TAU) - 1
+        limit = tol * row.scale()
+        for j in (run_of[k] - 1, run_of[k], run_of[k] + 1):
+            j %= n
+            if abs(row.residual(points[j])) <= limit:
+                active[j].add(idx)
+
+    # Begin the cycle where sorting by angle about the centroid begins it.
+    cx = sum(p.x1 for p in points) / n
+    cy = sum(p.x2 for p in points) / n
+    s = min(range(n), key=lambda i: math.atan2(points[i].x2 - cy, points[i].x1 - cx))
     return FeasibleRegion(
-        tuple(Vertex(p, active_rows_at(lp, p, tol)) for p in points)
+        tuple(Vertex(points[(s + i) % n], active[(s + i) % n]) for i in range(n))
     )
 
 
@@ -245,6 +387,8 @@ def solve_simplex(lp: LinearProgram2D, *, tol: float = 1e-9) -> Solution:
     variable; phase one drives the artificials out, phase two maximizes the
     real objective.  Raises Infeasible or Unbounded accordingly.
     """
+    import numpy as np  # loaded on first use; the rest of the package needs none
+
     validate(lp)
     if lp.objective.is_zero():
         raise ZeroObjective("objective is (0, 0)")

@@ -104,6 +104,14 @@ def test_cli_solve_malformed(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sensitivity"])
+def test_cli_rejects_negative_tolerance(command, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main([command, PAPER, "--tol", "-1"])
+    assert ei.value.code == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_cli_solve_infeasible(tmp_path, capsys):
     f = tmp_path / "inf.lp"
     f.write_text("maximize: 1 1\nconstraints:\n1 1 -1\n")

@@ -31,6 +31,9 @@ def test_ratio_examples():
     assert abs(
         pl.value_distance_ratio(pl.Vec2(-1.0, -1.0), c) + math.sqrt(13.0)
     ) < 1e-12
+    # a subnormal coordinate must not underflow the quotient to 1
+    tiny = pl.value_distance_ratio(pl.Vec2(0.0, 5e-324), pl.Vec2(1.0, 1.0))
+    assert abs(tiny - math.sqrt(2.0)) < 1e-12
 
 
 def test_ratio_on_line_raises():

@@ -96,6 +96,16 @@ def test_region_rejects_duplicates():
         region_of_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-9), (0.0, 1.0)])
 
 
+def test_region_rejects_doubly_wound_cycle():
+    # a regular pentagram: pentagon corners taken in the order 0, 2, 4, 1, 3
+    # turn left everywhere and never coincide, but wind round twice
+    corners = [
+        (math.cos(math.tau * k / 5), math.sin(math.tau * k / 5)) for k in range(5)
+    ]
+    with pytest.raises(ValueError):
+        region_of_points([corners[k] for k in (0, 2, 4, 1, 3)])
+
+
 def test_region_rejects_clockwise_order():
     with pytest.raises(ValueError):
         region_of_points([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])

@@ -153,6 +153,19 @@ def test_analyze_reference_report(ref_report):
     assert abs(r.endpoint_ties[1].point.x1 - 60.0) < 1e-9
 
 
+def test_analyze_duplicate_and_redundant_rows(ref_lp):
+    # a copy of row 0 and the redundant x1 + x2 <= 120 both pass through
+    # the optimum (80, 40), which must keep the reference cone
+    extra = (ref_lp.constraints[0], pl.ConstraintRow(1.0, 1.0, 120.0))
+    rows = ref_lp.constraints + extra
+    rep = pl.analyze(pl.LinearProgram2D(ref_lp.objective, rows))
+    assert abs(rep.optimal_vertex.point.x1 - 80.0) < 1e-9
+    assert abs(rep.optimal_vertex.point.x2 - 40.0) < 1e-9
+    assert rep.optimal_vertex.active_rows == frozenset({0, 1, 3, 4})
+    assert abs(rep.interval.lo - REF_CONE_LO) < 1e-9
+    assert abs(rep.interval.hi - REF_CONE_HI) < 1e-9
+
+
 def test_analyze_square():
     rep = pl.analyze(square_lp(pl.Vec2(1.0, 1.0)))
     assert rep.optimal_vertex.point == pl.Vec2(1.0, 1.0)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import planarlp as pl
 from planarlp.errors import (
@@ -10,6 +11,7 @@ from planarlp.errors import (
     UnboundedRegion,
     ZeroObjective,
 )
+from pairwise_enumeration import pairwise_enumerate_vertices
 from conftest import (
     REF_OPTIMUM,
     REF_VERTICES,
@@ -72,6 +74,38 @@ def test_enumerate_unbounded_region():
     lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(0.0, 1.0, 1.0),))
     with pytest.raises(UnboundedRegion):
         pl.enumerate_vertices(lp)
+
+
+def test_enumerate_infeasible_before_unbounded():
+    # x2 <= -1 alone: the recession cone holds (1, 0), but no point is
+    # feasible, and emptiness is reported first
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(0.0, 1.0, -1.0),))
+    assert pl.check_recession(lp) is pl.Recession.UNBOUNDED
+    with pytest.raises(Infeasible):
+        pl.enumerate_vertices(lp)
+
+
+def test_enumerate_nearly_parallel_rows():
+    # 4 x1 + 5 x2 <= -4 admits no x >= 0.  The next two rows are almost the
+    # same line, so they cross far from the corner the first of them makes;
+    # the sweep must not let that crossing push the first row out.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(4.0, 5.0, -4.0),
+            pl.ConstraintRow(3.0, 5.0, 3.0),
+            pl.ConstraintRow(2.99999999997861, 5.000000000064201, 2.999999999957425),
+            pl.ConstraintRow(-1.0, 1.0, 2.0),
+        ),
+    )
+    with pytest.raises(Infeasible):
+        pl.enumerate_vertices(lp)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_enumerate_rejects_bad_tolerance(ref_lp, tol):
+    with pytest.raises(ValueError):
+        pl.enumerate_vertices(ref_lp, tol=tol)
 
 
 def test_enumerate_degenerate_region():
@@ -202,3 +236,39 @@ def test_adjacent_vertices_wraps(ref_region):
     pred, succ = pl.adjacent_vertices(ref_region, first)
     assert pred == ref_region.vertices[-1]
     assert succ == ref_region.vertices[1]
+
+
+def _same_outcome(lp):
+    """enumerate_vertices agrees with the pairwise reference: the same
+    exception class, or the same cycle with the same active rows."""
+    outcomes = []
+    for build in (pl.enumerate_vertices, pairwise_enumerate_vertices):
+        try:
+            outcomes.append(build(lp))
+        except pl.errors.PlanarLPError as exc:
+            outcomes.append(type(exc))
+    new, ref = outcomes
+    if isinstance(new, type) or isinstance(ref, type):
+        assert new == ref
+        return
+    assert new.same_polygon(ref, pl.MERGE_TOL)
+    for v in new.vertices:
+        assert v.active_rows == ref.vertices[ref.index_of(v)].active_rows
+
+
+small_int = st.integers(min_value=-10, max_value=10).map(float)
+small_row = st.builds(pl.ConstraintRow, small_int, small_int, small_int)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(small_row, min_size=1, max_size=6))
+def test_enumerate_matches_pairwise_reference(rows):
+    # Small integers make duplicate and parallel rows, three rows through
+    # one point, empty, point and segment regions common.
+    _same_outcome(pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows)))
+
+
+def test_enumerate_matches_pairwise_reference_on_random_lps():
+    rng = rng_for(2718)
+    for _ in range(200):
+        _same_outcome(random_bounded_lp(rng))
