@@ -15,7 +15,7 @@ from enum import Enum
 from .errors import NegativeCoefficient, PointOnLine, ZeroObjective
 from .geometry import LineThroughOrigin, Vec2, distance_to_line
 from .lp_model import FeasibleRegion, Vertex
-from .solver import VALUE_TIE_REL
+from .solver import argmax_with_ties
 
 SIDE_TOL = 1e-12
 
@@ -80,12 +80,5 @@ def argmax_distance(region: FeasibleRegion, c: Vec2) -> DistanceSolution:
         )
     line = objective_line(c)
     dists = [distance_to_line(v.point, line) for v in region.vertices]
-    best = 0
-    for i in range(1, len(dists)):
-        if dists[i] > dists[best]:
-            best = i
-    thr = VALUE_TIE_REL * max(1.0, dists[best])
-    unique = all(
-        dists[best] - dists[i] > thr for i in range(len(dists)) if i != best
-    )
-    return DistanceSolution(region.vertices[best], dists[best], unique)
+    best, tied = argmax_with_ties(dists)
+    return DistanceSolution(region.vertices[best], dists[best], not tied)

@@ -2,9 +2,9 @@
 
 Independent of the analytic path: for each sampled gradient angle the
 argmax vertex is recomputed from scratch, runs of a fixed winner are
-located, and the run boundaries are sharpened by bisection.  The inner
-argmax loop runs in a compiled extension when one was built, otherwise in
-a pure-Python fallback with identical arithmetic.
+located, and the run boundaries are sharpened by bisection.  The argmax
+kernel is plain Python over float lists; the grid and the bisection share it,
+so both see the same winner at the same angle.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
-
-try:
-    from . import _sweep_kernel as _kernel
-except ImportError:  # pragma: no cover - depends on the build environment
-    from . import _sweep_fallback as _kernel
 
 from .errors import EmptyRegion, VertexNeverOptimal
 from .geometry import TAU, Vec2, wrap_angle
@@ -34,8 +29,9 @@ _TIE_REL = 1e-9
 
 
 def sweep_backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'python'."""
-    return _kernel.BACKEND
+    """Name of the sweep kernel, recorded with benchmark runs: always
+    'python'."""
+    return "python"
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +55,43 @@ class SweepResult:
             yield float(phi), (None if idx == TIE else self.region.vertices[idx])
 
 
-def _coords(region: FeasibleRegion) -> tuple[np.ndarray, np.ndarray]:
+def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
+    vx = [v.point.x1 for v in region.vertices]
+    vy = [v.point.x2 for v in region.vertices]
+    return vx, vy
+
+
+def _argmax_at(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
+    """Index of the strict argmax of vx*cos(phi) + vy*sin(phi), or TIE when
+    the runner-up is within rel_tol * max(1, |best|)."""
+    c = math.cos(phi)
+    s = math.sin(phi)
+    best = vx[0] * c + vy[0] * s
+    best_j = 0
+    second = -math.inf
+    for j in range(1, len(vx)):
+        val = vx[j] * c + vy[j] * s
+        if val > best:
+            second = best
+            best = val
+            best_j = j
+        elif val > second:
+            second = val
+    if len(vx) > 1 and best - second <= rel_tol * max(1.0, abs(best)):
+        return TIE
+    return best_j
+
+
+def _argmax_grid(
+    phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
+) -> np.ndarray:
+    """_argmax_at at every angle of phis, as an int64 array."""
     import numpy as np
 
-    vx = np.ascontiguousarray([v.point.x1 for v in region.vertices], dtype=float)
-    vy = np.ascontiguousarray([v.point.x2 for v in region.vertices], dtype=float)
-    return vx, vy
+    out = np.empty(len(phis), dtype=np.int64)
+    for i, phi in enumerate(phis):
+        out[i] = _argmax_at(float(phi), vx, vy, rel_tol)
+    return out
 
 
 def _simplex_argmax(lp: LinearProgram2D, region: FeasibleRegion, phi: float) -> int:
@@ -111,7 +138,7 @@ def sweep_argmax(
         )
     else:
         vx, vy = _coords(region)
-        argmax = _kernel.argmax_grid(phis, vx, vy, tie_tol)
+        argmax = _argmax_grid(phis, vx, vy, tie_tol)
     return SweepResult(region, phis, argmax, step)
 
 
@@ -176,10 +203,10 @@ def stable_interval_by_sweep(
 
     else:
         vx, vy = _coords(region)
-        argmax = _kernel.argmax_grid(phis, vx, vy, tie_tol)
+        argmax = _argmax_grid(phis, vx, vy, tie_tol)
 
         def wins(phi: float) -> bool:
-            return _kernel.argmax_at(phi, vx, vy, tie_tol) == x0_idx
+            return _argmax_at(phi, vx, vy, tie_tol) == x0_idx
 
     mask = argmax == x0_idx
     if not mask.any():

@@ -39,7 +39,12 @@ from .lp_model import (
     validate,
 )
 from .normalization import normalizing_rotation
-from .solver import VALUE_TIE_REL, adjacent_vertices, enumerate_vertices
+from .solver import (
+    VALUE_TIE_REL,
+    adjacent_vertices,
+    argmax_with_ties,
+    enumerate_vertices,
+)
 
 
 @dataclass(frozen=True)
@@ -163,12 +168,7 @@ def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityR
     nonzero."""
     c = lp.objective
     values = [evaluate(lp, v.point) for v in region.vertices]
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    thr = VALUE_TIE_REL * max(1.0, abs(values[best]))
-    tied = [i for i in range(len(values)) if i != best and values[best] - values[i] <= thr]
+    best, tied = argmax_with_ties(values)
     n = len(region.vertices)
     if tied:
         verts = [region.vertices[best]] + [region.vertices[i] for i in tied]

@@ -299,21 +299,28 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
     )
 
 
+def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
+    """Index of the first strict maximum of values, and the other indices
+    whose value is not more than VALUE_TIE_REL * max(1, |max|) below it."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best]:
+            best = i
+    top = values[best]
+    thr = VALUE_TIE_REL * max(1.0, abs(top))
+    # "not >" rather than "<=": a NaN gap (overflowed values) is a tie.
+    tied = [i for i, v in enumerate(values) if i != best and not top - v > thr]
+    return best, tied
+
+
 def solve_enumeration(lp: LinearProgram2D, *, tol: float = 1e-9) -> Solution:
     """Maximize by brute force over the region's vertices."""
     if lp.objective.is_zero():
         raise ZeroObjective("objective is (0, 0)")
     region = enumerate_vertices(lp, tol=tol)
     values = [evaluate(lp, v.point) for v in region.vertices]
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    thr = VALUE_TIE_REL * max(1.0, abs(values[best]))
-    unique = all(
-        values[best] - values[i] > thr for i in range(len(values)) if i != best
-    )
-    return Solution(region.vertices[best], values[best], unique)
+    best, tied = argmax_with_ties(values)
+    return Solution(region.vertices[best], values[best], not tied)
 
 
 def adjacent_vertices(region: FeasibleRegion, v) -> tuple[Vertex, Vertex]:

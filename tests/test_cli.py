@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -228,3 +232,29 @@ def test_cli_svg_deterministic(tmp_path, capsys):
     assert svg.count('class="cone-ray"') == 2
     assert 'class="cone"' in svg and 'class="optimum"' in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_cli_does_not_import_numpy(tmp_path):
+    # numpy is loaded on first use (simplex, sweep); solve and sensitivity
+    # without --check-sweep must run without importing it
+    svg = str(tmp_path / "out.svg")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import planarlp",
+        "from planarlp import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.main(['solve', {PAPER!r}]) == 0",
+        f"    assert cli.main(['sensitivity', {PAPER!r}]) == 0",
+        f"    assert cli.main(['sensitivity', '--json', {PAPER!r}]) == 0",
+        f"    assert cli.main(['sensitivity', '--svg', {svg!r}, {PAPER!r}]) == 0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    src = str(Path(pl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import planarlp as pl
-from planarlp import _sweep_fallback, oracle
+from planarlp import oracle
 from planarlp.errors import VertexNeverOptimal, VertexNotInRegion
 from conftest import circ_close, region_of_points, rng_for, square_lp
 
@@ -120,17 +120,17 @@ def test_sweep_simplex_mode(ref_lp, ref_region):
 
 
 def test_backends_agree(ref_region):
-    vx = np.ascontiguousarray([v.point.x1 for v in ref_region.vertices])
-    vy = np.ascontiguousarray([v.point.x2 for v in ref_region.vertices])
+    # the grid kernel and the point kernel that bisection calls must pick
+    # the same winner at the same angle, to the bit
+    vx, vy = oracle._coords(ref_region)
     phis = np.linspace(-math.pi, math.pi, 20001)
-    active = oracle._kernel.argmax_grid(phis, vx, vy, 1e-9)
-    pure = _sweep_fallback.argmax_grid(phis, vx, vy, 1e-9)
-    assert (active == pure).all()
-    for phi in (-2.0, -0.5, 0.3, math.atan(0.5), 1.4):
-        assert oracle._kernel.argmax_at(phi, vx, vy, 1e-9) == _sweep_fallback.argmax_at(
-            phi, vx, vy, 1e-9
-        )
+    grid = oracle._argmax_grid(phis, vx, vy, 1e-9)
+    assert grid.tolist() == [oracle._argmax_at(float(p), vx, vy, 1e-9) for p in phis]
+    five = [-2.0, -0.5, 0.3, math.atan(0.5), 1.4]
+    at = [oracle._argmax_at(p, vx, vy, 1e-9) for p in five]
+    assert oracle._argmax_grid(np.array(five), vx, vy, 1e-9).tolist() == at
+    assert at[3] == pl.TIE
 
 
 def test_backend_reports_name():
-    assert pl.sweep_backend() in ("compiled", "python")
+    assert pl.sweep_backend() == "python"

@@ -11,6 +11,7 @@ from planarlp.errors import (
     UnboundedRegion,
     ZeroObjective,
 )
+from planarlp.solver import argmax_with_ties
 from pairwise_enumeration import pairwise_enumerate_vertices
 from conftest import (
     REF_OPTIMUM,
@@ -139,6 +140,15 @@ def test_solve_enumeration_tie(ref_lp):
     sol = pl.solve_enumeration(lp)
     assert not sol.unique
     assert abs(sol.value - 200.0) < 1e-9 * 200.0
+
+
+def test_argmax_with_ties():
+    # first strict maximum; the threshold is relative above |max| = 1
+    assert argmax_with_ties([1.0, 3e9, 3e9 - 2.0, 3e9 - 4.0]) == (1, [2])
+    assert argmax_with_ties([0.5, 0.5 - 5e-10, 0.5 - 2e-9]) == (0, [1])
+    assert argmax_with_ties([2.0, 2.0]) == (0, [1])
+    # a NaN gap proves no margin, so it counts as a tie
+    assert argmax_with_ties([math.inf, math.inf]) == (0, [1])
 
 
 def test_solve_enumeration_triangle():
