@@ -303,6 +303,21 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+#: The most grid angles --check-sweep may ask for; each costs 16 bytes
+#: (its angle and its winner).
+_MAX_SWEEP_ANGLES = 10**7
+
+
+def _sweep_step(text: str) -> float:
+    step = float(text)
+    if not 0.0 < step <= 180.0 or 360.0 / step > _MAX_SWEEP_ANGLES:
+        raise argparse.ArgumentTypeError(
+            f"need a sweep step in (0, 180] degrees giving at most "
+            f"{_MAX_SWEEP_ANGLES} angles, got {text}"
+        )
+    return step
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planarlp",
@@ -327,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write an SVG rendering of region and cone")
     pn.add_argument("--clip-first-quadrant", action="store_true",
                     help="also report the cone clipped to (0°, 90°)")
-    pn.add_argument("--check-sweep", type=float, metavar="STEP",
+    pn.add_argument("--check-sweep", type=_sweep_step, metavar="STEP",
                     help="certify the cone with a sweep at STEP degrees")
     pn.add_argument("--tol", type=_tolerance, default=1e-9, metavar="EPS",
                     help="feasibility tolerance (default 1e-9)")

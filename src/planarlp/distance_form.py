@@ -9,11 +9,12 @@ maximizing the distance to the line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NegativeCoefficient, PointOnLine, ZeroObjective
-from .geometry import LineThroughOrigin, Vec2, distance_to_line
+from .geometry import LineThroughOrigin, Vec2, _pow2_scaled, distance_to_line
 from .lp_model import FeasibleRegion, Vertex
 from .solver import argmax_with_ties
 
@@ -79,6 +80,11 @@ def argmax_distance(region: FeasibleRegion, c: Vec2) -> DistanceSolution:
             f"need a componentwise-nonnegative objective, got ({c.x1}, {c.x2})"
         )
     line = objective_line(c)
+    if not math.isfinite(c.norm()) or not all(
+        math.isfinite(c.dot(v.point)) for v in region.vertices
+    ):
+        # |c| or c . x overflows; the distance depends only on c's direction.
+        line = objective_line(_pow2_scaled(c))
     dists = [distance_to_line(v.point, line) for v in region.vertices]
     best, tied = argmax_with_ties(dists)
     return DistanceSolution(region.vertices[best], dists[best], not tied)

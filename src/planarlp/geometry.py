@@ -69,6 +69,14 @@ class Vec2:
         return self.x1 == 0.0 and self.x2 == 0.0
 
 
+def _pow2_scaled(v: Vec2) -> Vec2:
+    """v times the power of two that brings its larger component into
+    [1/4, 1/2): the same direction, exactly unless the smaller component
+    underflows, and its dot product with a finite point cannot overflow."""
+    _, e = math.frexp(max(abs(v.x1), abs(v.x2)))
+    return Vec2(math.ldexp(v.x1, -e - 1), math.ldexp(v.x2, -e - 1))
+
+
 def cross(u: Vec2, v: Vec2) -> float:
     """z-component of the cross product u x v."""
     return u.x1 * v.x2 - u.x2 * v.x1

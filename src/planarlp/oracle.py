@@ -1,16 +1,21 @@
 """Brute-force certification of stable cones by a dense angle sweep.
 
-Independent of the analytic path: for each sampled gradient angle the
-argmax vertex is recomputed from scratch, runs of a fixed winner are
-located, and the run boundaries are sharpened by bisection.  The argmax
-kernel is plain Python over float lists; the grid and the bisection share it,
-so both see the same winner at the same angle.
+Independent of the analytic path: the argmax vertex is sampled at every
+angle of a grid, runs of a fixed winner are located, and the run boundaries
+are sharpened by bisection.  The point kernel is a full scan of the vertices
+in plain Python over float lists.  The grid walks the vertex cycle instead,
+keeping the last winner and checking it against its two neighbours; it
+takes the full scan wherever that check cannot certify the same answer, so
+its output equals the full scan at every angle (see _walk).  The bisection
+calls the full scan, so grid and bisection see the same winner at the same
+angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
@@ -61,9 +66,12 @@ def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
     return vx, vy
 
 
-def _argmax_at(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
-    """Index of the strict argmax of vx*cos(phi) + vy*sin(phi), or TIE when
-    the runner-up is within rel_tol * max(1, |best|)."""
+def _scan(
+    phi: float, vx: list[float], vy: list[float], rel_tol: float
+) -> tuple[int, int]:
+    """The full scan at phi: the strict argmax of vx*cos(phi) + vy*sin(phi),
+    or TIE when the runner-up is within rel_tol * max(1, |best|); and the
+    index of the best value, which the grid walk restarts from."""
     c = math.cos(phi)
     s = math.sin(phi)
     best = vx[0] * c + vy[0] * s
@@ -78,8 +86,124 @@ def _argmax_at(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> 
         elif val > second:
             second = val
     if len(vx) > 1 and best - second <= rel_tol * max(1.0, abs(best)):
-        return TIE
-    return best_j
+        return TIE, best_j
+    return best_j, best_j
+
+
+def _argmax_at(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
+    """Index of the strict argmax of vx*cos(phi) + vy*sin(phi), or TIE when
+    the runner-up is within rel_tol * max(1, |best|)."""
+    return _scan(phi, vx, vy, rel_tol)[0]
+
+
+# Shewchuk's error bound for a 2x2 orientation determinant of differences,
+# (3 + 16 eps) eps with eps = 2**-53, and an absolute term for products that
+# fall below the normal range.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_UNDERFLOW = 2.0**-1060
+
+
+def _turns_left(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> bool:
+    """The turn a -> b -> c is exactly a left turn or straight on (not a
+    reversal, not a zero-length edge).  Floats decide it when the filter is
+    sure; otherwise exact rationals do."""
+    left = (bx - ax) * (cy - by)
+    right = (by - ay) * (cx - bx)
+    det = left - right
+    err = _ORIENT_ERR * (abs(left) + abs(right)) + _UNDERFLOW
+    if det > err:
+        return True
+    if det < -err:
+        return False
+    ex, ey = Fraction(bx) - Fraction(ax), Fraction(by) - Fraction(ay)
+    fx, fy = Fraction(cx) - Fraction(bx), Fraction(cy) - Fraction(by)
+    det = ex * fy - ey * fx
+    return det > 0 or (det == 0 and ex * fx + ey * fy > 0)
+
+
+def _convex(vx: list[float], vy: list[float]) -> bool:
+    """The float vertex cycle is exactly convex and counterclockwise: every
+    turn is left or straight on, and the edge directions wind once (they
+    cross from the lower half-turn [pi, 2 pi) into the upper [0, pi) once)."""
+    n = len(vx)
+    if n < 3:
+        return False
+    crossings = 0
+    for k in range(n):
+        ax, ay, bx, by, cx, cy = vx[k - 2], vy[k - 2], vx[k - 1], vy[k - 1], vx[k], vy[k]
+        if not _turns_left(ax, ay, bx, by, cx, cy):
+            return False
+        up_before = by > ay or (by == ay and bx > ax)
+        up_after = cy > by or (cy == by and cx > bx)
+        crossings += up_after and not up_before
+    return crossings == 1
+
+
+def _walk(phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float):
+    """Yield _argmax_at(phi, vx, vy, rel_tol) for each phi of phis, walking
+    the cycle where that is certified to give the same answer.
+
+    On a convex counterclockwise cycle the values g_j = x_j c + y_j s
+    (exact, for the float c = cos(phi), s = sin(phi)) rise and then fall
+    once around the cycle, so a vertex p with g_p > g_(p-1), g_(p+1) is the
+    global maximum and every other g_j is at most max(g_(p-1), g_(p+1)).
+    The computed f_j = fl(fl(x_j c) + fl(y_j s)) differs from g_j by at most
+    E = (2u + u^2) (|x_j| + |y_j|) + 3 eta (u = 2**-53, eta = 2**-1075 for
+    underflow; |c|, |s| <= 1), and S = 2**-50 M + 2**-1060, with
+    M = max_j (|x_j| + |y_j|), is at least 2E.
+
+    The walk keeps the last winner p, evaluates p and its two neighbours
+    with the scan's expression, climbs to the larger neighbour while one is
+    larger, and accepts p when fl(f_p - m) > fl(t' + S), m the larger
+    neighbour value and t' = rel_tol (1 + 2**-49) max(1, |f_p|).  Rounding
+    is monotone, so then f_p - m > t' + S exactly; hence g_p exceeds its
+    neighbours, and every other f_j <= m + 2E, so f_p - f_j > t'.  The
+    scan's threshold is t = rel_tol max(1, |f_p|); t' exceeds it by more
+    than an ulp when t is normal, so fl(f_p - f_j) >= t' > t; when t is 0 or
+    subnormal, f_p - f_j > t' >= t are multiples of 2**-1074, so again
+    fl(f_p - f_j) > t.  So the scan returns p.  Where the test fails, the
+    angle takes the full scan, and the walk restarts from the scan's best
+    index.
+
+    Without a certified cycle (checked once, exactly, by _convex), a
+    negative or NaN rel_tol, or coordinates large enough to overflow, every
+    angle takes the full scan.
+    """
+    n = len(vx)
+    scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
+    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)):
+        for phi in phis:
+            yield _scan(phi, vx, vy, rel_tol)[0]
+        return
+    band = 2.0**-50 * scale + _UNDERFLOW
+    rel = rel_tol * (1.0 + 2.0**-49)
+    cos, sin = math.cos, math.sin
+    p = -1  # no winner yet: the first angle takes the full scan
+    for phi in phis:
+        if p >= 0:
+            c = cos(phi)
+            s = sin(phi)
+            fr = vx[i] * c + vy[i] * s
+            fp = vx[p] * c + vy[p] * s
+            fn = vx[j] * c + vy[j] * s
+            while True:
+                if fn > fp:
+                    i, p, j = p, j, (j + 1) % n
+                    fr, fp = fp, fn
+                    fn = vx[j] * c + vy[j] * s
+                elif fr > fp:
+                    i, p, j = (i - 1) % n, i, p
+                    fn, fp = fp, fr
+                    fr = vx[i] * c + vy[i] * s
+                else:
+                    break
+            a = fp if fp > 0.0 else -fp
+            if fp - (fn if fn > fr else fr) > rel * (a if a > 1.0 else 1.0) + band:
+                yield p
+                continue
+        out, p = _scan(phi, vx, vy, rel_tol)
+        i, j = (p - 1) % n, (p + 1) % n
+        yield out
 
 
 def _argmax_grid(
@@ -88,10 +212,7 @@ def _argmax_grid(
     """_argmax_at at every angle of phis, as an int64 array."""
     import numpy as np
 
-    out = np.empty(len(phis), dtype=np.int64)
-    for i, phi in enumerate(phis):
-        out[i] = _argmax_at(float(phi), vx, vy, rel_tol)
-    return out
+    return np.fromiter(_walk(phis, vx, vy, rel_tol), dtype=np.int64, count=len(phis))
 
 
 def _simplex_argmax(lp: LinearProgram2D, region: FeasibleRegion, phi: float) -> int:
@@ -123,10 +244,10 @@ def sweep_argmax(
     """
     import numpy as np
 
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not phi_lo < phi_hi:
-        raise ValueError(f"need phi_lo < phi_hi, got ({phi_lo}, {phi_hi})")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not -math.inf < phi_lo < phi_hi < math.inf:
+        raise ValueError(f"need finite phi_lo < phi_hi, got ({phi_lo}, {phi_hi})")
     if not region.vertices:
         raise EmptyRegion("cannot sweep a region with no vertices")
     count = int(math.floor((phi_hi - phi_lo) / step + 1e-9)) + 1
@@ -180,8 +301,8 @@ def stable_interval_by_sweep(
     """
     import numpy as np
 
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step <= math.pi:
+        raise ValueError(f"step must lie in (0, pi], got {step}")
     if not region.vertices:
         raise EmptyRegion("cannot sweep a region with no vertices")
     x0_idx = region.index_of(x0)

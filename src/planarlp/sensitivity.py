@@ -44,6 +44,7 @@ from .solver import (
     adjacent_vertices,
     argmax_with_ties,
     enumerate_vertices,
+    objective_values,
 )
 
 
@@ -167,8 +168,7 @@ def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityR
     """analyze() on the already built region of lp, whose objective is
     nonzero."""
     c = lp.objective
-    values = [evaluate(lp, v.point) for v in region.vertices]
-    best, tied = argmax_with_ties(values)
+    best, tied = argmax_with_ties(objective_values(c, region.points()))
     n = len(region.vertices)
     if tied:
         verts = [region.vertices[best]] + [region.vertices[i] for i in tied]
@@ -205,7 +205,7 @@ def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityR
 
     return SensitivityReport(
         optimal_vertex=x0,
-        optimal_value=values[best],
+        optimal_value=evaluate(lp, x0.point),
         pred=pred,
         succ=succ,
         theta1=theta1,

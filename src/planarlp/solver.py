@@ -22,7 +22,7 @@ from .errors import (
     UnboundedRegion,
     ZeroObjective,
 )
-from .geometry import TAU, Vec2, _atan2
+from .geometry import TAU, Vec2, _atan2, _pow2_scaled
 from .lp_model import (
     MERGE_TOL,
     X1_NONNEG,
@@ -313,14 +313,25 @@ def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
     return best, tied
 
 
+def objective_values(c: Vec2, points: list[Vec2]) -> list[float]:
+    """c . p for each point, to rank the points by.  When a value overflows,
+    c is scaled by a power of two first: the ranking depends only on the
+    direction of c."""
+    values = [c.dot(p) for p in points]
+    if all(map(math.isfinite, values)):
+        return values
+    c = _pow2_scaled(c)
+    return [c.dot(p) for p in points]
+
+
 def solve_enumeration(lp: LinearProgram2D, *, tol: float = 1e-9) -> Solution:
     """Maximize by brute force over the region's vertices."""
     if lp.objective.is_zero():
         raise ZeroObjective("objective is (0, 0)")
     region = enumerate_vertices(lp, tol=tol)
-    values = [evaluate(lp, v.point) for v in region.vertices]
-    best, tied = argmax_with_ties(values)
-    return Solution(region.vertices[best], values[best], not tied)
+    best, tied = argmax_with_ties(objective_values(lp.objective, region.points()))
+    x = region.vertices[best]
+    return Solution(x, evaluate(lp, x.point), not tied)
 
 
 def adjacent_vertices(region: FeasibleRegion, v) -> tuple[Vertex, Vertex]:

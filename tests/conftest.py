@@ -83,6 +83,19 @@ def random_bounded_lp(rng, *, mixed_sign=False, positive=False, max_rows=8):
             return lp
 
 
+def tangent_circle_lp(rng, m):
+    """m >= 4 lines tangent to the circle of radius 10 about (40, 40), one
+    normal angle drawn in each of m equal slots, so the region is bounded;
+    the objective is (1, 1)."""
+    slot = 2.0 * math.pi / m
+    rows = []
+    for k in range(m):
+        a = -math.pi + slot * (k + float(rng.uniform(0.1, 0.9)))
+        ca, sa = math.cos(a), math.sin(a)
+        rows.append(pl.ConstraintRow(ca, sa, 40.0 * ca + 40.0 * sa + 10.0))
+    return pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows))
+
+
 def circ_close(a, b, tol):
     """Angles equal modulo full turns, within tol radians."""
     return abs(pl.circular_delta(a, b)) <= tol

@@ -116,6 +116,15 @@ def test_cli_rejects_negative_tolerance(command, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "181", "1e-9", "x"])
+def test_cli_rejects_bad_sweep_step(step, capsys):
+    # a usage error, not a traceback or a 2.6 TiB allocation (1e-9 degrees)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["sensitivity", PAPER, "--check-sweep", step])
+    assert ei.value.code == 2
+    assert "--check-sweep" in capsys.readouterr().err
+
+
 def test_cli_solve_infeasible(tmp_path, capsys):
     f = tmp_path / "inf.lp"
     f.write_text("maximize: 1 1\nconstraints:\n1 1 -1\n")

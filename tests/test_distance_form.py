@@ -63,6 +63,16 @@ def test_argmax_distance_reference(ref_region, ref_lp):
     assert ds.unique
 
 
+@pytest.mark.parametrize("c", [1e307, 1.5e308])
+def test_argmax_distance_large_objective(ref_region, c):
+    # c . x (and for 1.5e308 also |c|) overflows; the distance does not
+    ds = pl.argmax_distance(ref_region, pl.Vec2(c, c))
+    assert ds.vertex.point.x1 == pytest.approx(80.0)
+    assert ds.vertex.point.x2 == pytest.approx(40.0)
+    assert ds.distance == pytest.approx(120.0 / math.sqrt(2.0))
+    assert ds.unique
+
+
 def test_argmax_distance_axis_objective(ref_region):
     ds = pl.argmax_distance(ref_region, pl.Vec2(1.0, 0.0))
     assert abs(ds.vertex.point.x1 - 100.0) < 1e-9

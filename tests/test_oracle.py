@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import planarlp as pl
 from planarlp import oracle
 from planarlp.errors import VertexNeverOptimal, VertexNotInRegion
-from conftest import circ_close, region_of_points, rng_for, square_lp
+from conftest import (
+    circ_close,
+    random_bounded_lp,
+    region_of_points,
+    rng_for,
+    square_lp,
+    tangent_circle_lp,
+)
 
 STEP = math.radians(0.01)
 
@@ -42,6 +50,18 @@ def test_sweep_argmax_validates_arguments(ref_region):
         pl.sweep_argmax(ref_region, 1.0, 0.0, STEP)
     with pytest.raises(ValueError):
         pl.sweep_argmax(ref_region, 0.0, 1.0, 0.0)
+    for step in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pl.sweep_argmax(ref_region, 0.0, 1.0, step)
+    for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            pl.sweep_argmax(ref_region, lo, hi, STEP)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 4.0])
+def test_interval_by_sweep_validates_step(ref_region, step):
+    with pytest.raises(ValueError):
+        pl.stable_interval_by_sweep(ref_region, vertex_at(ref_region, 80, 40), step)
 
 
 def test_interval_by_sweep_reference(ref_region):
@@ -134,3 +154,105 @@ def test_backends_agree(ref_region):
 
 def test_backend_reports_name():
     assert pl.sweep_backend() == "python"
+
+
+# The near-straight corner: (1/3, 1) in floats lies just right of the line
+# from (0, 0) to (1, 3), so the cycle turns right there by a rounding error.
+NEAR_STRAIGHT = [(0.0, 0.0), (1.0 / 3.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
+SLIVER = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-5), (0.0, 1.0)]
+STRAIGHT = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
+# Cycles no FeasibleRegion accepts, which the kernel must still get right:
+# a reflex corner at (1, 1), and a star whose turns are all left but wind twice.
+DART = [(0.0, 0.0), (2.0, 1.0), (0.0, 2.0), (1.0, 1.0)]
+PENTAGRAM = [(math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)) for k in range(5)]
+
+
+def _xy(points):
+    return [p[0] for p in points], [p[1] for p in points]
+
+
+def test_convexity_check():
+    assert oracle._convex(*_xy(STRAIGHT))  # a straight turn is allowed
+    assert oracle._convex(*_xy(SLIVER))
+    assert not oracle._convex(*_xy(NEAR_STRAIGHT))
+    assert not oracle._convex(*_xy(STRAIGHT[::-1]))  # clockwise
+    assert not oracle._convex(*_xy(DART))
+    assert not oracle._convex(*_xy(PENTAGRAM))
+    assert not oracle._convex(*_xy([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+
+
+def _cycle(kind, rng):
+    if kind == "lp":
+        return oracle._coords(pl.enumerate_vertices(random_bounded_lp(rng)))
+    if kind == "tangent":
+        m = int(rng.integers(4, 65))
+        return oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng, m)))
+    if kind in ("sliver", "near-straight", "straight"):
+        points = {"sliver": SLIVER, "near-straight": NEAR_STRAIGHT, "straight": STRAIGHT}
+        return oracle._coords(region_of_points(points[kind]))
+    return _xy(DART if kind == "dart" else PENTAGRAM)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(
+        ["lp", "tangent", "sliver", "near-straight", "straight", "dart", "pentagram"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 7.0, 1e3, 1e8]),
+    order=st.sampled_from(["up", "down", "shuffled"]),
+    log_step=st.floats(-6.0, math.log10(3.0)),
+    count=st.integers(1, 400),
+    start=st.floats(-4.0, 4.0),
+    rel_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+)
+def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start, rel_tol):
+    # the walk must return exactly what the full scan returns at every angle
+    rng = rng_for(seed)
+    vx, vy = _cycle(kind, rng)
+    vx = [x * scale for x in vx]
+    vy = [y * scale for y in vy]
+    phis = start + 10.0**log_step * np.arange(count, dtype=float)
+    # edge normals (ties) and their neighbouring floats
+    n = len(vx)
+    normals = [math.atan2(vx[k] - vx[(k + 1) % n], vy[(k + 1) % n] - vy[k]) for k in range(n)]
+    normals = np.array(normals)
+    phis = np.concatenate(
+        [phis, normals, np.nextafter(normals, -np.inf), np.nextafter(normals, np.inf)]
+    )
+    if order == "up":
+        phis = np.sort(phis)
+    elif order == "down":
+        phis = np.sort(phis)[::-1]
+    else:
+        phis = rng.permutation(phis)
+    grid = oracle._argmax_grid(phis, vx, vy, rel_tol)
+    assert grid.dtype == np.int64
+    assert grid.tolist() == [oracle._argmax_at(float(p), vx, vy, rel_tol) for p in phis]
+
+
+@pytest.mark.parametrize("which", ["paper", "tangent-16"])
+def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
+    # at the 0.01 degree grid the walk needs the full scan only at the first
+    # angle and near the edge normals; a broken certificate would scan every
+    # angle and give the speed back
+    if which == "paper":
+        region = ref_region
+    else:
+        region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
+    vx, vy = oracle._coords(region)
+    n = len(vx)
+    res = pl.sweep_argmax(region, -math.pi, math.pi, STEP)
+    scans = []
+    scan = oracle._scan
+
+    def counting_scan(*args):
+        scans.append(args[0])
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "_scan", counting_scan)
+    for phis, argmax in ((res.phis, res.argmax), (res.phis[::-1], res.argmax[::-1])):
+        scans.clear()
+        grid = oracle._argmax_grid(phis, vx, vy, 1e-9)
+        assert len(scans) <= 1 + 2 * n
+        assert (grid == argmax).all()

@@ -301,3 +301,13 @@ def test_classify_value_shift(ref_report):
     assert pl.classify_value_shift(ref_report, math.radians(-1.0)) is pl.ValueShift.INCREASES
     assert pl.classify_value_shift(ref_report, math.radians(1.0)) is pl.ValueShift.DECREASES
     assert pl.classify_value_shift(ref_report, 0.0) is pl.ValueShift.UNCHANGED
+
+
+@pytest.mark.parametrize("c", [1e307, 1.5e308])
+def test_analyze_large_objective(ref_lp, c):
+    # only the direction of c matters: the cone of (1, 1) at (80, 40)
+    report = pl.analyze(pl.LinearProgram2D(pl.Vec2(c, c), ref_lp.constraints))
+    assert report.optimal_vertex.point.x1 == pytest.approx(80.0)
+    assert report.optimal_vertex.point.x2 == pytest.approx(40.0)
+    assert report.interval.lo == pytest.approx(math.atan(0.5), abs=1e-12)
+    assert report.interval.hi == pytest.approx(math.atan(2.0), abs=1e-12)

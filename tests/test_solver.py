@@ -23,6 +23,17 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize("c", [1e307, 1.5e308])
+def test_solve_enumeration_large_objective(ref_lp, c):
+    # c . x overflows, but the direction (1, 1) has the unique optimum (80, 40)
+    lp = pl.LinearProgram2D(pl.Vec2(c, c), ref_lp.constraints)
+    sol = pl.solve_enumeration(lp)
+    assert sol.unique
+    assert sol.vertex.point.x1 == pytest.approx(80.0)
+    assert sol.vertex.point.x2 == pytest.approx(40.0)
+    assert sol.value == math.inf
+
+
 def test_enumerate_reference_region(ref_lp):
     region = pl.enumerate_vertices(ref_lp)
     assert len(region) == 5
