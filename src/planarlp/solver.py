@@ -1,10 +1,11 @@
 """Two independent solvers for the planar LP, plus region construction.
 
 solve_enumeration builds the feasible polygon by sorted half-plane
-intersection and picks the best vertex.  solve_simplex runs a classic
-two-phase tableau simplex with Bland's rule.  They share no code on the
-solve path, which is what makes cross-checking one against the other
-meaningful.
+intersection and picks the best vertex.  solve_simplex is a two-phase
+revised simplex with Bland's rule whose basis is the pair of tight
+constraints, so a pivot is a 2 x 2 solve (3 x 3 in phase one) and one O(m)
+ratio test.  Neither needs numpy.  They share no code on the solve path,
+which is what makes cross-checking one against the other meaningful.
 """
 
 from __future__ import annotations
@@ -64,10 +65,17 @@ def _indexed_rows(lp: LinearProgram2D):
 
 def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = 1e-9) -> frozenset[int]:
     """Indices of all rows (synthetic included) tight at p."""
-    out = set()
-    for idx, row in _indexed_rows(lp):
-        if abs(row.residual(p)) <= tol * row.scale():
-            out.add(idx)
+    out = {
+        i
+        for i, row in enumerate(lp.constraints)
+        if abs(row.residual(p)) <= tol * row.scale()
+    }
+    # The synthetic rows -x1 <= 0 and -x2 <= 0 have residuals -x1, -x2 and
+    # scale 1, so the same test reads |x1| <= tol and |x2| <= tol.
+    if abs(p.x1) <= tol:
+        out.add(X1_NONNEG)
+    if abs(p.x2) <= tol:
+        out.add(X2_NONNEG)
     return frozenset(out)
 
 
@@ -215,7 +223,7 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
-    validate(lp)
+    bounded = check_recession(lp) is Recession.BOUNDED  # validates lp
     rows = sorted(
         ((_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)),
         key=lambda t: t[0],
@@ -241,7 +249,6 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
             continue
         lines.append((ang, row))
 
-    bounded = check_recession(lp) is Recession.BOUNDED
     swept = _sweep(lines, tol, closed=bounded)
     if swept is None:
         raise Infeasible("the constraints leave no feasible point")
@@ -342,158 +349,217 @@ def adjacent_vertices(region: FeasibleRegion, v) -> tuple[Vertex, Vertex]:
 
 
 # --- two-phase simplex -------------------------------------------------------
+#
+# The slack tableau of  max c . x,  A x <= b,  x >= 0  has two nonbasic
+# columns, and its basic solution is where their constraints are tight.  So
+# the simplex keeps just that pair, as column indices in the tableau's order:
+# 0 is x1 (the row -x1 <= 0), 1 is x2, and 2 + i is the slack of row i.
+# Bland's rule breaks every tie by that index.  Each row is scaled to a unit
+# normal, and c to a unit vector, so that no decision below depends on the
+# scale of c, of a row or of b.
 
+#: A unit dual below -_DUAL_TOL marks an improving edge.
+_DUAL_TOL = 1e-10
+#: A row blocks a unit move d only where a . d > _PIV_TOL for its unit a.
 _PIV_TOL = 1e-10
-_MAX_ITERS = 1000
+#: Two ratios tie within this relative window, and a slack below this
+#: times |x|_1 counts as zero, so that degenerate steps tie exactly.
+_TIE_REL = 1e-12
+#: Unit duals this close to zero are probed for a second optimal vertex.
+_PROBE_TOL = 1e-7
+#: Phase one proves infeasibility when the artificial stays above this
+#: times the largest unit right-hand side.
+_INFEAS_REL = 1e-9
 
 
-def _reduced_costs(T, basis, cost):
-    z = cost.copy()
-    for r, bv in enumerate(basis):
-        if cost[bv] != 0.0:
-            z -= cost[bv] * T[r, :-1]
-    return z
+def _unit_columns(lp: LinearProgram2D) -> list[tuple[int, float, float, float]]:
+    """(j, a1, a2, b) for each column j, its row scaled to a unit normal."""
+    out = [(0, -1.0, 0.0, 0.0), (1, 0.0, -1.0, 0.0)]
+    for j, row in enumerate(lp.constraints, 2):
+        h = math.hypot(row.a1, row.a2)
+        out.append((j, row.a1 / h, row.a2 / h, row.b / h))
+    return out
 
 
-def _pivot(T, zrow, basis, r, j):
-    T[r] /= T[r, j]
-    for i in range(T.shape[0]):
-        if i != r and T[i, j] != 0.0:
-            T[i] -= T[i, j] * T[r]
-    if zrow[j] != 0.0:
-        zrow -= zrow[j] * T[r, :-1]
-    basis[r] = j
+def _meet(r, s) -> Vec2:
+    """Where the boundary lines of columns r = (j, a1, a2, b) and s cross."""
+    det = r[1] * s[2] - r[2] * s[1]
+    return Vec2((r[3] * s[2] - s[3] * r[2]) / det, (r[1] * s[3] - s[1] * r[3]) / det)
 
 
-def _choose_leaving(T, basis, j):
-    """Minimum-ratio row for entering column j; Bland tie-break on the
-    basic variable index.  Returns -1 when the column is unbounded."""
-    best_r, best_ratio = -1, math.inf
-    for r in range(T.shape[0]):
-        if T[r, j] > _PIV_TOL:
-            ratio = T[r, -1] / T[r, j]
-            if ratio < best_ratio - 1e-12 or (
-                abs(ratio - best_ratio) <= 1e-12
-                and (best_r == -1 or basis[r] < basis[best_r])
-            ):
-                best_r, best_ratio = r, ratio
-    return best_r
+def _max_pivots(n_cols: int) -> int:
+    """A cap on the pivots of one phase, far above what Bland's rule needs.
+
+    Each nondegenerate pivot reaches a vertex not seen before: phase two
+    walks a polygon with at most n_cols vertices, phase one a polyhedron
+    in three dimensions with n_cols + 1 facets and so at most 2 n_cols
+    vertices.  The cap doubles that for the degenerate pivots in between.
+    """
+    return 4 * n_cols + 8
 
 
-def _run_simplex(T, zrow, basis):
-    """Maximize until no reduced cost is positive.  Bland's rule: smallest
-    eligible entering index, so the method cannot cycle."""
-    for _ in range(_MAX_ITERS):
-        enter = -1
-        for j in range(len(zrow)):
-            if zrow[j] > _PIV_TOL:
-                enter = j
-                break
-        if enter == -1:
-            return
-        leave = _choose_leaving(T, basis, enter)
-        if leave == -1:
-            raise Unbounded("objective is unbounded over the region")
-        _pivot(T, zrow, basis, leave, enter)
-    raise RuntimeError("simplex failed to terminate")
+def _blocking(cols, leave: int, stay: int) -> tuple[int, float]:
+    """The first row met when walking from the vertex of (leave, stay) along
+    stay's line into leave's half-plane: the column with the least ratio,
+    the lowest one among ties.  Returns it with the distance walked, or
+    (-1, inf) when nothing blocks.  O(len(cols)).
+    """
+    _, l1, l2, lb = cols[leave]
+    _, s1, s2, sb = cols[stay]
+    det = l1 * s2 - l2 * s1
+    x1 = (lb * s2 - sb * l2) / det
+    x2 = (l1 * sb - s1 * lb) / det
+    # The unit direction along stay's line with a_leave . d < 0.  Along it
+    # a_stay . d is exactly zero, so neither member of the basis can block.
+    d1, d2 = (-s2, s1) if det > 0.0 else (s2, -s1)
+    piv, win = _PIV_TOL, 1.0 - _TIE_REL
+    tight = _TIE_REL * (abs(x1) + abs(x2))
+    best, best_t, bound = -1, math.inf, math.inf
+    for j, a1, a2, b in cols:
+        den = a1 * d1 + a2 * d2
+        if den > piv:
+            slack = b - a1 * x1 - a2 * x2
+            if slack <= tight:
+                return j, 0.0  # a degenerate step: the least ratio, first met
+            if slack < bound * den:  # slack / den beats the best ratio
+                best, best_t = j, slack / den
+                bound = best_t * win
+    return best, best_t
+
+
+def _cross3(u, v) -> tuple[float, float, float]:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _phase_one(cols) -> tuple[int, int]:
+    """A feasible basis for the unit columns cols, some of whose b are
+    negative.
+
+    Chvatal's auxiliary problem (Linear Programming, 1983, ch. 3): subtract
+    an artificial x0 >= 0 from every row with b < 0 and maximize -x0.  A
+    basis is then three tight constraints in (x1, x2, x0), solved with cross
+    products; x0 >= 0 is the last column.  The first pivot lets x0 enter
+    and the most violated row leave, which makes the basis feasible.
+    Raises Infeasible when the optimum keeps x0 > 0.
+    """
+    n = len(cols)
+    rows = [(j, a1, a2, -1.0 if b < 0.0 else 0.0, b) for j, a1, a2, b in cols]
+    rows.append((n, 0.0, 0.0, -1.0, 0.0))
+    normals = [r[1:4] for r in rows]
+    basis = [0, 1, min(range(n), key=lambda j: cols[j][3])]
+    piv, win = _PIV_TOL, 1.0 - _TIE_REL
+    for _ in range(_max_pivots(n)):
+        u, v, w = (normals[k] for k in basis)
+        # cof[k] / det is column k of the inverse of the basis matrix.
+        cof = (_cross3(v, w), _cross3(w, u), _cross3(u, v))
+        det = u[0] * cof[0][0] + u[1] * cof[0][1] + u[2] * cof[0][2]
+        bp, bq, br = (rows[k][4] for k in basis)
+        x1, x2, x0 = (
+            (bp * cof[0][i] + bq * cof[1][i] + br * cof[2][i]) / det for i in range(3)
+        )
+        # The dual of member k for the objective (0, 0, -1) is -cof[k][2] / det.
+        improving = [k for k in range(3) if cof[k][2] / det > _DUAL_TOL]
+        if not improving:
+            break
+        k = min(improving, key=basis.__getitem__)
+        # Walk with the other two members tight and member k's slack growing;
+        # their a . d is zero up to rounding, far below piv.
+        g = cof[k]
+        h = math.copysign(math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2]), -det)
+        d1, d2, d3 = g[0] / h, g[1] / h, g[2] / h
+        tight = _TIE_REL * (abs(x1) + abs(x2) + abs(x0))
+        best, bound = -1, math.inf
+        for j, a1, a2, a3, b in rows:
+            den = a1 * d1 + a2 * d2 + a3 * d3
+            if den > piv:
+                slack = b - a1 * x1 - a2 * x2 - a3 * x0
+                if slack <= tight:
+                    best = j
+                    break
+                if slack < bound * den:
+                    best, bound = j, slack / den * win
+        if best < 0:
+            raise RuntimeError("phase one found an unbounded artificial")
+        basis[k] = best
+    else:
+        raise RuntimeError("simplex failed to terminate")
+    if x0 > _INFEAS_REL * max(abs(r[3]) for r in cols):
+        raise Infeasible("phase one ended with a positive artificial")
+    if n in basis:
+        basis.remove(n)
+        return basis[0], basis[1]
+    # x0 is basic at zero.  Drop the lowest member whose removal leaves two
+    # crossing lines; that is the pivot that drives x0 out of the basis.
+    for k in sorted(basis):
+        p, q = (j for j in basis if j != k)
+        if abs(cols[p][1] * cols[q][2] - cols[p][2] * cols[q][1]) > _PIV_TOL:
+            return p, q
+    raise RuntimeError("phase one ended on a singular basis")
 
 
 def solve_simplex(lp: LinearProgram2D, *, tol: float = 1e-9) -> Solution:
-    """Two-phase tableau simplex on the slack form of the program.
+    """Two-phase revised simplex with Bland's rule, O(m) per pivot.
 
-    Rows with negative right-hand side are negated and given an artificial
-    variable; phase one drives the artificials out, phase two maximizes the
-    real objective.  Raises Infeasible or Unbounded accordingly.
+    A basis is two tight constraints (rows or bounds); x and the duals of c
+    come from 2 x 2 solves and the ratio test is one pass over the rows.
+    When some b < 0, phase one (a single artificial, a 3 x 3 basis) finds a
+    feasible basis first.  Raises Infeasible or Unbounded accordingly.  The
+    solution is not unique when an edge with zero unit dual leads to a
+    second vertex of the same value.
     """
-    import numpy as np  # loaded on first use; the rest of the package needs none
-
     validate(lp)
     if lp.objective.is_zero():
         raise ZeroObjective("objective is (0, 0)")
-    m = len(lp.constraints)
-    A = np.array([[r.a1, r.a2] for r in lp.constraints], dtype=float)
-    b = np.array([r.b for r in lp.constraints], dtype=float)
-    c = np.array([lp.objective.x1, lp.objective.x2], dtype=float)
+    cols = _unit_columns(lp)
+    big = max(abs(lp.objective.x1), abs(lp.objective.x2))
+    c1, c2 = lp.objective.x1 / big, lp.objective.x2 / big
+    h = math.hypot(c1, c2)
+    c1, c2 = c1 / h, c2 / h
 
-    neg = b < 0.0
-    n_art = int(neg.sum())
-    S = np.eye(m)
-    A1 = A.copy()
-    b1 = b.copy()
-    A1[neg] *= -1.0
-    b1[neg] *= -1.0
-    S[neg] *= -1.0
-
-    art = np.zeros((m, n_art))
-    basis: list[int] = []
-    k = 0
-    for i in range(m):
-        if neg[i]:
-            art[i, k] = 1.0
-            basis.append(2 + m + k)
-            k += 1
+    p, q = _phase_one(cols) if any(col[3] < 0.0 for col in cols) else (0, 1)
+    for _ in range(_max_pivots(len(cols))):
+        _, p1, p2, _ = cols[p]
+        _, q1, q2, _ = cols[q]
+        det = p1 * q2 - p2 * q1
+        yp = (c1 * q2 - c2 * q1) / det
+        yq = (p1 * c2 - p2 * c1) / det
+        # Bland's rule: of the members with a negative dual, the lower leaves.
+        if yp < -_DUAL_TOL and (p < q or not yq < -_DUAL_TOL):
+            leave, stay = p, q
+        elif yq < -_DUAL_TOL:
+            leave, stay = q, p
         else:
-            basis.append(2 + i)
-    T = np.hstack([A1, S, art, b1[:, None]])
+            break
+        r, _ = _blocking(cols, leave, stay)
+        if r < 0:
+            raise Unbounded("objective is unbounded over the region")
+        p, q = r, stay
+    else:
+        raise RuntimeError("simplex failed to terminate")
 
-    if n_art:
-        cost1 = np.zeros(2 + m + n_art)
-        cost1[2 + m :] = -1.0  # maximize -(sum of artificials)
-        zrow = _reduced_costs(T, basis, cost1)
-        _run_simplex(T, zrow, basis)
-        art_sum = sum(T[r, -1] for r in range(m) if basis[r] >= 2 + m)
-        if art_sum > 1e-8 * max(1.0, float(np.abs(b).max())):
-            raise Infeasible("phase one ended with positive artificial mass")
-        # Drive surviving (zero-valued) artificials out of the basis.
-        drop: list[int] = []
-        for r in range(m):
-            if basis[r] >= 2 + m:
-                for j in range(2 + m):
-                    if abs(T[r, j]) > _PIV_TOL:
-                        dummy = np.zeros(T.shape[1] - 1)
-                        _pivot(T, dummy, basis, r, j)
-                        break
-                else:
-                    drop.append(r)  # redundant row
-        if drop:
-            keep = [r for r in range(m) if r not in drop]
-            T = T[keep]
-            basis = [basis[r] for r in keep]
-        T = np.hstack([T[:, : 2 + m], T[:, -1:]])
+    # Unit rows keep the 2 x 2 solve clear of the underflow and overflow
+    # that products of raw coefficients can hit.
+    point = _meet(cols[p], cols[q])
+    value = evaluate(lp, point)
 
-    cost2 = np.zeros(2 + m)
-    cost2[:2] = c
-    zrow = _reduced_costs(T, basis, cost2)
-    _run_simplex(T, zrow, basis)
-
-    x = np.zeros(2 + m)
-    for r, bv in enumerate(basis):
-        x[bv] = T[r, -1]
-    point = Vec2(float(x[0]), float(x[1]))
-    value = float(c @ x[:2])
-
-    # Alternative optima: a nonbasic column with (numerically) zero reduced
-    # cost can be pivoted in; if that lands on a different point with the
-    # same value, the optimum is not unique.  Probe on copies.
+    # Alternative optima: leaving a member whose unit dual is about zero
+    # keeps the value, so if that walk reaches another vertex of the same
+    # value, the optimum is not unique.
     unique = True
-    val_thr = VALUE_TIE_REL * max(1.0, abs(value))
-    for j in range(2 + m):
-        if j in basis or abs(zrow[j]) > 1e-7:
+    for leave, stay, y in sorted(((p, q, yp), (q, p, yq))):
+        if abs(y) > _PROBE_TOL:
             continue
-        T2 = T.copy()
-        basis2 = list(basis)
-        leave = _choose_leaving(T2, basis2, j)
-        if leave == -1:
-            continue  # equal-value ray, no second vertex
-        dummy = np.zeros(T2.shape[1] - 1)
-        _pivot(T2, dummy, basis2, leave, j)
-        x2 = np.zeros(2 + m)
-        for r, bv in enumerate(basis2):
-            x2[bv] = T2[r, -1]
-        other = Vec2(float(x2[0]), float(x2[1]))
-        if (other - point).norm() > MERGE_TOL and abs(
-            float(c @ x2[:2]) - value
-        ) <= val_thr:
+        r, t = _blocking(cols, leave, stay)
+        if r < 0 or t == 0.0:
+            continue  # an equal-value ray, or a degenerate step
+        other = _meet(cols[r], cols[stay])
+        gap = c1 * (other.x1 - point.x1) + c2 * (other.x2 - point.x2)
+        scale = abs(point.x1) + abs(point.x2) + abs(other.x1) + abs(other.x2)
+        if abs(gap) <= VALUE_TIE_REL * scale:
             unique = False
             break
 

@@ -267,3 +267,27 @@ def test_cli_does_not_import_numpy(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_simplex_does_not_import_numpy():
+    # the simplex is pure Python in both phases
+    code = "\n".join([
+        "import sys",
+        "import planarlp as pl",
+        f"lp = pl.load_lp({PAPER!r})",
+        "assert pl.solve_simplex(lp).unique",
+        "rows = (pl.ConstraintRow(-1.0, -1.0, -1.0), pl.ConstraintRow(1.0, 0.0, 2.0),",
+        "        pl.ConstraintRow(0.0, 1.0, 2.0))",
+        "sol = pl.solve_simplex(pl.LinearProgram2D(pl.Vec2(1.0, 1.0), rows))",
+        "assert sol.value == 4.0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    src = str(Path(pl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import planarlp as pl
 from planarlp.errors import (
@@ -14,11 +14,13 @@ from planarlp.errors import (
 from planarlp.solver import argmax_with_ties
 from pairwise_enumeration import pairwise_enumerate_vertices
 from conftest import (
+    FIXTURES,
     REF_OPTIMUM,
     REF_VERTICES,
     random_bounded_lp,
     rng_for,
     square_lp,
+    tangent_circle_lp,
     triangle_lp,
 )
 
@@ -229,6 +231,157 @@ def test_solve_simplex_phase_one_infeasible():
     )
     with pytest.raises(Infeasible):
         pl.solve_simplex(lp)
+
+
+def test_solve_simplex_duplicate_negative_rows():
+    # x2 >= 1 twice and x1 + x2 <= 1 leave only (0, 1).  Phase one ends with
+    # the artificial basic at zero, and a last pivot must drive it out.
+    row = pl.ConstraintRow(0.0, -3.0, -3.0)
+    lp = pl.LinearProgram2D(
+        pl.Vec2(-2.0, -1.0), (pl.ConstraintRow(2.0, 2.0, 2.0), row, row)
+    )
+    sol = pl.solve_simplex(lp)
+    assert (sol.vertex.point.x1, sol.vertex.point.x2) == (0.0, 1.0)
+    assert sol.value == -1.0 and sol.unique
+    assert sol.vertex.active_rows == frozenset({0, 1, 2, pl.X1_NONNEG})
+
+
+@pytest.mark.parametrize(
+    "c, extra",
+    [
+        # x1 + x2 <= 120 passes through the optimum (80, 40) of paper.lp
+        ((2.0, 3.0), (1.0, 1.0, 120.0)),
+        # x1 <= x2, or x2 <= 2 x1, is tight at the start (0, 0) with both
+        # bounds, so the first pivot is degenerate
+        ((1.0, 1.0), (1.0, -1.0, 0.0)),
+        ((1.0, 1.0), (-2.0, 1.0, 0.0)),
+    ],
+)
+def test_solve_simplex_degenerate_vertex(ref_lp, c, extra):
+    lp = pl.LinearProgram2D(
+        pl.Vec2(*c), ref_lp.constraints + (pl.ConstraintRow(*extra),)
+    )
+    sol = pl.solve_simplex(lp)
+    ref = pl.solve_enumeration(lp)
+    assert sol.unique and ref.unique
+    assert (sol.vertex.point - ref.vertex.point).norm() <= 1e-9
+    assert sol.vertex.active_rows == ref.vertex.active_rows
+
+
+def test_solve_simplex_star_of_tight_rows():
+    # ten rows through (0, 0), x2 <= (2 + k) x1 and x1 <= (2 + k) x2, and a
+    # cap: the simplex starts at (0, 0) with twelve tight constraints
+    rows = [pl.ConstraintRow(-2.0 - k, 1.0, 0.0) for k in range(5)]
+    rows += [pl.ConstraintRow(1.0, -2.0 - k, 0.0) for k in range(5)]
+    rows.append(pl.ConstraintRow(1.0, 1.0, 10.0))
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 2.0), tuple(rows))
+    sol = pl.solve_simplex(lp)
+    ref = pl.solve_enumeration(lp)
+    assert (sol.vertex.point - ref.vertex.point).norm() <= 1e-9
+    assert sol.unique and sol.vertex.active_rows == ref.vertex.active_rows
+
+
+def test_solve_simplex_infeasible_before_unbounded():
+    # x2 <= -1 admits no x >= 0, while x1 alone could grow without bound
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(0.0, 1.0, -1.0),))
+    with pytest.raises(Infeasible):
+        pl.solve_simplex(lp)
+
+
+@pytest.mark.parametrize("m", [1500, 2500])
+def test_solve_simplex_many_rows(m):
+    # The pivot count grows with m.  A fixed cap of 1000 pivots per phase
+    # stopped phase one (about 0.44 m pivots here) on a bounded LP at 2500.
+    lp = tangent_circle_lp(rng_for(1), m)
+    sol = pl.solve_simplex(lp)
+    ref = pl.solve_enumeration(lp)
+    assert sol.unique and ref.unique
+    assert (sol.vertex.point - ref.vertex.point).norm() <= 1e-9 * ref.vertex.point.norm()
+    assert sol.vertex.active_rows == ref.vertex.active_rows
+
+
+def _scaled(lp, which, s):
+    """lp with c (which == "c"), b (which == "b") or row which times s."""
+    rows = list(lp.constraints)
+    if which == "c":
+        return pl.LinearProgram2D(lp.objective.scaled(s), rows)
+    if which == "b":
+        rows = [pl.ConstraintRow(r.a1, r.a2, s * r.b) for r in rows]
+    else:
+        r = rows[which]
+        rows[which] = pl.ConstraintRow(s * r.a1, s * r.a2, s * r.b)
+    return pl.LinearProgram2D(lp.objective, rows)
+
+
+def test_solve_simplex_tiny_row(ref_lp):
+    # a pivot tolerance blind to tiny entries returned (75, 50), which
+    # violates row 0: 0.25 * 75 + 0.5 * 50 = 43.75 > 40
+    sol = pl.solve_simplex(_scaled(ref_lp, 0, 1e-12))
+    assert sol.vertex.point.x1 == pytest.approx(80.0, rel=1e-12)
+    assert sol.vertex.point.x2 == pytest.approx(40.0, rel=1e-12)
+    assert sol.unique
+
+
+def test_solve_simplex_tiny_objective(ref_lp):
+    # absolute reduced-cost tolerances stopped at (0, 0) with unique=False
+    sol = pl.solve_simplex(_scaled(ref_lp, "c", 1e-12))
+    assert sol.vertex.point.x1 == pytest.approx(80.0, rel=1e-12)
+    assert sol.vertex.point.x2 == pytest.approx(40.0, rel=1e-12)
+    assert sol.unique
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_solve_simplex_extreme_row_scale(ref_lp, s):
+    # every row times s: products of raw coefficients would underflow or
+    # overflow in the 2 x 2 solves
+    lp = ref_lp
+    for i in range(len(lp.constraints)):
+        lp = _scaled(lp, i, s)
+    sol = pl.solve_simplex(lp)
+    assert sol.vertex.point.x1 == pytest.approx(80.0, rel=1e-12)
+    assert sol.vertex.point.x2 == pytest.approx(40.0, rel=1e-12)
+    assert sol.unique
+
+
+def _phase_one_lp():
+    return pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(-1.0, -1.0, -1.0),
+            pl.ConstraintRow(1.0, 0.0, 2.0),
+            pl.ConstraintRow(0.0, 1.0, 2.0),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(["paper", "tie", "phase one", "random"]),
+    seed=st.integers(0, 10**6),
+    which=st.one_of(st.sampled_from(["c", "b"]), st.integers(0, 20)),
+    exponent=st.one_of(st.sampled_from([-9.0, 9.0]), st.floats(-9.0, 9.0)),
+)
+# b times 1e-9 puts the tied vertices 4.5e-8 apart, within an absolute 1e-7
+@example(base="tie", seed=0, which="b", exponent=-9.0)
+def test_solve_simplex_scale_invariance(base, seed, which, exponent):
+    # Scaling c or one row by s > 0 leaves the optimum; scaling b scales it.
+    # active_rows is left out: active_rows_at tests each row against
+    # tol * ConstraintRow.scale(), which floors at 1, so it is not invariant.
+    lp = {
+        "paper": lambda: pl.load_lp(FIXTURES / "paper.lp"),
+        "tie": lambda: pl.LinearProgram2D(
+            pl.Vec2(2.0, 1.0), pl.load_lp(FIXTURES / "paper.lp").constraints
+        ),
+        "phase one": _phase_one_lp,
+        "random": lambda: random_bounded_lp(rng_for(seed)),
+    }[base]()
+    s = 10.0**exponent
+    target = which if isinstance(which, str) else which % len(lp.constraints)
+    sol = pl.solve_simplex(lp)
+    got = pl.solve_simplex(_scaled(lp, target, s))
+    want = sol.vertex.point.scaled(s) if target == "b" else sol.vertex.point
+    assert (got.vertex.point - want).norm() <= 1e-9 * want.norm()
+    assert got.unique == sol.unique
 
 
 def test_solvers_agree_on_random_batch():
