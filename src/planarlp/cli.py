@@ -12,10 +12,8 @@ Exit codes: 0 success, 1 input/validation error, 2 infeasible, 3 unbounded,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateOptimum,
@@ -25,7 +23,7 @@ from .errors import (
     UnboundedRegion,
     ZeroObjective,
 )
-from .geometry import PolarVector, Vec2, circular_delta
+from .geometry import Frozen, PolarVector, Vec2, _set, circular_delta
 from .lp_io import load_lp
 from .lp_model import Vertex
 from .oracle import stable_interval_by_sweep
@@ -64,27 +62,61 @@ def clip_to_first_quadrant(interval: AngleInterval) -> AngleInterval | None:
     return best
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(Frozen):
     """Outcome of the --check-sweep comparison (angles in radians)."""
 
+    __slots__ = ("step", "interval", "max_endpoint_error", "agrees")
     step: float
     interval: AngleInterval
     max_endpoint_error: float
     agrees: bool
 
+    def __init__(
+        self, step: float, interval: AngleInterval, max_endpoint_error: float, agrees: bool
+    ):
+        _set(self, "step", step)
+        _set(self, "interval", interval)
+        _set(self, "max_endpoint_error", max_endpoint_error)
+        _set(self, "agrees", agrees)
 
-@dataclass(frozen=True)
-class ReportDocument:
+
+class ReportDocument(Frozen):
     """A sensitivity report plus provenance, serializable to JSON and back."""
 
+    __slots__ = (
+        "report",
+        "input_path",
+        "tolerance",
+        "solver",
+        "clip_first_quadrant",
+        "oracle_check",
+        "schema_version",
+    )
     report: SensitivityReport
     input_path: str
     tolerance: float
     solver: str
-    clip_first_quadrant: bool = False
-    oracle_check: OracleCheck | None = None
-    schema_version: int = SCHEMA_VERSION
+    clip_first_quadrant: bool
+    oracle_check: OracleCheck | None
+    schema_version: int
+
+    def __init__(
+        self,
+        report: SensitivityReport,
+        input_path: str,
+        tolerance: float,
+        solver: str,
+        clip_first_quadrant: bool = False,
+        oracle_check: OracleCheck | None = None,
+        schema_version: int = SCHEMA_VERSION,
+    ):
+        _set(self, "report", report)
+        _set(self, "input_path", input_path)
+        _set(self, "tolerance", tolerance)
+        _set(self, "solver", solver)
+        _set(self, "clip_first_quadrant", clip_first_quadrant)
+        _set(self, "oracle_check", oracle_check)
+        _set(self, "schema_version", schema_version)
 
     def to_json_dict(self) -> dict:
         r = self.report
@@ -127,6 +159,8 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
@@ -172,6 +206,8 @@ class ReportDocument:
 
     @classmethod
     def from_json(cls, s: str) -> "ReportDocument":
+        import json
+
         return cls.from_json_dict(json.loads(s))
 
 

@@ -10,11 +10,10 @@ maximizing the distance to the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NegativeCoefficient, PointOnLine, ZeroObjective
-from .geometry import LineThroughOrigin, Vec2, _pow2_scaled, distance_to_line
+from .geometry import Frozen, LineThroughOrigin, Vec2, _pow2_scaled, _set, distance_to_line
 from .lp_model import FeasibleRegion, Vertex
 from .solver import argmax_with_ties
 
@@ -59,11 +58,16 @@ def value_distance_ratio(x: Vec2, c: Vec2) -> float:
     return c.dot(u) / distance_to_line(u, objective_line(c))
 
 
-@dataclass(frozen=True)
-class DistanceSolution:
+class DistanceSolution(Frozen):
+    __slots__ = ("vertex", "distance", "unique")
     vertex: Vertex
     distance: float
     unique: bool
+
+    def __init__(self, vertex: Vertex, distance: float, unique: bool):
+        _set(self, "vertex", vertex)
+        _set(self, "distance", distance)
+        _set(self, "unique", unique)
 
 
 def argmax_distance(region: FeasibleRegion, c: Vec2) -> DistanceSolution:

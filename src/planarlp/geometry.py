@@ -11,7 +11,6 @@ degrees is left to the presentation layer.  Two wrapping conventions matter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonFiniteEntry, ZeroVector
 
@@ -39,16 +38,59 @@ def circular_delta(a: Angle, b: Angle) -> float:
     return wrap_angle(a - b)
 
 
-@dataclass(frozen=True)
-class Vec2:
+# Stores a field of a Frozen instance, past the __setattr__ that refuses it.
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` validates the arguments and stores each field with
+    ``object.__setattr__``.  Instances of the same class are equal when
+    their fields are; repr is ``Name(field=value, ...)``; copy and pickle
+    rebuild an instance by calling the class with its fields.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class Vec2(Frozen):
     """A point or vector in the plane with finite coordinates."""
 
+    __slots__ = ("x1", "x2")
     x1: float
     x2: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise NonFiniteEntry(f"non-finite coordinates ({self.x1}, {self.x2})")
+    def __init__(self, x1: float, x2: float):
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise NonFiniteEntry(f"non-finite coordinates ({x1}, {x2})")
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x1 + other.x1, self.x2 + other.x2)
@@ -82,17 +124,19 @@ def cross(u: Vec2, v: Vec2) -> float:
     return u.x1 * v.x2 - u.x2 * v.x1
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(Frozen):
     """A rotation matrix [[cos, -sin], [sin, cos]] stored by its generators."""
 
+    __slots__ = ("cos_theta", "sin_theta")
     cos_theta: float
     sin_theta: float
 
-    def __post_init__(self):
-        r2 = self.cos_theta * self.cos_theta + self.sin_theta * self.sin_theta
-        if abs(r2 - 1.0) > 1e-12:
+    def __init__(self, cos_theta: float, sin_theta: float):
+        r2 = cos_theta * cos_theta + sin_theta * sin_theta
+        if not abs(r2 - 1.0) <= 1e-12:  # written so that NaN fails
             raise ValueError(f"not a rotation: cos^2+sin^2 = {r2}")
+        _set(self, "cos_theta", cos_theta)
+        _set(self, "sin_theta", sin_theta)
 
     def transpose(self) -> "Rotation":
         """The inverse rotation."""
@@ -104,34 +148,43 @@ class Rotation:
         return ((c, -s), (s, c))
 
 
-@dataclass(frozen=True)
-class PolarVector:
-    """Polar form r (cos phi, sin phi), r >= 0 and phi in (-pi, pi]."""
+class PolarVector(Frozen):
+    """Polar form r (cos phi, sin phi), r >= 0 and phi in (-pi, pi].
 
+    r may be infinite (the norm of a huge finite vector overflows); NaN is
+    rejected in both fields.
+    """
+
+    __slots__ = ("r", "phi")
     r: float
     phi: Angle
 
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError(f"negative radius {self.r}")
+    def __init__(self, r: float, phi: Angle):
+        if not r >= 0.0:
+            raise ValueError(f"negative or NaN radius {r}")
+        if not -math.inf < phi < math.inf:
+            raise ValueError(f"non-finite angle {phi}")
+        _set(self, "r", r)
+        _set(self, "phi", phi)
 
     def to_vec2(self) -> Vec2:
         return Vec2(self.r * math.cos(self.phi), self.r * math.sin(self.phi))
 
 
-@dataclass(frozen=True)
-class LineThroughOrigin:
+class LineThroughOrigin(Frozen):
     """A line through the origin given by a nonzero normal vector.
 
     The direction is the normal rotated a quarter turn counterclockwise,
     so (normal, direction) is a positively oriented frame.
     """
 
+    __slots__ = ("normal",)
     normal: Vec2
 
-    def __post_init__(self):
-        if self.normal.is_zero():
+    def __init__(self, normal: Vec2):
+        if normal.is_zero():
             raise ZeroVector("line normal must be nonzero")
+        _set(self, "normal", normal)
 
     @property
     def direction(self) -> Vec2:

@@ -7,14 +7,13 @@
     ...
 
 Numbers are decimals ("2", "-0.5", "1e3") or fractions ("1/4", "-2/5");
-fractions are parsed exactly and then converted to float.  serialize_lp
-uses repr() so that parse(serialize(lp)) reproduces every float bit for
-bit.
+decimals are read by float(), and a fraction p/q is the quotient of the
+integers p and q, which Python rounds once, correctly, to a float.
+serialize_lp uses repr() so that parse(serialize(lp)) reproduces every
+float bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import LPSyntaxError, MissingObjective, NoConstraints
 from .geometry import Vec2
@@ -25,14 +24,15 @@ _CONSTRAINTS_HEADER = "constraints:"
 
 
 def _parse_number(token: str, lineno: int) -> float:
+    num, slash, den = token.partition("/")
     try:
-        return float(Fraction(token))
+        if not slash:
+            return float(token)
+        if den[:1] not in "+-":  # a sign is allowed on p only, and q is required
+            return int(num) / int(den)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
-    try:
-        return float(token)
-    except ValueError:
-        raise LPSyntaxError(lineno, f"not a number: {token!r}") from None
+    raise LPSyntaxError(lineno, f"not a number: {token!r}")
 
 
 def parse_lp(text: str) -> LinearProgram2D:

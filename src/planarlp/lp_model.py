@@ -9,7 +9,6 @@ still carry two active constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     EmptyConstraintList,
@@ -17,7 +16,7 @@ from .errors import (
     VertexNotInRegion,
     ZeroRow,
 )
-from .geometry import Vec2, cross
+from .geometry import Frozen, Vec2, _set, cross
 
 # Synthetic row indices for the implicit bounds x1 >= 0 and x2 >= 0.
 X1_NONNEG = -1
@@ -30,13 +29,18 @@ MERGE_TOL = 1e-7
 FEAS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(Frozen):
     """One half-plane constraint a1*x1 + a2*x2 <= b."""
 
+    __slots__ = ("a1", "a2", "b")
     a1: float
     a2: float
     b: float
+
+    def __init__(self, a1: float, a2: float, b: float):
+        _set(self, "a1", a1)
+        _set(self, "a2", a2)
+        _set(self, "b", b)
 
     def scale(self) -> float:
         return max(1.0, abs(self.a1), abs(self.a2), abs(self.b))
@@ -46,17 +50,17 @@ class ConstraintRow:
         return self.a1 * x.x1 + self.a2 * x.x2 - self.b
 
 
-@dataclass(frozen=True)
-class LinearProgram2D:
+class LinearProgram2D(Frozen):
+    __slots__ = ("objective", "constraints")
     objective: Vec2
     constraints: tuple[ConstraintRow, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(self, objective: Vec2, constraints: tuple[ConstraintRow, ...]):
+        _set(self, "objective", objective)
+        _set(self, "constraints", tuple(constraints))
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Frozen):
     """A corner of the feasible region.
 
     active_rows holds the indices of the constraints tight at the point
@@ -64,22 +68,23 @@ class Vertex:
     vertices simply carry three or more indices.
     """
 
+    __slots__ = ("point", "active_rows")
     point: Vec2
-    active_rows: frozenset[int] = field(default_factory=frozenset)
+    active_rows: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "active_rows", frozenset(self.active_rows))
+    def __init__(self, point: Vec2, active_rows: frozenset[int] = frozenset()):
+        _set(self, "point", point)
+        _set(self, "active_rows", frozenset(active_rows))
 
 
-@dataclass(frozen=True)
-class FeasibleRegion:
+class FeasibleRegion(Frozen):
     """A bounded feasible polygon as a counterclockwise cycle of vertices."""
 
+    __slots__ = ("vertices",)
     vertices: tuple[Vertex, ...]
 
-    def __post_init__(self):
-        vs = tuple(self.vertices)
-        object.__setattr__(self, "vertices", vs)
+    def __init__(self, vertices: tuple[Vertex, ...]):
+        vs = tuple(vertices)
         n = len(vs)
         if n < 3:
             raise ValueError(f"a region needs at least 3 vertices, got {n}")
@@ -105,6 +110,7 @@ class FeasibleRegion:
             raise ValueError(
                 f"vertex cycle winds {round(turning / math.tau)} times, not once"
             )
+        _set(self, "vertices", vs)
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -10,15 +10,12 @@ is preserved by both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NonPositiveAlpha, ZeroObjective
-from .geometry import Vec2, apply_rotation, polar_of, rotation_of, wrap_angle
+from .geometry import Frozen, Vec2, _set, apply_rotation, polar_of, rotation_of, wrap_angle
 from .lp_model import FeasibleRegion, Vertex
 
 
-@dataclass(frozen=True)
-class NormalizedProblem:
+class NormalizedProblem(Frozen):
     """A region/objective pair after rotation and (maybe) translation.
 
     translated_along_ones records the fallback direction: when the rotated
@@ -26,11 +23,26 @@ class NormalizedProblem:
     the open first quadrant and moves along (1, 1) instead.
     """
 
+    __slots__ = ("region", "objective", "theta0", "translation", "translated_along_ones")
     region: FeasibleRegion
     objective: Vec2
     theta0: float
     translation: Vec2
-    translated_along_ones: bool = False
+    translated_along_ones: bool
+
+    def __init__(
+        self,
+        region: FeasibleRegion,
+        objective: Vec2,
+        theta0: float,
+        translation: Vec2,
+        translated_along_ones: bool = False,
+    ):
+        _set(self, "region", region)
+        _set(self, "objective", objective)
+        _set(self, "theta0", theta0)
+        _set(self, "translation", translation)
+        _set(self, "translated_along_ones", translated_along_ones)
 
 
 def normalizing_rotation(c: Vec2) -> float:

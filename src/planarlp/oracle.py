@@ -14,15 +14,13 @@ angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
 
 from .errors import EmptyRegion, VertexNeverOptimal
-from .geometry import TAU, Vec2, wrap_angle
+from .geometry import TAU, Frozen, Vec2, _set, wrap_angle
 from .lp_model import FeasibleRegion, LinearProgram2D
 from .sensitivity import AngleInterval
 from .solver import solve_simplex
@@ -39,20 +37,38 @@ def sweep_backend() -> str:
     return "python"
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(Frozen):
     """Samples of the winning vertex index over a grid of gradient angles.
 
     argmax[k] is the index into region.vertices of the strict winner at
     phis[k], or TIE.  estimated_interval is filled by
-    stable_interval_by_sweep and None for a plain sweep.
+    stable_interval_by_sweep and None for a plain sweep.  Results compare
+    by identity, as arrays have no single truth value.
     """
 
+    __slots__ = ("region", "phis", "argmax", "step", "estimated_interval")
     region: FeasibleRegion
     phis: np.ndarray
     argmax: np.ndarray
     step: float
-    estimated_interval: AngleInterval | None = None
+    estimated_interval: AngleInterval | None
+
+    def __init__(
+        self,
+        region: FeasibleRegion,
+        phis: np.ndarray,
+        argmax: np.ndarray,
+        step: float,
+        estimated_interval: AngleInterval | None = None,
+    ):
+        _set(self, "region", region)
+        _set(self, "phis", phis)
+        _set(self, "argmax", argmax)
+        _set(self, "step", step)
+        _set(self, "estimated_interval", estimated_interval)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def samples(self):
         """Iterate (phi, Vertex-or-None) pairs; None marks a tie."""
@@ -115,6 +131,8 @@ def _turns_left(ax: float, ay: float, bx: float, by: float, cx: float, cy: float
         return True
     if det < -err:
         return False
+    from fractions import Fraction
+
     ex, ey = Fraction(bx) - Fraction(ax), Fraction(by) - Fraction(ay)
     fx, fy = Fraction(cx) - Fraction(bx), Fraction(cy) - Fraction(by)
     det = ex * fy - ey * fx

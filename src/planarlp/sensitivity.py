@@ -11,7 +11,6 @@ a rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -23,9 +22,11 @@ from .errors import (
 )
 from .geometry import (
     TAU,
+    Frozen,
     PolarVector,
     Vec2,
     _atan2,
+    _set,
     cross,
     line_direction_angle,
     polar_of,
@@ -48,18 +49,20 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class AngleInterval:
+class AngleInterval(Frozen):
     """Open interval (lo, hi) of angles in radians, width strictly below pi."""
 
+    __slots__ = ("lo", "hi")
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
-        if self.hi - self.lo >= math.pi + 1e-9:
-            raise ValueError(f"interval spans {self.hi - self.lo} >= pi")
+    def __init__(self, lo: float, hi: float):
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+        if hi - lo >= math.pi + 1e-9:
+            raise ValueError(f"interval spans {hi - lo} >= pi")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -85,8 +88,21 @@ class AngleInterval:
         return None
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(Frozen):
+    __slots__ = (
+        "optimal_vertex",
+        "optimal_value",
+        "pred",
+        "succ",
+        "theta1",
+        "theta2",
+        "interval",
+        "objective_polar",
+        "phi_inside",
+        "nu_interval",
+        "theta0",
+        "endpoint_ties",
+    )
     optimal_vertex: Vertex
     optimal_value: float
     pred: Vertex
@@ -99,6 +115,34 @@ class SensitivityReport:
     nu_interval: AngleInterval
     theta0: float
     endpoint_ties: tuple[Vertex, Vertex]
+
+    def __init__(
+        self,
+        optimal_vertex: Vertex,
+        optimal_value: float,
+        pred: Vertex,
+        succ: Vertex,
+        theta1: float,
+        theta2: float,
+        interval: AngleInterval,
+        objective_polar: PolarVector,
+        phi_inside: bool,
+        nu_interval: AngleInterval,
+        theta0: float,
+        endpoint_ties: tuple[Vertex, Vertex],
+    ):
+        _set(self, "optimal_vertex", optimal_vertex)
+        _set(self, "optimal_value", optimal_value)
+        _set(self, "pred", pred)
+        _set(self, "succ", succ)
+        _set(self, "theta1", theta1)
+        _set(self, "theta2", theta2)
+        _set(self, "interval", interval)
+        _set(self, "objective_polar", objective_polar)
+        _set(self, "phi_inside", phi_inside)
+        _set(self, "nu_interval", nu_interval)
+        _set(self, "theta0", theta0)
+        _set(self, "endpoint_ties", endpoint_ties)
 
 
 class ValueShift(Enum):

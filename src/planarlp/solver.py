@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     UnboundedRegion,
     ZeroObjective,
 )
-from .geometry import TAU, Vec2, _atan2, _pow2_scaled
+from .geometry import TAU, Frozen, Vec2, _atan2, _pow2_scaled, _set
 from .lp_model import (
     MERGE_TOL,
     X1_NONNEG,
@@ -48,11 +47,16 @@ class Recession(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Frozen):
+    __slots__ = ("vertex", "value", "unique")
     vertex: Vertex
     value: float
     unique: bool
+
+    def __init__(self, vertex: Vertex, value: float, unique: bool):
+        _set(self, "vertex", vertex)
+        _set(self, "value", value)
+        _set(self, "unique", unique)
 
 
 def _indexed_rows(lp: LinearProgram2D):

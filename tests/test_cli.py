@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,48 @@ def test_serialize_round_trip(c1, c2, rows):
     )
     again = pl.parse_lp(pl.serialize_lp(lp))
     assert again == lp  # field-exact, bit-for-bit floats
+
+
+# Signed zeros, subnormals and the ends of the float range, then any float.
+wide = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(lp):
+    nums = [lp.objective.x1, lp.objective.x2]
+    for row in lp.constraints:
+        nums += [row.a1, row.a2, row.b]
+    return [x.hex() for x in nums]
+
+
+@given(wide, wide, st.lists(st.tuples(wide, wide, wide), min_size=1, max_size=5))
+def test_serialize_round_trip_bits(c1, c2, rows):
+    lp = pl.LinearProgram2D(
+        pl.Vec2(c1, c2), tuple(pl.ConstraintRow(*r) for r in rows)
+    )
+    assert _bits(pl.parse_lp(pl.serialize_lp(lp))) == _bits(lp)
+
+
+def test_parse_keeps_negative_zero():
+    lp = pl.parse_lp("maximize: -0.0 1\nconstraints:\n-0 -0e5 1\n")
+    assert _bits(lp) == [x.hex() for x in (-0.0, 1.0, -0.0, -0.0, 1.0)]
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+def test_parse_fraction_is_exact(p, q):
+    lp = pl.parse_lp(f"maximize: {p}/{q} 1/3\nconstraints:\n1 1 1\n")
+    assert lp.objective.x1.hex() == float(Fraction(p, q)).hex()
+    assert lp.objective.x2.hex() == float(Fraction(1, 3)).hex()
+
+
+@pytest.mark.parametrize(
+    "token", ["1/0", "1/-3", "1/+3", "-1/-3", "1/", "/2", "1//2", "1/2/3", "1.5/2", "1/2e3"]
+)
+def test_parse_rejects_malformed_fractions(token):
+    with pytest.raises(LPSyntaxError):
+        pl.parse_lp(f"maximize: {token} 1\nconstraints:\n1 1 1\n")
 
 
 # --- solve subcommand --------------------------------------------------------
@@ -243,6 +286,19 @@ def test_cli_svg_deterministic(tmp_path, capsys):
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
 
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's
+    package; return the finished process."""
+    src = str(Path(pl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_cli_does_not_import_numpy(tmp_path):
     # numpy is loaded on first use (simplex, sweep); solve and sensitivity
     # without --check-sweep must run without importing it
@@ -258,14 +314,32 @@ def test_cli_does_not_import_numpy(tmp_path):
         f"    assert cli.main(['sensitivity', '--svg', {svg!r}, {PAPER!r}]) == 0",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
     ])
-    src = str(Path(pl.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_budget(tmp_path):
+    # Start-up time: the CLI commands load none of these modules, except
+    # that --json loads json.  Modules the interpreter loaded before the
+    # package (site hooks) do not count.
+    svg = str(tmp_path / "out.svg")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "heavy = {'numpy', 'dataclasses', 'inspect', 'fractions', 'json'}",
+        "heavy -= set(sys.modules)",
+        "from planarlp import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.main(['solve', {PAPER!r}]) == 0",
+        f"    assert cli.main(['sensitivity', {PAPER!r}]) == 0",
+        f"    assert cli.main(['sensitivity', '--svg', {svg!r}, {PAPER!r}]) == 0",
+        "loaded = heavy & set(sys.modules)",
+        "assert not loaded, f'loaded {sorted(loaded)}'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.main(['sensitivity', '--json', {PAPER!r}]) == 0",
+        "loaded = heavy & set(sys.modules)",
+        "assert loaded <= {'json'}, f'--json loaded {sorted(loaded)}'",
+    ])
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -282,12 +356,5 @@ def test_simplex_does_not_import_numpy():
         "assert sol.value == 4.0",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
     ])
-    src = str(Path(pl.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr

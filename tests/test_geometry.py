@@ -31,6 +31,12 @@ def test_rotation_validates_generators():
         pl.Rotation(1.0, 1.0)
 
 
+@pytest.mark.parametrize("c, s", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_rotation_rejects_nan(c, s):
+    with pytest.raises(ValueError):
+        pl.Rotation(c, s)
+
+
 def test_rotation_quarter_turn():
     rot = pl.rotation_of(0.5 * math.pi)
     v = pl.apply_rotation(rot, pl.Vec2(2.0, 3.0))
@@ -70,6 +76,19 @@ def test_transpose_inverts(theta, x, y):
 
 
 # --- polar form --------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "r, phi", [(math.nan, 0.0), (1.0, math.nan), (-1.0, 0.0), (1.0, math.inf)]
+)
+def test_polar_vector_rejects_nan_negative_and_infinite_angle(r, phi):
+    with pytest.raises(ValueError):
+        pl.PolarVector(r, phi)
+
+
+def test_polar_vector_allows_infinite_radius():
+    # analyze reports r = inf when |c| overflows (test_analyze_large_objective)
+    assert pl.PolarVector(math.inf, 0.25).r == math.inf
+
 
 def test_polar_of_reference_gradient():
     p = pl.polar_of(pl.Vec2(2.0, 3.0))
