@@ -26,7 +26,7 @@ from .errors import (
 from .geometry import Frozen, PolarVector, Vec2, _set, circular_delta
 from .lp_io import load_lp
 from .lp_model import Vertex
-from .oracle import stable_interval_by_sweep
+from .oracle import _MAX_SWEEP_ANGLES, stable_interval_by_sweep
 from .sensitivity import AngleInterval, SensitivityReport, _analyze_region
 from .solver import enumerate_vertices, solve_enumeration
 from .svg import emit_svg
@@ -337,11 +337,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text}")
     return tol
-
-
-#: The most grid angles --check-sweep may ask for; each costs 16 bytes
-#: (its angle and its winner).
-_MAX_SWEEP_ANGLES = 10**7
 
 
 def _sweep_step(text: str) -> float:

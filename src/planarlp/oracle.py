@@ -3,12 +3,13 @@
 Independent of the analytic path: the argmax vertex is sampled at every
 angle of a grid, runs of a fixed winner are located, and the run boundaries
 are sharpened by bisection.  The point kernel is a full scan of the vertices
-in plain Python over float lists.  The grid walks the vertex cycle instead,
-keeping the last winner and checking it against its two neighbours; it
-takes the full scan wherever that check cannot certify the same answer, so
-its output equals the full scan at every angle (see _walk).  The bisection
-calls the full scan, so grid and bisection see the same winner at the same
-angle.
+in plain Python over float lists.  The grid kernel works on numpy blocks of
+angles instead: it looks each angle up in the normal fan of the vertex
+cycle and certifies the vertex it finds against that vertex's two
+neighbours; it takes the full scan wherever that check cannot certify the
+same answer, so its output equals the full scan at every angle (see
+_argmax_grid).  The bisection calls the full scan, so grid and bisection
+see the same winner at the same angle.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .solver import solve_simplex
 TIE = -1
 
 _TIE_REL = 1e-9
+
+#: Most angles one sweep may sample; each costs 16 bytes (its angle and its
+#: winner).  A finer grid is refused before its size is converted to an
+#: integer or allocated.
+_MAX_SWEEP_ANGLES = 10**7
 
 
 def sweep_backend() -> str:
@@ -87,7 +93,7 @@ def _scan(
 ) -> tuple[int, int]:
     """The full scan at phi: the strict argmax of vx*cos(phi) + vy*sin(phi),
     or TIE when the runner-up is within rel_tol * max(1, |best|); and the
-    index of the best value, which the grid walk restarts from."""
+    index of the best value."""
     c = math.cos(phi)
     s = math.sin(phi)
     best = vx[0] * c + vy[0] * s
@@ -157,80 +163,83 @@ def _convex(vx: list[float], vy: list[float]) -> bool:
     return crossings == 1
 
 
-def _walk(phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float):
-    """Yield _argmax_at(phi, vx, vy, rel_tol) for each phi of phis, walking
-    the cycle where that is certified to give the same answer.
-
-    On a convex counterclockwise cycle the values g_j = x_j c + y_j s
-    (exact, for the float c = cos(phi), s = sin(phi)) rise and then fall
-    once around the cycle, so a vertex p with g_p > g_(p-1), g_(p+1) is the
-    global maximum and every other g_j is at most max(g_(p-1), g_(p+1)).
-    The computed f_j = fl(fl(x_j c) + fl(y_j s)) differs from g_j by at most
-    E = (2u + u^2) (|x_j| + |y_j|) + 3 eta (u = 2**-53, eta = 2**-1075 for
-    underflow; |c|, |s| <= 1), and S = 2**-50 M + 2**-1060, with
-    M = max_j (|x_j| + |y_j|), is at least 2E.
-
-    The walk keeps the last winner p, evaluates p and its two neighbours
-    with the scan's expression, climbs to the larger neighbour while one is
-    larger, and accepts p when fl(f_p - m) > fl(t' + S), m the larger
-    neighbour value and t' = rel_tol (1 + 2**-49) max(1, |f_p|).  Rounding
-    is monotone, so then f_p - m > t' + S exactly; hence g_p exceeds its
-    neighbours, and every other f_j <= m + 2E, so f_p - f_j > t'.  The
-    scan's threshold is t = rel_tol max(1, |f_p|); t' exceeds it by more
-    than an ulp when t is normal, so fl(f_p - f_j) >= t' > t; when t is 0 or
-    subnormal, f_p - f_j > t' >= t are multiples of 2**-1074, so again
-    fl(f_p - f_j) > t.  So the scan returns p.  Where the test fails, the
-    angle takes the full scan, and the walk restarts from the scan's best
-    index.
-
-    Without a certified cycle (checked once, exactly, by _convex), a
-    negative or NaN rel_tol, or coordinates large enough to overflow, every
-    angle takes the full scan.
-    """
-    n = len(vx)
-    scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
-    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)):
-        for phi in phis:
-            yield _scan(phi, vx, vy, rel_tol)[0]
-        return
-    band = 2.0**-50 * scale + _UNDERFLOW
-    rel = rel_tol * (1.0 + 2.0**-49)
-    cos, sin = math.cos, math.sin
-    p = -1  # no winner yet: the first angle takes the full scan
-    for phi in phis:
-        if p >= 0:
-            c = cos(phi)
-            s = sin(phi)
-            fr = vx[i] * c + vy[i] * s
-            fp = vx[p] * c + vy[p] * s
-            fn = vx[j] * c + vy[j] * s
-            while True:
-                if fn > fp:
-                    i, p, j = p, j, (j + 1) % n
-                    fr, fp = fp, fn
-                    fn = vx[j] * c + vy[j] * s
-                elif fr > fp:
-                    i, p, j = (i - 1) % n, i, p
-                    fn, fp = fp, fr
-                    fr = vx[i] * c + vy[i] * s
-                else:
-                    break
-            a = fp if fp > 0.0 else -fp
-            if fp - (fn if fn > fr else fr) > rel * (a if a > 1.0 else 1.0) + band:
-                yield p
-                continue
-        out, p = _scan(phi, vx, vy, rel_tol)
-        i, j = (p - 1) % n, (p + 1) % n
-        yield out
+#: Angles per block of the grid kernel; its temporaries are O(_BLOCK).
+_BLOCK = 1024
 
 
 def _argmax_grid(
     phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
 ) -> np.ndarray:
-    """_argmax_at at every angle of phis, as an int64 array."""
+    """_argmax_at at every angle of phis, as an int64 array.
+
+    On a convex counterclockwise cycle the values g_j = x_j c + y_j s
+    (exact, for the float c = cos(phi), s = sin(phi)) rise and then fall
+    once around the cycle, so a vertex p with g_p > g_(p-1), g_(p+1) is the
+    global maximum and every other g_j is at most max(g_(p-1), g_(p+1)),
+    however p was chosen.  The computed f_j = fl(fl(x_j c) + fl(y_j s))
+    differs from g_j by at most E = (2u + u^2) (|x_j| + |y_j|) + 3 eta
+    (u = 2**-53, eta = 2**-1075 for underflow; |c|, |s| <= 1), and
+    S = 2**-50 M + 2**-1060, with M = max_j (|x_j| + |y_j|), is at least 2E.
+
+    The kernel guesses p from the normal fan (the edge-normal angles,
+    rotated to start at their least) by the angle of (c, s).  It evaluates
+    p and its two neighbours with the scan's expression, on the math.cos
+    and math.sin floats the scan uses, and accepts p when
+    fl(f_p - m) > fl(t' + S), m the larger neighbour value and
+    t' = rel_tol (1 + 2**-49) max(1, |f_p|).  Rounding is monotone, so then
+    f_p - m > t' + S exactly; hence g_p exceeds its neighbours, and every
+    other f_j <= m + 2E, so f_p - f_j > t'.  The scan's threshold is
+    t = rel_tol max(1, |f_p|); t' exceeds it by more than an ulp when t is
+    normal, so fl(f_p - f_j) >= t' > t; when t is 0 or subnormal,
+    f_p - f_j > t' >= t are multiples of 2**-1074, so again
+    fl(f_p - f_j) > t.  So the scan returns p.  A wrong guess only fails
+    the test: every angle that fails it takes the full scan.
+
+    Without a certified cycle (checked once, exactly, by _convex), a
+    negative or NaN rel_tol, or coordinates large enough to overflow, every
+    angle takes the full scan.
+    """
     import numpy as np
 
-    return np.fromiter(_walk(phis, vx, vy, rel_tol), dtype=np.int64, count=len(phis))
+    out = np.empty(len(phis), dtype=np.int64)
+    n = len(vx)
+    scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
+    certified = rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)
+    if certified:
+        normals = [
+            math.atan2(vx[k] - vx[(k + 1) % n], vy[(k + 1) % n] - vy[k])
+            for k in range(n)
+        ]
+        k0 = normals.index(min(normals))
+        fan = np.array(normals[k0:] + normals[:k0])
+        # searchsorted gives i in [0, n]; vertex k0 + i wins between
+        # fan[i - 1] and fan[i], and both ends of the fan wrap to vertex k0.
+        order = [(k0 + i) % n for i in range(n + 1)]
+        win = np.array(order, dtype=np.int64)
+
+        def table(v: list[float], shift: int) -> np.ndarray:
+            return np.array([v[(j + shift) % n] for j in order])
+
+        xr, xp, xn = table(vx, -1), table(vx, 0), table(vx, 1)
+        yr, yp, yn = table(vy, -1), table(vy, 0), table(vy, 1)
+        band = 2.0**-50 * scale + _UNDERFLOW
+        rel = rel_tol * (1.0 + 2.0**-49)
+    for lo in range(0, len(phis), _BLOCK):
+        block = phis[lo : lo + _BLOCK].tolist()
+        rest = range(len(block))
+        if certified:
+            c = np.fromiter(map(math.cos, block), float, len(block))
+            s = np.fromiter(map(math.sin, block), float, len(block))
+            i = fan.searchsorted(np.arctan2(s, c))
+            fp = xp.take(i) * c + yp.take(i) * s
+            fr = xr.take(i) * c + yr.take(i) * s
+            fn = xn.take(i) * c + yn.take(i) * s
+            ok = fp - np.maximum(fr, fn) > rel * np.maximum(np.abs(fp), 1.0) + band
+            out[lo : lo + len(block)] = win.take(i)
+            rest = np.flatnonzero(~ok).tolist()
+        for k in rest:
+            out[lo + k] = _scan(block[k], vx, vy, rel_tol)[0]
+    return out
 
 
 def _simplex_argmax(lp: LinearProgram2D, region: FeasibleRegion, phi: float) -> int:
@@ -268,7 +277,13 @@ def sweep_argmax(
         raise ValueError(f"need finite phi_lo < phi_hi, got ({phi_lo}, {phi_hi})")
     if not region.vertices:
         raise EmptyRegion("cannot sweep a region with no vertices")
-    count = int(math.floor((phi_hi - phi_lo) / step + 1e-9)) + 1
+    steps = (phi_hi - phi_lo) / step + 1e-9
+    if not steps < _MAX_SWEEP_ANGLES:  # floor(steps) + 1 angles
+        raise ValueError(
+            f"step {step} over ({phi_lo}, {phi_hi}) gives more than "
+            f"{_MAX_SWEEP_ANGLES} angles"
+        )
+    count = int(math.floor(steps)) + 1
     phis = phi_lo + step * np.arange(count, dtype=float)
     if cross_check_lp is not None:
         argmax = np.array(
@@ -283,20 +298,13 @@ def sweep_argmax(
 
 def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as inclusive (start, end) pairs, with a wrap
-    across the array seam merged into one cyclic run."""
+    across the array seam merged into one cyclic run.  mask holds a True."""
     import numpy as np
 
-    idx = np.flatnonzero(mask)
-    runs: list[tuple[int, int]] = []
-    start = prev = int(idx[0])
-    for k in idx[1:]:
-        k = int(k)
-        if k == prev + 1:
-            prev = k
-        else:
-            runs.append((start, prev))
-            start = prev = k
-    runs.append((start, prev))
+    cuts = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(mask)]  # runs of one value alternate between them
+    first = 0 if mask[0] else 1
+    runs = [(bounds[k], bounds[k + 1] - 1) for k in range(first, len(bounds) - 1, 2)]
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == len(mask) - 1:
         s, _ = runs.pop()
         runs[0] = (s, runs[0][1])  # cyclic: start past the seam
@@ -321,11 +329,14 @@ def stable_interval_by_sweep(
 
     if not 0.0 < step <= math.pi:
         raise ValueError(f"step must lie in (0, pi], got {step}")
+    steps = TAU / step + 1e-9
+    if not steps < _MAX_SWEEP_ANGLES + 1:  # at most floor(steps) angles
+        raise ValueError(f"step {step} gives more than {_MAX_SWEEP_ANGLES} angles")
     if not region.vertices:
         raise EmptyRegion("cannot sweep a region with no vertices")
     x0_idx = region.index_of(x0)
 
-    n = int(math.floor(TAU / step + 1e-9))
+    n = int(math.floor(steps))
     phis = -math.pi + step * np.arange(1, n + 1, dtype=float)
     if phis[-1] > math.pi + 1e-9:
         phis = phis[:-1]

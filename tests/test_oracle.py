@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,9 +234,9 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
 
 @pytest.mark.parametrize("which", ["paper", "tangent-16"])
 def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
-    # at the 0.01 degree grid the walk needs the full scan only at the first
-    # angle and near the edge normals; a broken certificate would scan every
-    # angle and give the speed back
+    # at the 0.01 degree grid the kernel needs the full scan only near the
+    # edge normals, in any order of the grid and outside (-pi, pi]; a broken
+    # certificate would scan every angle and give the speed back
     if which == "paper":
         region = ref_region
     else:
@@ -251,8 +252,110 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(oracle, "_scan", counting_scan)
-    for phis, argmax in ((res.phis, res.argmax), (res.phis[::-1], res.argmax[::-1])):
+    perm = rng_for(7).permutation(len(res.phis))
+    for phis, argmax in (
+        (res.phis, res.argmax),
+        (res.phis[::-1], res.argmax[::-1]),
+        (res.phis[perm], res.argmax[perm]),
+        (res.phis + math.tau, res.argmax),
+    ):
         scans.clear()
         grid = oracle._argmax_grid(phis, vx, vy, 1e-9)
         assert len(scans) <= 1 + 2 * n
         assert (grid == argmax).all()
+
+
+def _runs_by_loop(mask):
+    # the index-by-index loop _runs_of replaced, kept as its reference
+    idx = np.flatnonzero(mask)
+    runs = []
+    start = prev = int(idx[0])
+    for k in idx[1:]:
+        k = int(k)
+        if k == prev + 1:
+            prev = k
+        else:
+            runs.append((start, prev))
+            start = prev = k
+    runs.append((start, prev))
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == len(mask) - 1:
+        s, _ = runs.pop()
+        runs[0] = (s, runs[0][1])
+    return runs
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    bits=st.lists(st.booleans(), min_size=1, max_size=60).filter(any),
+    kind=st.sampled_from(["random", "one-run", "at-start", "at-end", "wraps"]),
+    a=st.integers(0, 59),
+    b=st.integers(0, 59),
+)
+def test_runs_of_equals_loop(bits, kind, a, b):
+    mask = np.array(bits)
+    n = len(mask)
+    lo, hi = sorted((a % n, b % n))
+    if kind != "random":
+        mask[:] = False
+    if kind == "one-run":
+        mask[lo : hi + 1] = True
+    elif kind == "at-start":
+        mask[: hi + 1] = True
+    elif kind == "at-end":
+        mask[lo:] = True
+    elif kind == "wraps":
+        mask[: lo + 1] = True
+        mask[hi:] = True
+    assert oracle._runs_of(mask) == _runs_by_loop(mask)
+
+
+def test_runs_of_merges_the_seam():
+    mask = np.array([True, True, False, True, False, False, True])
+    assert oracle._runs_of(mask) == [(6, 1), (3, 3)]
+    assert oracle._runs_of(np.array([True])) == [(0, 0)]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda r: pl.stable_interval_by_sweep(r, r.vertices[0], 5e-324),
+        lambda r: pl.sweep_argmax(r, -1e308, 1e308, 1.0),
+        lambda r: pl.sweep_argmax(r, -1.0, 1.0, 1e-300),
+    ],
+    ids=["interval-subnormal-step", "argmax-huge-range", "argmax-tiny-step"],
+)
+def test_sweep_refuses_too_many_angles(ref_region, sweep):
+    # a ValueError before the grid size is converted or allocated, not an
+    # OverflowError or numpy's allocation error
+    with pytest.raises(ValueError, match="angles"):
+        sweep(ref_region)
+
+
+def test_sweep_angle_cap_is_exact(ref_region, monkeypatch):
+    # a grid of exactly _MAX_SWEEP_ANGLES angles runs; one more is refused
+    x0 = ref_region.vertices[0]
+    monkeypatch.setattr(oracle, "_MAX_SWEEP_ANGLES", 1000)
+    assert len(pl.sweep_argmax(ref_region, 0.0, 1.0, 1.0 / 999).phis) == 1000
+    assert len(pl.stable_interval_by_sweep(ref_region, x0, math.tau / 1000).phis) == 1000
+    monkeypatch.setattr(oracle, "_MAX_SWEEP_ANGLES", 999)
+    with pytest.raises(ValueError, match="999 angles"):
+        pl.sweep_argmax(ref_region, 0.0, 1.0, 1.0 / 999)
+    with pytest.raises(ValueError, match="999 angles"):
+        pl.stable_interval_by_sweep(ref_region, x0, math.tau / 1000)
+
+
+@pytest.mark.parametrize("turns", [1, 10])
+def test_grid_memory_is_blockwise(turns):
+    # the kernel's temporaries are O(block), not O(grid): its peak is the
+    # int64 output plus an allowance that does not grow with the grid
+    region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
+    vx, vy = oracle._coords(region)
+    phis = -math.pi + STEP * np.arange(1, turns * 36000 + 1, dtype=float)
+    oracle._argmax_grid(phis[:10], vx, vy, 1e-9)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        oracle._argmax_grid(phis, vx, vy, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(phis) + 256 * 1024
