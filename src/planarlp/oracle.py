@@ -21,10 +21,9 @@ if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
 
 from .errors import EmptyRegion, VertexNeverOptimal
-from .geometry import TAU, Frozen, Vec2, _set, wrap_angle
-from .lp_model import FeasibleRegion, LinearProgram2D
+from .geometry import TAU, Frozen, _set, wrap_angle
+from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval
-from .solver import solve_simplex
 
 #: Marker used in sample arrays when no vertex wins strictly.
 TIE = -1
@@ -88,12 +87,9 @@ def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
     return vx, vy
 
 
-def _scan(
-    phi: float, vx: list[float], vy: list[float], rel_tol: float
-) -> tuple[int, int]:
+def _scan(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
     """The full scan at phi: the strict argmax of vx*cos(phi) + vy*sin(phi),
-    or TIE when the runner-up is within rel_tol * max(1, |best|); and the
-    index of the best value."""
+    or TIE when the runner-up is within rel_tol * max(1, |best|)."""
     c = math.cos(phi)
     s = math.sin(phi)
     best = vx[0] * c + vy[0] * s
@@ -108,14 +104,8 @@ def _scan(
         elif val > second:
             second = val
     if len(vx) > 1 and best - second <= rel_tol * max(1.0, abs(best)):
-        return TIE, best_j
-    return best_j, best_j
-
-
-def _argmax_at(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
-    """Index of the strict argmax of vx*cos(phi) + vy*sin(phi), or TIE when
-    the runner-up is within rel_tol * max(1, |best|)."""
-    return _scan(phi, vx, vy, rel_tol)[0]
+        return TIE
+    return best_j
 
 
 # Shewchuk's error bound for a 2x2 orientation determinant of differences,
@@ -170,7 +160,7 @@ _BLOCK = 1024
 def _argmax_grid(
     phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
 ) -> np.ndarray:
-    """_argmax_at at every angle of phis, as an int64 array.
+    """_scan at every angle of phis, as an int64 array.
 
     On a convex counterclockwise cycle the values g_j = x_j c + y_j s
     (exact, for the float c = cos(phi), s = sin(phi)) rise and then fall
@@ -238,21 +228,8 @@ def _argmax_grid(
             out[lo : lo + len(block)] = win.take(i)
             rest = np.flatnonzero(~ok).tolist()
         for k in rest:
-            out[lo + k] = _scan(block[k], vx, vy, rel_tol)[0]
+            out[lo + k] = _scan(block[k], vx, vy, rel_tol)
     return out
-
-
-def _simplex_argmax(lp: LinearProgram2D, region: FeasibleRegion, phi: float) -> int:
-    """Per-sample cross-solver mode: rerun the simplex at this angle."""
-    import numpy as np
-
-    sol = solve_simplex(
-        LinearProgram2D(Vec2(math.cos(phi), math.sin(phi)), lp.constraints)
-    )
-    if not sol.unique:
-        return TIE
-    dists = [(v.point - sol.vertex.point).norm() for v in region.vertices]
-    return int(np.argmin(dists))
 
 
 def sweep_argmax(
@@ -262,13 +239,8 @@ def sweep_argmax(
     step: float,
     *,
     tie_tol: float = _TIE_REL,
-    cross_check_lp: LinearProgram2D | None = None,
 ) -> SweepResult:
-    """Sample the winning vertex on the grid phi_lo, phi_lo+step, ...
-
-    With cross_check_lp the winner at every sample is recomputed by the
-    simplex instead of the kernel (much slower; used for certification).
-    """
+    """Sample the winning vertex on the grid phi_lo, phi_lo+step, ..."""
     import numpy as np
 
     if not 0.0 < step < math.inf:
@@ -285,14 +257,8 @@ def sweep_argmax(
         )
     count = int(math.floor(steps)) + 1
     phis = phi_lo + step * np.arange(count, dtype=float)
-    if cross_check_lp is not None:
-        argmax = np.array(
-            [_simplex_argmax(cross_check_lp, region, p) for p in phis],
-            dtype=np.int64,
-        )
-    else:
-        vx, vy = _coords(region)
-        argmax = _argmax_grid(phis, vx, vy, tie_tol)
+    vx, vy = _coords(region)
+    argmax = _argmax_grid(phis, vx, vy, tie_tol)
     return SweepResult(region, phis, argmax, step)
 
 
@@ -317,7 +283,6 @@ def stable_interval_by_sweep(
     step: float,
     *,
     tie_tol: float = _TIE_REL,
-    cross_check_lp: LinearProgram2D | None = None,
 ) -> SweepResult:
     """Estimate the stable cone of x0 by sweeping the full circle.
 
@@ -342,21 +307,11 @@ def stable_interval_by_sweep(
         phis = phis[:-1]
         n -= 1
 
-    if cross_check_lp is not None:
-        argmax = np.array(
-            [_simplex_argmax(cross_check_lp, region, p) for p in phis],
-            dtype=np.int64,
-        )
+    vx, vy = _coords(region)
+    argmax = _argmax_grid(phis, vx, vy, tie_tol)
 
-        def wins(phi: float) -> bool:
-            return _simplex_argmax(cross_check_lp, region, phi) == x0_idx
-
-    else:
-        vx, vy = _coords(region)
-        argmax = _argmax_grid(phis, vx, vy, tie_tol)
-
-        def wins(phi: float) -> bool:
-            return _argmax_at(phi, vx, vy, tie_tol) == x0_idx
+    def wins(phi: float) -> bool:
+        return _scan(phi, vx, vy, tie_tol) == x0_idx
 
     mask = argmax == x0_idx
     if not mask.any():

@@ -1,7 +1,8 @@
 """Two independent solvers for the planar LP, plus region construction.
 
 solve_enumeration builds the feasible polygon by sorted half-plane
-intersection and picks the best vertex.  solve_simplex is a two-phase
+intersection and picks the best vertex; the same sort of the row normals
+decides boundedness, by a gap of a half turn.  solve_simplex is a two-phase
 revised simplex with Bland's rule whose basis is the pair of tight
 constraints, so a pivot is a 2 x 2 solve (3 x 3 in phase one) and one O(m)
 ratio test.  Neither needs numpy.  They share no code on the solve path,
@@ -83,30 +84,39 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = 1e-9) -> frozenset
     return frozenset(out)
 
 
+def _sorted_normals(lp: LinearProgram2D):
+    """The rows, the two x >= 0 rows included, as (angle, index, row) sorted
+    by normal angle; the position just after the widest counterclockwise gap
+    between consecutive normals; and whether that gap leaves the region
+    bounded, that is, falls short of pi - _RECESSION_TOL (see
+    check_recession)."""
+    rows = sorted(
+        ((_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)),
+        key=lambda t: t[0],
+    )
+    n_rows = len(rows)
+    gaps = [rows[k + 1][0] - rows[k][0] for k in range(n_rows - 1)]
+    gaps.append(rows[0][0] + TAU - rows[-1][0])
+    widest = max(range(n_rows), key=gaps.__getitem__)
+    return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL
+
+
 def check_recession(lp: LinearProgram2D) -> Recession:
     """Decide whether the region admits a nonzero recession direction.
 
-    The recession cone is {d >= 0 : A d <= 0}.  Its intersection with the
-    unit quarter circle is a single arc, so it is nonempty iff one of the
-    arc endpoint candidates (the axes, or a constraint boundary direction
-    gamma_i +- pi/2 clipped to the quarter) satisfies every row.
+    The recession cone {d : A d <= 0, d >= 0} is nonzero exactly when all
+    row normals, the two x >= 0 rows included, lie in one closed half-plane:
+    when the sorted normal angles leave a gap of at least pi (Rockafellar,
+    Convex Analysis, 1970, section 8).  enumerate_vertices decides it from
+    the same sort.
+
+    A gap counts from pi - _RECESSION_TOL on.  That is the edge of the test
+    a . d <= _RECESSION_TOL |a| for every row a, with d perpendicular to one
+    row bounding the gap: d makes an angle with the other row's normal whose
+    cosine is sin(pi - gap).
     """
     validate(lp)
-    candidates = {0.0, 0.5 * math.pi}
-    for row in lp.constraints:
-        gamma = math.atan2(row.a2, row.a1)
-        for e in (gamma + 0.5 * math.pi, gamma - 0.5 * math.pi):
-            e %= math.tau
-            if -1e-12 <= e <= 0.5 * math.pi + 1e-12:
-                candidates.add(min(max(e, 0.0), 0.5 * math.pi))
-    for t in sorted(candidates):
-        d1, d2 = math.cos(t), math.sin(t)
-        if all(
-            row.a1 * d1 + row.a2 * d2 <= _RECESSION_TOL * math.hypot(row.a1, row.a2)
-            for row in lp.constraints
-        ):
-            return Recession.UNBOUNDED
-    return Recession.BOUNDED
+    return Recession.BOUNDED if _sorted_normals(lp)[2] else Recession.UNBOUNDED
 
 
 def _parallel(ri: ConstraintRow, rj: ConstraintRow) -> bool:
@@ -227,17 +237,11 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
-    bounded = check_recession(lp) is Recession.BOUNDED  # validates lp
-    rows = sorted(
-        ((_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)),
-        key=lambda t: t[0],
-    )
+    validate(lp)
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
+    rows, start, bounded = _sorted_normals(lp)
     n_rows = len(rows)
-    gaps = [rows[k + 1][0] - rows[k][0] for k in range(n_rows - 1)]
-    gaps.append(rows[0][0] + TAU - rows[-1][0])
-    start = (max(range(n_rows), key=gaps.__getitem__) + 1) % n_rows
     lines: list[tuple[float, ConstraintRow]] = []
     for k in range(n_rows):
         ang, _, row = rows[(start + k) % n_rows]

@@ -4,7 +4,10 @@ This is the algorithm enumerate_vertices used before the sorted half-plane
 intersection replaced it, kept verbatim so tests can compare the two.  It
 intersects every pair of boundary lines, keeps the intersections feasible
 within tol, clusters them at MERGE_TOL and orders the cluster means around
-their centroid.
+their centroid.  Its recession test is the O(m^2) search over candidate
+directions that check_recession used before the normal-gap test, kept
+verbatim as well, so the reference shares no boundedness code with the
+builder it checks.
 """
 
 from __future__ import annotations
@@ -28,11 +31,37 @@ from planarlp.lp_model import (
 )
 from planarlp.solver import (
     _DET_TOL,
+    _RECESSION_TOL,
     Recession,
     _indexed_rows,
     active_rows_at,
-    check_recession,
 )
+
+
+def candidate_recession(lp: LinearProgram2D) -> Recession:
+    """Decide whether the region admits a nonzero recession direction.
+
+    The recession cone is {d >= 0 : A d <= 0}.  Its intersection with the
+    unit quarter circle is a single arc, so it is nonempty iff one of the
+    arc endpoint candidates (the axes, or a constraint boundary direction
+    gamma_i +- pi/2 clipped to the quarter) satisfies every row.
+    """
+    validate(lp)
+    candidates = {0.0, 0.5 * math.pi}
+    for row in lp.constraints:
+        gamma = math.atan2(row.a2, row.a1)
+        for e in (gamma + 0.5 * math.pi, gamma - 0.5 * math.pi):
+            e %= math.tau
+            if -1e-12 <= e <= 0.5 * math.pi + 1e-12:
+                candidates.add(min(max(e, 0.0), 0.5 * math.pi))
+    for t in sorted(candidates):
+        d1, d2 = math.cos(t), math.sin(t)
+        if all(
+            row.a1 * d1 + row.a2 * d2 <= _RECESSION_TOL * math.hypot(row.a1, row.a2)
+            for row in lp.constraints
+        ):
+            return Recession.UNBOUNDED
+    return Recession.BOUNDED
 
 
 def pairwise_enumerate_vertices(
@@ -65,7 +94,7 @@ def pairwise_enumerate_vertices(
                 candidates.append(p)
     if not candidates:
         raise Infeasible("no feasible intersection of constraint boundaries")
-    if check_recession(lp) is Recession.UNBOUNDED:
+    if candidate_recession(lp) is Recession.UNBOUNDED:
         raise UnboundedRegion("the feasible region has a recession direction")
 
     # Deduplicate: greedy clustering at the merge tolerance, cluster mean as

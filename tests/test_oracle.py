@@ -128,16 +128,23 @@ def test_sweep_never_optimal():
         pl.stable_interval_by_sweep(region, region.vertices[1], math.radians(1.0))
 
 
-def test_sweep_simplex_mode(ref_lp, ref_region):
-    res = pl.stable_interval_by_sweep(
-        ref_region,
-        vertex_at(ref_region, 80, 40),
-        math.radians(1.0),
-        cross_check_lp=ref_lp,
-    )
-    iv = res.estimated_interval
-    assert circ_close(iv.lo, math.atan(0.5), 2.0 * math.radians(1.0))
-    assert circ_close(iv.hi, math.atan(2.0), 2.0 * math.radians(1.0))
+def test_simplex_confirms_cone_edges(ref_lp, ref_region):
+    # the simplex, which never builds the polygon, picks x0 just inside the
+    # analytic cone and its neighbours just outside it
+    x0 = vertex_at(ref_region, 80, 40)
+    pred, succ = pl.adjacent_vertices(ref_region, x0)
+    iv = pl.stable_angle_interval(pred, x0, succ)
+    one = math.radians(1.0)
+    for phi, expected in (
+        (iv.lo - one, pred),
+        (iv.lo + one, x0),
+        (iv.hi - one, x0),
+        (iv.hi + one, succ),
+    ):
+        c = pl.Vec2(math.cos(phi), math.sin(phi))
+        sol = pl.solve_simplex(pl.LinearProgram2D(c, ref_lp.constraints))
+        assert sol.unique
+        assert (sol.vertex.point - expected.point).norm() < 1e-9
 
 
 def test_backends_agree(ref_region):
@@ -146,9 +153,9 @@ def test_backends_agree(ref_region):
     vx, vy = oracle._coords(ref_region)
     phis = np.linspace(-math.pi, math.pi, 20001)
     grid = oracle._argmax_grid(phis, vx, vy, 1e-9)
-    assert grid.tolist() == [oracle._argmax_at(float(p), vx, vy, 1e-9) for p in phis]
+    assert grid.tolist() == [oracle._scan(float(p), vx, vy, 1e-9) for p in phis]
     five = [-2.0, -0.5, 0.3, math.atan(0.5), 1.4]
-    at = [oracle._argmax_at(p, vx, vy, 1e-9) for p in five]
+    at = [oracle._scan(p, vx, vy, 1e-9) for p in five]
     assert oracle._argmax_grid(np.array(five), vx, vy, 1e-9).tolist() == at
     assert at[3] == pl.TIE
 
@@ -229,7 +236,7 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
         phis = rng.permutation(phis)
     grid = oracle._argmax_grid(phis, vx, vy, rel_tol)
     assert grid.dtype == np.int64
-    assert grid.tolist() == [oracle._argmax_at(float(p), vx, vy, rel_tol) for p in phis]
+    assert grid.tolist() == [oracle._scan(float(p), vx, vy, rel_tol) for p in phis]
 
 
 @pytest.mark.parametrize("which", ["paper", "tangent-16"])

@@ -12,7 +12,7 @@ from planarlp.errors import (
     ZeroObjective,
 )
 from planarlp.solver import argmax_with_ties
-from pairwise_enumeration import pairwise_enumerate_vertices
+from pairwise_enumeration import candidate_recession, pairwise_enumerate_vertices
 from conftest import (
     FIXTURES,
     REF_OPTIMUM,
@@ -446,3 +446,71 @@ def test_enumerate_matches_pairwise_reference_on_random_lps():
     rng = rng_for(2718)
     for _ in range(200):
         _same_outcome(random_bounded_lp(rng))
+
+
+def _recession_outcomes(rows):
+    """check_recession and the candidate search of the reference on rows:
+    each a Recession, or the class of the exception it raised."""
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows))
+    outcomes = []
+    for test in (pl.check_recession, candidate_recession):
+        try:
+            outcomes.append(test(lp))
+        except pl.errors.PlanarLPError as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+real = st.floats(-10.0, 10.0)
+real_row = st.builds(pl.ConstraintRow, real, real, st.floats(-5.0, 100.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(small_row, min_size=1, max_size=6)
+    | st.lists(real_row, min_size=1, max_size=6)
+)
+def test_check_recession_matches_candidate_search(rows):
+    new, ref = _recession_outcomes(rows)
+    assert new == ref
+
+
+def _tilted(delta):
+    # x1 cos(delta) + x2 sin(delta) <= 1 leaves a gap of pi - delta between
+    # its normal and the one of x1 >= 0; delta stays clear of the ~1e-15
+    # rounding band around _RECESSION_TOL
+    return [pl.ConstraintRow(math.cos(delta), math.sin(delta), 1.0)]
+
+
+def _paper_scaled(s):
+    rows = pl.load_lp(FIXTURES / "paper.lp").constraints
+    return [pl.ConstraintRow(r.a1 * s, r.a2 * s, r.b * s) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # x1 - x2 <= 1 and -x1 + x2 <= 1: a strip along (1, 1)
+        (
+            [pl.ConstraintRow(1.0, -1.0, 1.0), pl.ConstraintRow(-1.0, 1.0, 1.0)],
+            pl.Recession.UNBOUNDED,
+        ),
+        (_tilted(0.5e-12), pl.Recession.UNBOUNDED),
+        (_tilted(1.5e-12), pl.Recession.BOUNDED),
+        (_tilted(1e-9), pl.Recession.BOUNDED),
+        ([pl.ConstraintRow(0.0, 1.0, -1.0)], pl.Recession.UNBOUNDED),
+        (_paper_scaled(1e-200), pl.Recession.BOUNDED),
+        (_paper_scaled(1e200), pl.Recession.BOUNDED),
+    ],
+    ids=[
+        "strip",
+        "tilt-0.5e-12",
+        "tilt-1.5e-12",
+        "tilt-1e-9",
+        "x2<=-1",
+        "paper-1e-200",
+        "paper-1e200",
+    ],
+)
+def test_check_recession_edge_cases(rows, expected):
+    assert _recession_outcomes(rows) == [expected, expected]
