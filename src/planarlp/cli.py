@@ -6,7 +6,8 @@
                          [--tol EPS]
 
 Exit codes: 0 success, 1 input/validation error, 2 infeasible, 3 unbounded,
-4 sweep oracle disagreement, 5 degenerate (tied) optimum.
+4 sweep oracle disagreement (or no sweep sample picks the optimal vertex,
+whose cone is then narrower than the step), 5 degenerate (tied) optimum.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     PlanarLPError,
     Unbounded,
     UnboundedRegion,
+    VertexNeverOptimal,
     ZeroObjective,
 )
 from .geometry import Frozen, PolarVector, Vec2, _set, circular_delta
@@ -297,15 +299,23 @@ def run_sensitivity(
     report = _analyze_region(lp, region)
 
     oracle_check = None
+    sweep_error = None
     if check_sweep_deg is not None:
         step = math.radians(check_sweep_deg)
-        sweep = stable_interval_by_sweep(region, report.optimal_vertex, step)
-        est = sweep.estimated_interval
-        err = max(
-            abs(circular_delta(est.lo, report.interval.lo)),
-            abs(circular_delta(est.hi, report.interval.hi)),
-        )
-        oracle_check = OracleCheck(step, est, err, err <= 2.0 * step)
+        try:
+            sweep = stable_interval_by_sweep(region, report.optimal_vertex, step)
+        except VertexNeverOptimal as exc:
+            # The cone is narrower than the grid; the report stands.
+            sweep_error = f"sweep oracle: {exc}"
+        else:
+            est = sweep.estimated_interval
+            err = max(
+                abs(circular_delta(est.lo, report.interval.lo)),
+                abs(circular_delta(est.hi, report.interval.hi)),
+            )
+            oracle_check = OracleCheck(step, est, err, err <= 2.0 * step)
+            if not oracle_check.agrees:
+                sweep_error = "sweep oracle disagrees with the analytic interval"
 
     doc = ReportDocument(
         report=report,
@@ -323,11 +333,8 @@ def run_sensitivity(
     if svg_path is not None:
         emit_svg(region, report, svg_path)
 
-    if oracle_check is not None and not oracle_check.agrees:
-        print(
-            "error: sweep oracle disagrees with the analytic interval",
-            file=sys.stderr,
-        )
+    if sweep_error is not None:
+        print(f"error: {sweep_error}", file=sys.stderr)
         return 4
     return 0
 

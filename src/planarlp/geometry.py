@@ -79,6 +79,10 @@ class Frozen:
         return self.__class__, self._astuple()
 
 
+def _non_finite(x1: float, x2: float) -> NonFiniteEntry:
+    return NonFiniteEntry(f"non-finite coordinates ({x1}, {x2})")
+
+
 class Vec2(Frozen):
     """A point or vector in the plane with finite coordinates."""
 
@@ -88,7 +92,7 @@ class Vec2(Frozen):
 
     def __init__(self, x1: float, x2: float):
         if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise NonFiniteEntry(f"non-finite coordinates ({x1}, {x2})")
+            raise _non_finite(x1, x2)
         _set(self, "x1", x1)
         _set(self, "x2", x2)
 

@@ -16,7 +16,7 @@ from .errors import (
     VertexNotInRegion,
     ZeroRow,
 )
-from .geometry import Frozen, Vec2, _set, cross
+from .geometry import Frozen, Vec2, _non_finite, _set
 
 # Synthetic row indices for the implicit bounds x1 >= 0 and x2 >= 0.
 X1_NONNEG = -1
@@ -88,8 +88,15 @@ class FeasibleRegion(Frozen):
         n = len(vs)
         if n < 3:
             raise ValueError(f"a region needs at least 3 vertices, got {n}")
-        edges = [vs[(i + 1) % n].point - vs[i].point for i in range(n)]
-        lengths = [e.norm() for e in edges]
+        # Edges as float pairs; one that overflows raises as Vec2 would.
+        edges = []
+        for i in range(n):
+            p, q = vs[i].point, vs[(i + 1) % n].point
+            e1, e2 = q.x1 - p.x1, q.x2 - p.x2
+            if not (math.isfinite(e1) and math.isfinite(e2)):
+                raise _non_finite(e1, e2)
+            edges.append((e1, e2))
+        lengths = [math.hypot(e1, e2) for e1, e2 in edges]
         for i in range(n):
             if lengths[i] <= MERGE_TOL:
                 raise ValueError(
@@ -99,8 +106,8 @@ class FeasibleRegion(Frozen):
         # turns add up to one full turn: a convex cycle wound once.
         turning = 0.0
         for i in range(n):
-            e1, e2 = edges[i], edges[(i + 1) % n]
-            c, d = cross(e1, e2), e1.dot(e2)
+            (u1, u2), (v1, v2) = edges[i], edges[(i + 1) % n]
+            c, d = u1 * v2 - u2 * v1, u1 * v1 + u2 * v2
             if c <= -1e-9 * lengths[i] * lengths[(i + 1) % n] or (c <= 0.0 and d < 0.0):
                 raise ValueError(
                     f"vertex cycle is not convex counterclockwise at index {(i + 1) % n}"

@@ -42,7 +42,6 @@ from .lp_model import (
 from .normalization import normalizing_rotation
 from .solver import (
     VALUE_TIE_REL,
-    adjacent_vertices,
     argmax_with_ties,
     enumerate_vertices,
     objective_values,
@@ -202,9 +201,12 @@ def analyze(lp: LinearProgram2D, *, tol: float = 1e-9) -> SensitivityReport:
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs.
     """
-    validate(lp)
-    if lp.objective.is_zero():
-        raise ZeroObjective("objective is (0, 0)")
+    if lp.objective.is_zero() or not 0.0 <= tol < math.inf:
+        # enumerate_vertices validates lp; the errors it would raise first
+        # keep their order here: structure, then the objective, then tol.
+        validate(lp)
+        if lp.objective.is_zero():
+            raise ZeroObjective("objective is (0, 0)")
     return _analyze_region(lp, enumerate_vertices(lp, tol=tol))
 
 
@@ -228,7 +230,7 @@ def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityR
         )
 
     x0 = region.vertices[best]
-    pred, succ = adjacent_vertices(region, x0)
+    pred, succ = region.vertices[best - 1], region.vertices[(best + 1) % n]
     theta1, theta2 = edge_angles(pred, x0, succ)
 
     # The cone turns with the polygon, so it needs no rotated copy; theta0

@@ -23,7 +23,7 @@ from .errors import (
     UnboundedRegion,
     ZeroObjective,
 )
-from .geometry import TAU, Frozen, Vec2, _atan2, _pow2_scaled, _set
+from .geometry import TAU, Frozen, Vec2, _atan2, _non_finite, _pow2_scaled, _set
 from .lp_model import (
     MERGE_TOL,
     X1_NONNEG,
@@ -119,52 +119,69 @@ def check_recession(lp: LinearProgram2D) -> Recession:
     return Recession.BOUNDED if _sorted_normals(lp)[2] else Recession.UNBOUNDED
 
 
-def _parallel(ri: ConstraintRow, rj: ConstraintRow) -> bool:
+# The sweep below works on one record per row, (a1, a2, b, |a|, tol * scale),
+# and on corners as (x1, x2) float pairs.  Each expression keeps the order of
+# operations of the ConstraintRow and Vec2 methods it stands for, and a
+# corner that overflows raises NonFiniteEntry as Vec2 would.
+
+
+def _pair(x1: float, x2: float) -> tuple[float, float]:
+    """(x1, x2), checked as Vec2(x1, x2) checks it."""
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise _non_finite(x1, x2)
+    return x1, x2
+
+
+def _parallel(ri, rj) -> bool:
     """The rows' normals point the same way, to within _DET_TOL."""
-    det = ri.a1 * rj.a2 - ri.a2 * rj.a1
-    scale = math.hypot(ri.a1, ri.a2) * math.hypot(rj.a1, rj.a2)
-    return abs(det) <= _DET_TOL * scale and ri.a1 * rj.a1 + ri.a2 * rj.a2 > 0.0
+    det = ri[0] * rj[1] - ri[1] * rj[0]
+    return (
+        abs(det) <= _DET_TOL * (ri[3] * rj[3])
+        and ri[0] * rj[0] + ri[1] * rj[1] > 0.0
+    )
 
 
-def _turns_left(ri: ConstraintRow, rj: ConstraintRow) -> bool:
+def _turns_left(ri, rj) -> bool:
     """rj's normal lies counterclockwise of ri's by strictly less than a
     half turn, so the two boundary lines cross."""
-    det = ri.a1 * rj.a2 - ri.a2 * rj.a1
-    return det > _DET_TOL * math.hypot(ri.a1, ri.a2) * math.hypot(rj.a1, rj.a2)
+    return ri[0] * rj[1] - ri[1] * rj[0] > _DET_TOL * ri[3] * rj[3]
 
 
-def _crossing(ri: ConstraintRow, rj: ConstraintRow) -> Vec2:
+def _crossing(ri, rj) -> tuple[float, float]:
     """Where the boundary lines of two crossing rows meet."""
-    det = ri.a1 * rj.a2 - ri.a2 * rj.a1
-    x1 = (ri.b * rj.a2 - rj.b * ri.a2) / det
-    x2 = (ri.a1 * rj.b - rj.a1 * ri.b) / det
-    return Vec2(x1, x2)
+    a1, a2, b, _, _ = ri
+    c1, c2, d, _, _ = rj
+    det = a1 * c2 - a2 * c1
+    return _pair((b * c2 - d * a2) / det, (a1 * d - c1 * b) / det)
 
 
-def _outside(row: ConstraintRow, p: Vec2, tol: float) -> bool:
+def _outside(row, p) -> bool:
     """The row rejects p, by the scaled test of is_feasible."""
-    return row.residual(p) > tol * row.scale()
+    return row[0] * p[0] + row[1] * p[1] - row[2] > row[4]
 
 
-def _advance(row: ConstraintRow, other: ConstraintRow, corner: Vec2) -> float:
-    """Signed distance from corner to the crossing of row and other, along
-    row's boundary line walked with the region on its left."""
-    p = _crossing(row, other)
-    along = (p.x2 - corner.x2) * row.a1 - (p.x1 - corner.x1) * row.a2
-    return along / math.hypot(row.a1, row.a2)
+def _advance(row, p, corner) -> float:
+    """Signed distance from corner to p, the crossing of row and another
+    row, along row's boundary line walked with the region on its left."""
+    return ((p[1] - corner[1]) * row[0] - (p[0] - corner[0]) * row[1]) / row[3]
 
 
-def _foot(row: ConstraintRow) -> Vec2:
+def _foot(row) -> tuple[float, float]:
     """A point on the row's boundary line."""
-    norm = math.hypot(row.a1, row.a2)
-    s = row.b / norm / norm
-    return Vec2(s * row.a1, s * row.a2)
+    a1, a2, b, norm, _ = row
+    s = b / norm / norm
+    return _pair(s * a1, s * a2)
 
 
-def _sweep(lines, tol: float, closed: bool):
+def _distance(p, q) -> float:
+    """|p - q|, the difference checked as Vec2 checks it."""
+    return math.hypot(*_pair(p[0] - q[0], p[1] - q[1]))
+
+
+def _sweep(lines, closed: bool):
     """Intersect half-planes given in increasing normal angle.
 
-    lines holds (angle, row) pairs, angles unwrapped so they increase.
+    lines holds (angle, record) pairs, angles unwrapped so they increase.
     Returns the pairs that bound the intersection, counterclockwise, with
     the corners between consecutive ones, or None when it is empty.  When
     closed, the normals go round the full circle and the boundary is a
@@ -174,42 +191,53 @@ def _sweep(lines, tol: float, closed: bool):
     dq = deque()
     corners = deque()  # corners[k] is where dq[k] and dq[k + 1] cross
 
-    def cuts_back(h: ConstraintRow) -> bool:
+    def cuts_back(h):
         # h drops dq[-1] if it rejects the last corner, or if the tolerance
         # let that corner stand but h crosses dq[-1] more than MERGE_TOL
-        # before it: the corners along dq[-1] would run backwards.
+        # before it: the corners along dq[-1] would run backwards.  True
+        # when h drops dq[-1]; otherwise their crossing, for the caller to
+        # keep as a corner, or None when they do not cross.
         last = dq[-1][1]
-        return _outside(h, corners[-1], tol) or (
-            _turns_left(last, h) and _advance(last, h, corners[-1]) < -MERGE_TOL
-        )
+        if _outside(h, corners[-1]):
+            return True
+        if not _turns_left(last, h):
+            return None
+        p = _crossing(last, h)
+        return True if _advance(last, p, corners[-1]) < -MERGE_TOL else p
 
-    def cuts_front(h: ConstraintRow) -> bool:
+    def cuts_front(h) -> bool:
         # The same test at the front, where h closes the cycle.
         first = dq[0][1]
-        return _outside(h, corners[0], tol) or (
-            _turns_left(h, first) and _advance(first, h, corners[0]) > MERGE_TOL
+        return _outside(h, corners[0]) or (
+            _turns_left(h, first)
+            and _advance(first, _crossing(first, h), corners[0]) > MERGE_TOL
         )
 
     for line in lines:
         h = line[1]
-        while corners and cuts_back(h):
+        p = None
+        while corners and (p := cuts_back(h)) is True:
             dq.pop()
             corners.pop()
-        while corners and _outside(h, corners[0], tol):
+        while corners and _outside(h, corners[0]):
             dq.popleft()
             corners.popleft()
-        if dq and not _turns_left(dq[-1][1], h):
-            # h faces dq[-1]: a cycle cannot continue, and an open chain
-            # has reached its far end, where the strip between the two
-            # rows is all that can still be empty.
-            if closed or _outside(h, _foot(dq[-1][1]), tol):
-                return None
-            return list(dq), list(corners)
+        # p is the crossing of dq[-1] and h if cuts_back kept dq[-1] and
+        # found one; popping the front never removes dq[-1].
+        if dq and not isinstance(p, tuple):
+            if not _turns_left(dq[-1][1], h):
+                # h faces dq[-1]: a cycle cannot continue, and an open chain
+                # has reached its far end, where the strip between the two
+                # rows is all that can still be empty.
+                if closed or _outside(h, _foot(dq[-1][1])):
+                    return None
+                return list(dq), list(corners)
+            p = _crossing(dq[-1][1], h)
         if dq:
-            corners.append(_crossing(dq[-1][1], h))
+            corners.append(p)
         dq.append(line)
     if closed:
-        while len(corners) >= 2 and cuts_back(dq[0][1]):
+        while len(corners) >= 2 and cuts_back(dq[0][1]) is True:
             dq.pop()
             corners.pop()
         while len(corners) >= 2 and cuts_front(dq[-1][1]):
@@ -233,7 +261,7 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
     Raises ValueError for a negative or non-finite tol, Infeasible when the
     rows leave no feasible point, UnboundedRegion when the recession cone is
     nonzero, and DegenerateRegion when fewer than three distinct vertices
-    remain.
+    remain or the corners do not make a convex counterclockwise cycle.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
@@ -241,23 +269,26 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
     rows, start, bounded = _sorted_normals(lp)
+    records = [
+        (row.a1, row.a2, row.b, math.hypot(row.a1, row.a2), tol * row.scale())
+        for _, _, row in rows
+    ]
     n_rows = len(rows)
-    lines: list[tuple[float, ConstraintRow]] = []
+    lines: list[tuple[float, tuple]] = []
     for k in range(n_rows):
-        ang, _, row = rows[(start + k) % n_rows]
+        i = (start + k) % n_rows
+        ang, rec = rows[i][0], records[i]
         if start + k >= n_rows:
             ang += TAU
-        if lines and _parallel(lines[-1][1], row):
+        if lines and _parallel(lines[-1][1], rec):
             # Of rows facing the same way only the tightest bounds.
             kept = lines[-1][1]
-            if row.b / math.hypot(row.a1, row.a2) < kept.b / math.hypot(
-                kept.a1, kept.a2
-            ):
-                lines[-1] = (ang, row)
+            if rec[2] / rec[3] < kept[2] / kept[3]:
+                lines[-1] = (ang, rec)
             continue
-        lines.append((ang, row))
+        lines.append((ang, rec))
 
-    swept = _sweep(lines, tol, closed=bounded)
+    swept = _sweep(lines, closed=bounded)
     if swept is None:
         raise Infeasible("the constraints leave no feasible point")
     if not bounded:
@@ -271,23 +302,24 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
         (
             k
             for k in range(n_corners)
-            if (corners[k] - corners[k - 1]).norm() > MERGE_TOL
+            if _distance(corners[k], corners[k - 1]) > MERGE_TOL
         ),
         0,
     )
-    runs: list[list[Vec2]] = []
+    runs: list[list[tuple[float, float]]] = []
     run_of = [0] * n_corners
     for j in range(n_corners):
         k = (first + j) % n_corners
-        if runs and (corners[k] - runs[-1][0]).norm() <= MERGE_TOL:
+        if runs and _distance(corners[k], runs[-1][0]) <= MERGE_TOL:
             runs[-1].append(corners[k])
         else:
             runs.append([corners[k]])
         run_of[k] = len(runs) - 1
-    points = [
-        Vec2(sum(q.x1 for q in run) / len(run), sum(q.x2 for q in run) / len(run))
-        for run in runs
-    ]
+    # sum() starts from 0, so a run's mean of -0.0 is 0.0.
+    points = []
+    for run in runs:
+        xs, ys = zip(*run)
+        points.append(Vec2(sum(xs) / len(run), sum(ys) / len(run)))
     n = len(points)
     if n < 3:
         raise DegenerateRegion(f"feasible set has only {n} distinct corner(s)")
@@ -297,21 +329,26 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleReg
     # that vertex's two neighbours.
     phis = [ang for ang, _ in lines]
     active: list[set[int]] = [set() for _ in range(n)]
-    for ang, idx, row in rows:
+    for (ang, idx, _), (a1, a2, b, _, limit) in zip(rows, records):
         k = bisect_right(phis, phis[0] + (ang - phis[0]) % TAU) - 1
-        limit = tol * row.scale()
         for j in (run_of[k] - 1, run_of[k], run_of[k] + 1):
             j %= n
-            if abs(row.residual(points[j])) <= limit:
+            p = points[j]
+            if abs(a1 * p.x1 + a2 * p.x2 - b) <= limit:
                 active[j].add(idx)
 
     # Begin the cycle where sorting by angle about the centroid begins it.
     cx = sum(p.x1 for p in points) / n
     cy = sum(p.x2 for p in points) / n
     s = min(range(n), key=lambda i: math.atan2(points[i].x2 - cy, points[i].x1 - cx))
-    return FeasibleRegion(
-        tuple(Vertex(points[(s + i) % n], active[(s + i) % n]) for i in range(n))
-    )
+    try:
+        return FeasibleRegion(
+            tuple(Vertex(points[(s + i) % n], active[(s + i) % n]) for i in range(n))
+        )
+    except ValueError as exc:
+        # The tolerance let through a sliver, or rounding bent the cycle:
+        # the corners bound no proper polygon.
+        raise DegenerateRegion(f"the corners make no convex polygon: {exc}") from None
 
 
 def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:

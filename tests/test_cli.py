@@ -228,6 +228,33 @@ def test_cli_sensitivity_sweep_disagreement(monkeypatch, capsys):
     assert "DISAGREE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_cli_sensitivity_cone_narrower_than_sweep_step(tmp_path, json_mode, capsys):
+    # Two rows 0.002 degrees apart around 45 degrees + 3e-5 rad cut a corner
+    # whose cone no sample of a 0.01 degree grid falls into.  The report
+    # still prints; the sweep's message goes to stderr with exit code 4.
+    mid, half = math.pi / 4 + 3e-5, math.radians(0.001)
+    rows = ["1 0 10", "0 1 10"] + [
+        f"{math.cos(t)!r} {math.sin(t)!r} 12" for t in (mid - half, mid + half)
+    ]
+    f = tmp_path / "narrow.lp"
+    f.write_text(
+        f"maximize: {math.cos(mid)!r} {math.sin(mid)!r}\nconstraints:\n"
+        + "\n".join(rows) + "\n"
+    )
+    argv = ["sensitivity", str(f), "--check-sweep", "0.01"]
+    assert cli.main(argv + ["--json"] * json_mode) == 4
+    out, err = capsys.readouterr()
+    if json_mode:
+        doc = json.loads(out)
+        assert doc["optimal_vertex"]["active_rows"] == [2, 3]
+        assert doc["provenance"]["oracle_check"] is None
+    else:
+        assert "stable cone (open): (45.0007°, 45.0027°)" in out
+        assert "sweep check" not in out
+    assert "never wins" in err and err.startswith("error: sweep oracle:")
+
+
 def test_cli_sensitivity_json(capsys):
     assert cli.main(["sensitivity", PAPER, "--json", "--check-sweep", "0.05"]) == 0
     out = capsys.readouterr().out

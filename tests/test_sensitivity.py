@@ -221,6 +221,7 @@ def test_analyze_mixed_sign_matches_direct_cone():
         i = region.index_of(rep.optimal_vertex)
         vs = region.vertices
         direct = pl.stable_angle_interval(vs[i - 1], vs[i], vs[(i + 1) % len(vs)])
+        assert (rep.pred, rep.succ) == pl.adjacent_vertices(region, rep.optimal_vertex)
         assert circ_close(direct.lo, rep.interval.lo, 1e-9)
         assert circ_close(direct.hi, rep.interval.hi, 1e-9)
         assert rep.theta0 != 0.0

@@ -132,6 +132,47 @@ def test_enumerate_degenerate_region():
         pl.enumerate_vertices(lp)
 
 
+def test_enumerate_overflowing_corner():
+    # The two rows cross at x2 ~ 1e451, beyond the float range: the corner
+    # is refused as any point with an infinite coordinate is.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(
+                -3.7212721426252894e-178, 5.116135936153807e-178, 1.4843609689414512e273
+            ),
+            pl.ConstraintRow(
+                2.1973025195661484e154, -6.288076535025183e154, 5.9829183832128654e-120
+            ),
+        ),
+    )
+    with pytest.raises(pl.errors.NonFiniteEntry, match=r"non-finite coordinates \(0.0, inf\)"):
+        pl.enumerate_vertices(lp)
+
+
+extreme = st.builds(
+    lambda m, e: m * 10.0**e,
+    st.one_of(st.floats(-1.0, 1.0), st.integers(-3, 3).map(float)),
+    st.floats(-300.0, 300.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.builds(pl.ConstraintRow, extreme, extreme, extreme), min_size=1, max_size=6),
+    st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+)
+def test_enumerate_extreme_scales_fail_cleanly(rows, tol):
+    # Products of coefficients near 1e+-300 overflow and underflow; every
+    # outcome must still be a region or one of the package's errors.
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows))
+    try:
+        region = pl.enumerate_vertices(lp, tol=tol)
+    except pl.errors.PlanarLPError:
+        return
+    assert isinstance(region, pl.FeasibleRegion)
+
+
 def test_check_recession():
     assert pl.check_recession(square_lp()) is pl.Recession.BOUNDED
     lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(0.0, 1.0, 1.0),))
