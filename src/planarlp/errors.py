@@ -42,7 +42,8 @@ class Unbounded(PlanarLPError):
 
 
 class DegenerateRegion(PlanarLPError):
-    """The feasible set collapses to a segment or a single point."""
+    """The feasible set collapses to a segment or a single point, or its
+    computed corners make no convex polygon."""
 
 
 class DegenerateOptimum(PlanarLPError):
