@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import planarlp as pl
 from planarlp.errors import (
@@ -514,6 +514,43 @@ real_row = st.builds(pl.ConstraintRow, real, real, st.floats(-5.0, 100.0))
 def test_check_recession_matches_candidate_search(rows):
     new, ref = _recession_outcomes(rows)
     assert new == ref
+
+
+def _solve_outcome(solve, lp):
+    try:
+        return solve(lp)
+    except pl.errors.PlanarLPError as exc:
+        return type(exc)
+
+
+# Floats in [-10, 10] with five decimals.  Nothing smaller than 1e-5: the
+# enumeration's tolerance is absolute below 1, tol * max(1, |a1|, |a2|, |b|),
+# and the simplex's is relative, so on rows of tiny magnitude the two may
+# decide feasibility differently by design.
+decimal = st.integers(-(10**6), 10**6).map(lambda k: k / 1e5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(small_row, min_size=1, max_size=6)
+    | st.lists(st.builds(pl.ConstraintRow, decimal, decimal, decimal), min_size=1, max_size=6),
+    st.builds(pl.Vec2, small_int, small_int) | st.builds(pl.Vec2, decimal, decimal),
+)
+def test_simplex_matches_enumeration_with_negative_b(rows, c):
+    # Unlike test_solvers_agree_on_random_batch, which draws b >= 1, b may be
+    # negative here, so the simplex often starts with phase one.
+    assume(not c.is_zero())
+    lp = pl.LinearProgram2D(c, tuple(rows))
+    enum = _solve_outcome(pl.solve_enumeration, lp)
+    simplex = _solve_outcome(pl.solve_simplex, lp)
+    if enum is Infeasible:
+        assert simplex is Infeasible
+    elif enum is UnboundedRegion or isinstance(enum, pl.Solution):
+        assert simplex is not Infeasible
+    if isinstance(enum, pl.Solution) and isinstance(simplex, pl.Solution):
+        if enum.unique and simplex.unique:
+            want = enum.vertex.point
+            assert (simplex.vertex.point - want).norm() <= 1e-9 * want.norm()
 
 
 def _tilted(delta):
