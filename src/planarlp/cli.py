@@ -23,14 +23,13 @@ from .errors import (
     Unbounded,
     UnboundedRegion,
     VertexNeverOptimal,
-    ZeroObjective,
 )
 from .geometry import Frozen, PolarVector, Vec2, _set, circular_delta
 from .lp_io import load_lp
-from .lp_model import Vertex
+from .lp_model import FEAS_TOL, Vertex
 from .oracle import _MAX_SWEEP_ANGLES, stable_interval_by_sweep
 from .sensitivity import AngleInterval, SensitivityReport, _analyze_region
-from .solver import enumerate_vertices, solve_enumeration
+from .solver import _check_arguments, enumerate_vertices, solve_enumeration
 from .svg import emit_svg
 
 SCHEMA_VERSION = 1
@@ -290,11 +289,10 @@ def run_sensitivity(
     svg_path: str | None = None,
     clip: bool = False,
     check_sweep_deg: float | None = None,
-    tol: float = 1e-9,
+    tol: float = FEAS_TOL,
 ) -> int:
     lp = load_lp(path)
-    if lp.objective.is_zero():
-        raise ZeroObjective("objective is (0, 0)")
+    _check_arguments(lp, tol)
     region = enumerate_vertices(lp, tol=tol)
     report = _analyze_region(lp, region)
 
@@ -365,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="maximize the objective over the region")
     ps.add_argument("file", help="LP text file")
-    ps.add_argument("--tol", type=_tolerance, default=1e-9, metavar="EPS",
+    ps.add_argument("--tol", type=_tolerance, default=FEAS_TOL, metavar="EPS",
                     help="feasibility tolerance (default 1e-9)")
 
     pn = sub.add_parser(
@@ -382,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also report the cone clipped to (0°, 90°)")
     pn.add_argument("--check-sweep", type=_sweep_step, metavar="STEP",
                     help="certify the cone with a sweep at STEP degrees")
-    pn.add_argument("--tol", type=_tolerance, default=1e-9, metavar="EPS",
+    pn.add_argument("--tol", type=_tolerance, default=FEAS_TOL, metavar="EPS",
                     help="feasibility tolerance (default 1e-9)")
     return parser
 

@@ -24,11 +24,10 @@ from .errors import EmptyRegion, VertexNeverOptimal
 from .geometry import TAU, Frozen, _set, wrap_angle
 from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval
+from .solver import VALUE_TIE_REL
 
 #: Marker used in sample arrays when no vertex wins strictly.
 TIE = -1
-
-_TIE_REL = 1e-9
 
 #: Most angles one sweep may sample; each costs 16 bytes (its angle and its
 #: winner).  A finer grid is refused before its size is converted to an
@@ -237,8 +236,6 @@ def sweep_argmax(
     phi_lo: float,
     phi_hi: float,
     step: float,
-    *,
-    tie_tol: float = _TIE_REL,
 ) -> SweepResult:
     """Sample the winning vertex on the grid phi_lo, phi_lo+step, ..."""
     import numpy as np
@@ -258,7 +255,7 @@ def sweep_argmax(
     count = int(math.floor(steps)) + 1
     phis = phi_lo + step * np.arange(count, dtype=float)
     vx, vy = _coords(region)
-    argmax = _argmax_grid(phis, vx, vy, tie_tol)
+    argmax = _argmax_grid(phis, vx, vy, VALUE_TIE_REL)
     return SweepResult(region, phis, argmax, step)
 
 
@@ -281,8 +278,6 @@ def stable_interval_by_sweep(
     region: FeasibleRegion,
     x0,
     step: float,
-    *,
-    tie_tol: float = _TIE_REL,
 ) -> SweepResult:
     """Estimate the stable cone of x0 by sweeping the full circle.
 
@@ -308,10 +303,10 @@ def stable_interval_by_sweep(
         n -= 1
 
     vx, vy = _coords(region)
-    argmax = _argmax_grid(phis, vx, vy, tie_tol)
+    argmax = _argmax_grid(phis, vx, vy, VALUE_TIE_REL)
 
     def wins(phi: float) -> bool:
-        return _scan(phi, vx, vy, tie_tol) == x0_idx
+        return _scan(phi, vx, vy, VALUE_TIE_REL) == x0_idx
 
     mask = argmax == x0_idx
     if not mask.any():

@@ -18,7 +18,6 @@ from .errors import (
     DegenerateOptimum,
     ReflexVertex,
     RotationOutsideStableCone,
-    ZeroObjective,
 )
 from .geometry import (
     TAU,
@@ -32,16 +31,17 @@ from .geometry import (
     polar_of,
 )
 from .lp_model import (
+    FEAS_TOL,
     MERGE_TOL,
     FeasibleRegion,
     LinearProgram2D,
     Vertex,
     evaluate,
-    validate,
 )
 from .normalization import normalizing_rotation
 from .solver import (
     VALUE_TIE_REL,
+    _check_arguments,
     argmax_with_ties,
     enumerate_vertices,
     objective_values,
@@ -194,19 +194,14 @@ def _tie_angle(first: Vertex, second: Vertex) -> float:
     return _atan2(-e.x1, e.x2)
 
 
-def analyze(lp: LinearProgram2D, *, tol: float = 1e-9) -> SensitivityReport:
+def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
     """Full sensitivity report for the optimal vertex of lp.
 
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs.
     """
-    if lp.objective.is_zero() or not 0.0 <= tol < math.inf:
-        # enumerate_vertices validates lp; the errors it would raise first
-        # keep their order here: structure, then the objective, then tol.
-        validate(lp)
-        if lp.objective.is_zero():
-            raise ZeroObjective("objective is (0, 0)")
+    _check_arguments(lp, tol)
     return _analyze_region(lp, enumerate_vertices(lp, tol=tol))
 
 

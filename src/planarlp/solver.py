@@ -4,8 +4,8 @@ solve_enumeration builds the feasible polygon by sorted half-plane
 intersection and picks the best vertex; the same sort of the row normals
 decides boundedness, by a gap of a half turn.  solve_simplex is a two-phase
 revised simplex with Bland's rule whose basis is the pair of tight
-constraints, so a pivot is a 2 x 2 solve (3 x 3 in phase one) and one O(m)
-ratio test.  Neither needs numpy.  They share no code on the solve path,
+constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m) pass
+over the rows.  Neither needs numpy.  They share no code on the solve path,
 which is what makes cross-checking one against the other meaningful.
 """
 
@@ -25,6 +25,7 @@ from .errors import (
 )
 from .geometry import TAU, Frozen, Vec2, _atan2, _non_finite, _pow2_scaled, _set
 from .lp_model import (
+    FEAS_TOL,
     MERGE_TOL,
     X1_NONNEG,
     X2_NONNEG,
@@ -68,7 +69,7 @@ def _indexed_rows(lp: LinearProgram2D):
     return rows
 
 
-def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = 1e-9) -> frozenset[int]:
+def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> frozenset[int]:
     """Indices of all rows (synthetic included) tight at p."""
     out = {
         i
@@ -249,7 +250,7 @@ def _sweep(lines, closed: bool):
     return list(dq), list(corners)
 
 
-def enumerate_vertices(lp: LinearProgram2D, *, tol: float = 1e-9) -> FeasibleRegion:
+def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> FeasibleRegion:
     """Build the feasible polygon by sorted half-plane intersection, O(m log m).
 
     The constraint rows and the two x >= 0 rows are sorted by normal angle
@@ -376,10 +377,25 @@ def objective_values(c: Vec2, points: list[Vec2]) -> list[float]:
     return [c.dot(p) for p in points]
 
 
-def solve_enumeration(lp: LinearProgram2D, *, tol: float = 1e-9) -> Solution:
+def _check_arguments(lp: LinearProgram2D, tol: float) -> None:
+    """Raise what a solve entry point raises for a zero objective or a bad
+    tol, in the order they all keep: a structural error (validate), then
+    ZeroObjective, then ValueError for a negative or non-finite tol.
+
+    With a nonzero objective and a good tol it checks nothing, as the
+    entry points that build the region leave validation to
+    enumerate_vertices.
+    """
+    if lp.objective.is_zero() or not 0.0 <= tol < math.inf:
+        validate(lp)
+        if lp.objective.is_zero():
+            raise ZeroObjective("objective is (0, 0)")
+        raise ValueError(f"need a finite tolerance >= 0, got {tol}")
+
+
+def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
     """Maximize by brute force over the region's vertices."""
-    if lp.objective.is_zero():
-        raise ZeroObjective("objective is (0, 0)")
+    _check_arguments(lp, tol)
     region = enumerate_vertices(lp, tol=tol)
     best, tied = argmax_with_ties(objective_values(lp.objective, region.points()))
     x = region.vertices[best]
@@ -412,7 +428,7 @@ _PIV_TOL = 1e-10
 _TIE_REL = 1e-12
 #: Unit duals this close to zero are probed for a second optimal vertex.
 _PROBE_TOL = 1e-7
-#: Phase one proves infeasibility when the artificial stays above this
+#: Phase one counts a row as violated when its unit residual exceeds this
 #: times the largest unit right-hand side.
 _INFEAS_REL = 1e-9
 
@@ -433,12 +449,11 @@ def _meet(r, s) -> Vec2:
 
 
 def _max_pivots(n_cols: int) -> int:
-    """A cap on the pivots of one phase, far above what Bland's rule needs.
+    """A cap on the pivots of phase two, far above what Bland's rule needs.
 
-    Each nondegenerate pivot reaches a vertex not seen before: phase two
-    walks a polygon with at most n_cols vertices, phase one a polyhedron
-    in three dimensions with n_cols + 1 facets and so at most 2 n_cols
-    vertices.  The cap doubles that for the degenerate pivots in between.
+    Each nondegenerate pivot reaches a vertex not seen before, of a polygon
+    with at most n_cols vertices.  The cap is four times that, to leave room
+    for the degenerate pivots in between.
     """
     return 4 * n_cols + 8
 
@@ -472,93 +487,66 @@ def _blocking(cols, leave: int, stay: int) -> tuple[int, float]:
     return best, best_t
 
 
-def _cross3(u, v) -> tuple[float, float, float]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _phase_one(cols) -> tuple[int, int]:
     """A feasible basis for the unit columns cols, some of whose b are
     negative.
 
-    Chvatal's auxiliary problem (Linear Programming, 1983, ch. 3): subtract
-    an artificial x0 >= 0 from every row with b < 0 and maximize -x0.  A
-    basis is then three tight constraints in (x1, x2, x0), solved with cross
-    products; x0 >= 0 is the last column.  The first pivot lets x0 enter
-    and the most violated row leave, which makes the basis feasible.
-    Raises Infeasible when the optimum keeps x0 > 0.
+    A dual simplex (Lemke 1954) for max -(x1 + x2), on the same pairs of
+    tight rows as phase two.  The start (0, 1), the origin, has the duals
+    (1, 1) for that objective, and each pivot keeps them nonnegative: the
+    lowest column whose row is violated enters, and of the members with a
+    positive coefficient when its normal is written in the basis, the one
+    with the least ratio of dual to coefficient leaves, the lower column on
+    a tie (Bland's rule).  When no coefficient is positive, the entering
+    normal is a nonpositive combination of the two tight ones, so no point
+    satisfies all three rows.  Raises Infeasible then.
+
+    This is the primal simplex with Bland's rule on the dual program
+    (Bland 1977), which never repeats a basis; so the loop meets each of the
+    C(n, 2) pairs of the n columns at most once.
     """
-    n = len(cols)
-    rows = [(j, a1, a2, -1.0 if b < 0.0 else 0.0, b) for j, a1, a2, b in cols]
-    rows.append((n, 0.0, 0.0, -1.0, 0.0))
-    normals = [r[1:4] for r in rows]
-    basis = [0, 1, min(range(n), key=lambda j: cols[j][3])]
-    piv, win = _PIV_TOL, 1.0 - _TIE_REL
-    for _ in range(_max_pivots(n)):
-        u, v, w = (normals[k] for k in basis)
-        # cof[k] / det is column k of the inverse of the basis matrix.
-        cof = (_cross3(v, w), _cross3(w, u), _cross3(u, v))
-        det = u[0] * cof[0][0] + u[1] * cof[0][1] + u[2] * cof[0][2]
-        bp, bq, br = (rows[k][4] for k in basis)
-        x1, x2, x0 = (
-            (bp * cof[0][i] + bq * cof[1][i] + br * cof[2][i]) / det for i in range(3)
-        )
-        # The dual of member k for the objective (0, 0, -1) is -cof[k][2] / det.
-        improving = [k for k in range(3) if cof[k][2] / det > _DUAL_TOL]
-        if not improving:
-            break
-        k = min(improving, key=basis.__getitem__)
-        # Walk with the other two members tight and member k's slack growing;
-        # their a . d is zero up to rounding, far below piv.
-        g = cof[k]
-        h = math.copysign(math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2]), -det)
-        d1, d2, d3 = g[0] / h, g[1] / h, g[2] / h
-        tight = _TIE_REL * (abs(x1) + abs(x2) + abs(x0))
-        best, bound = -1, math.inf
-        for j, a1, a2, a3, b in rows:
-            den = a1 * d1 + a2 * d2 + a3 * d3
-            if den > piv:
-                slack = b - a1 * x1 - a2 * x2 - a3 * x0
-                if slack <= tight:
-                    best = j
-                    break
-                if slack < bound * den:
-                    best, bound = j, slack / den * win
-        if best < 0:
-            raise RuntimeError("phase one found an unbounded artificial")
-        basis[k] = best
-    else:
-        raise RuntimeError("simplex failed to terminate")
-    if x0 > _INFEAS_REL * max(abs(r[3]) for r in cols):
-        raise Infeasible("phase one ended with a positive artificial")
-    if n in basis:
-        basis.remove(n)
-        return basis[0], basis[1]
-    # x0 is basic at zero.  Drop the lowest member whose removal leaves two
-    # crossing lines; that is the pivot that drives x0 out of the basis.
-    for k in sorted(basis):
-        p, q = (j for j in basis if j != k)
-        if abs(cols[p][1] * cols[q][2] - cols[p][2] * cols[q][1]) > _PIV_TOL:
+    eps = _INFEAS_REL * max(abs(col[3]) for col in cols)
+    p, q = 0, 1
+    for _ in range(len(cols) * (len(cols) - 1) // 2):
+        _, p1, p2, pb = cols[p]
+        _, q1, q2, qb = cols[q]
+        det = p1 * q2 - p2 * q1
+        x1 = (pb * q2 - qb * p2) / det
+        x2 = (p1 * qb - q1 * pb) / det
+        for r, r1, r2, rb in cols:
+            if r1 * x1 + r2 * x2 - rb > eps:
+                break
+        else:
             return p, q
-    raise RuntimeError("phase one ended on a singular basis")
+        # a_r = alpha_p a_p + alpha_q a_q, and (-1, -1) = y_p a_p + y_q a_q.
+        members = sorted(
+            (
+                (p, (q1 - q2) / det, (r1 * q2 - r2 * q1) / det),
+                (q, (p2 - p1) / det, (p1 * r2 - p2 * r1) / det),
+            )
+        )
+        leave, best = -1, math.inf
+        for k, y, alpha in members:
+            if alpha > _PIV_TOL and y / alpha < best:
+                leave, best = k, y / alpha * (1.0 - _TIE_REL)
+        if leave < 0:
+            raise Infeasible("the constraints leave no feasible point")
+        p, q = (r, q) if leave == p else (p, r)
+    raise RuntimeError("simplex failed to terminate")
 
 
-def solve_simplex(lp: LinearProgram2D, *, tol: float = 1e-9) -> Solution:
+def solve_simplex(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
     """Two-phase revised simplex with Bland's rule, O(m) per pivot.
 
     A basis is two tight constraints (rows or bounds); x and the duals of c
     come from 2 x 2 solves and the ratio test is one pass over the rows.
-    When some b < 0, phase one (a single artificial, a 3 x 3 basis) finds a
-    feasible basis first.  Raises Infeasible or Unbounded accordingly.  The
-    solution is not unique when an edge with zero unit dual leads to a
-    second vertex of the same value.
+    When some b < 0, so that the origin is infeasible, phase one (a dual
+    simplex on the same bases) finds a feasible basis first.  Raises
+    Infeasible or Unbounded accordingly.  The solution is not unique when
+    an edge with zero unit dual leads to a second vertex of the same value.
     """
     validate(lp)
-    if lp.objective.is_zero():
-        raise ZeroObjective("objective is (0, 0)")
+    _check_arguments(lp, tol)
     cols = _unit_columns(lp)
     big = max(abs(lp.objective.x1), abs(lp.objective.x2))
     c1, c2 = lp.objective.x1 / big, lp.objective.x2 / big

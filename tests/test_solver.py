@@ -10,7 +10,9 @@ from planarlp.errors import (
     Unbounded,
     UnboundedRegion,
     ZeroObjective,
+    ZeroRow,
 )
+from planarlp import cli
 from planarlp.solver import argmax_with_ties
 from pairwise_enumeration import candidate_recession, pairwise_enumerate_vertices
 from conftest import (
@@ -218,6 +220,36 @@ def test_solve_zero_objective():
         pl.solve_simplex(square_lp(pl.Vec2(0.0, 0.0)))
 
 
+_ENTRY_POINTS = {
+    "solve_enumeration": lambda lp, tol, path: pl.solve_enumeration(lp, tol=tol),
+    "solve_simplex": lambda lp, tol, path: pl.solve_simplex(lp, tol=tol),
+    "analyze": lambda lp, tol, path: pl.analyze(lp, tol=tol),
+    "cli.run_solve": lambda lp, tol, path: cli.run_solve(path, tol),
+    "cli.run_sensitivity": lambda lp, tol, path: cli.run_sensitivity(path, tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "c, row, tol, error",
+    [
+        # a structural error first, then the objective, then tol
+        ((0.0, 0.0), (0.0, 0.0, 1.0), 1e-9, ZeroRow),
+        ((0.0, 0.0), (0.0, 0.0, 1.0), -1.0, ZeroRow),
+        ((0.0, 0.0), (1.0, 1.0, 1.0), math.nan, ZeroObjective),
+        ((1.0, 1.0), (1.0, 1.0, 1.0), -1.0, ValueError),
+        ((1.0, 1.0), (1.0, 1.0, 1.0), math.nan, ValueError),
+        ((1.0, 1.0), (1.0, 1.0, 1.0), math.inf, ValueError),
+    ],
+)
+def test_entry_points_check_arguments_in_one_order(entry, c, row, tol, error, tmp_path):
+    lp = pl.LinearProgram2D(pl.Vec2(*c), (pl.ConstraintRow(*row),))
+    path = tmp_path / "lp.lp"
+    path.write_text(pl.serialize_lp(lp))
+    with pytest.raises(error):
+        _ENTRY_POINTS[entry](lp, tol, str(path))
+
+
 def test_solve_simplex_reference(ref_lp):
     sol = pl.solve_simplex(ref_lp)
     assert abs(sol.vertex.point.x1 - 80.0) < 1e-6
@@ -250,7 +282,8 @@ def test_solve_simplex_bounded_objective_on_unbounded_region():
 
 
 def test_solve_simplex_phase_one():
-    # b < 0 forces artificial variables: x1 + x2 >= 1 as -x1 - x2 <= -1
+    # b < 0 leaves the origin infeasible, so phase one runs: x1 + x2 >= 1
+    # as -x1 - x2 <= -1
     lp = pl.LinearProgram2D(
         pl.Vec2(1.0, 1.0),
         (
@@ -275,8 +308,8 @@ def test_solve_simplex_phase_one_infeasible():
 
 
 def test_solve_simplex_duplicate_negative_rows():
-    # x2 >= 1 twice and x1 + x2 <= 1 leave only (0, 1).  Phase one ends with
-    # the artificial basic at zero, and a last pivot must drive it out.
+    # x2 >= 1 twice and x1 + x2 <= 1 leave only (0, 1), where four
+    # constraints are tight, two of them the same row.
     row = pl.ConstraintRow(0.0, -3.0, -3.0)
     lp = pl.LinearProgram2D(
         pl.Vec2(-2.0, -1.0), (pl.ConstraintRow(2.0, 2.0, 2.0), row, row)
@@ -331,8 +364,9 @@ def test_solve_simplex_infeasible_before_unbounded():
 
 @pytest.mark.parametrize("m", [1500, 2500])
 def test_solve_simplex_many_rows(m):
-    # The pivot count grows with m.  A fixed cap of 1000 pivots per phase
-    # stopped phase one (about 0.44 m pivots here) on a bounded LP at 2500.
+    # The pivot count grows with m: phase one takes about 0.13 m pivots here
+    # (313 at 2500) and phase two m / 2, so a fixed cap of 1000 pivots per
+    # phase would stop a bounded LP at 2500.
     lp = tangent_circle_lp(rng_for(1), m)
     sol = pl.solve_simplex(lp)
     ref = pl.solve_enumeration(lp)
