@@ -280,3 +280,50 @@ def test_sweep_result_compares_by_identity():
         assert np.array_equal(again.argmax, a.argmax)
     c = pl.SweepResult(**fields, estimated_interval=_IV)
     assert pickle.loads(pickle.dumps(c)).estimated_interval == _IV
+
+
+_SWEEP_FIELDS = {
+    "region": _REGION,
+    "phis": np.array([0.0, 0.5]),
+    "argmax": np.array([0, 1]),
+    "step": 0.5,
+    "estimated_interval": _IV,
+}
+
+# The plain records: every field given, and the fields that have defaults.
+RECORDS = [
+    (cls, fields) for cls, fields in SAMPLES
+    if cls in (pl.SensitivityReport, ReportDocument, pl.NormalizedProblem,
+               OracleCheck, pl.DistanceSolution)
+] + [(pl.SweepResult, _SWEEP_FIELDS)]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+def test_records_reject_bad_arguments(cls, fields):
+    values = list(fields.values())
+    first = next(iter(fields))
+    with pytest.raises(TypeError):  # a missing field, by position
+        cls(*values[:1])
+    with pytest.raises(TypeError):  # a missing field, by keyword
+        cls(**{k: v for k, v in fields.items() if k != first})
+    with pytest.raises(TypeError):  # one positional argument too many
+        cls(*values, values[0])
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(**fields, not_a_field=1)
+    with pytest.raises(TypeError):  # a field given by position and keyword
+        cls(values[0], **fields)
+
+
+def test_records_fill_defaults_alike_by_position_and_keyword():
+    n_pos = pl.NormalizedProblem(_REGION, _P, 0.5, pl.Vec2(0.0, 3.0))
+    n_kw = pl.NormalizedProblem(
+        region=_REGION, objective=_P, theta0=0.5, translation=pl.Vec2(0.0, 3.0)
+    )
+    assert n_pos == n_kw and n_kw.translated_along_ones is False
+    phis, argmax = _SWEEP_FIELDS["phis"], _SWEEP_FIELDS["argmax"]
+    s_pos = pl.SweepResult(_REGION, phis, argmax, 0.5)
+    s_kw = pl.SweepResult(region=_REGION, phis=phis, argmax=argmax, step=0.5)
+    for name in pl.SweepResult.__slots__:  # SweepResult compares by identity
+        assert getattr(s_pos, name) is getattr(s_kw, name)
+    assert s_kw.estimated_interval is None
