@@ -24,7 +24,7 @@ from .errors import (
     UnboundedRegion,
     VertexNeverOptimal,
 )
-from .geometry import Frozen, PolarVector, Vec2, _set, circular_delta
+from .geometry import Frozen, PolarVector, Vec2, circular_delta
 from .lp_io import load_lp
 from .lp_model import FEAS_TOL, Vertex
 from .oracle import _MAX_SWEEP_ANGLES, stable_interval_by_sweep
@@ -72,14 +72,6 @@ class OracleCheck(Frozen):
     max_endpoint_error: float
     agrees: bool
 
-    def __init__(
-        self, step: float, interval: AngleInterval, max_endpoint_error: float, agrees: bool
-    ):
-        _set(self, "step", step)
-        _set(self, "interval", interval)
-        _set(self, "max_endpoint_error", max_endpoint_error)
-        _set(self, "agrees", agrees)
-
 
 class ReportDocument(Frozen):
     """A sensitivity report plus provenance, serializable to JSON and back."""
@@ -101,23 +93,11 @@ class ReportDocument(Frozen):
     oracle_check: OracleCheck | None
     schema_version: int
 
-    def __init__(
-        self,
-        report: SensitivityReport,
-        input_path: str,
-        tolerance: float,
-        solver: str,
-        clip_first_quadrant: bool = False,
-        oracle_check: OracleCheck | None = None,
-        schema_version: int = SCHEMA_VERSION,
-    ):
-        _set(self, "report", report)
-        _set(self, "input_path", input_path)
-        _set(self, "tolerance", tolerance)
-        _set(self, "solver", solver)
-        _set(self, "clip_first_quadrant", clip_first_quadrant)
-        _set(self, "oracle_check", oracle_check)
-        _set(self, "schema_version", schema_version)
+    _defaults = {
+        "clip_first_quadrant": False,
+        "oracle_check": None,
+        "schema_version": SCHEMA_VERSION,
+    }
 
     def to_json_dict(self) -> dict:
         r = self.report

@@ -13,7 +13,7 @@ import math
 from enum import Enum
 
 from .errors import NegativeCoefficient, PointOnLine, ZeroObjective
-from .geometry import Frozen, LineThroughOrigin, Vec2, _pow2_scaled, _set, distance_to_line
+from .geometry import Frozen, LineThroughOrigin, Vec2, _pow2_scaled, distance_to_line
 from .lp_model import FeasibleRegion, Vertex
 from .solver import argmax_with_ties
 
@@ -63,11 +63,6 @@ class DistanceSolution(Frozen):
     vertex: Vertex
     distance: float
     unique: bool
-
-    def __init__(self, vertex: Vertex, distance: float, unique: bool):
-        _set(self, "vertex", vertex)
-        _set(self, "distance", distance)
-        _set(self, "unique", unique)
 
 
 def argmax_distance(region: FeasibleRegion, c: Vec2) -> DistanceSolution:

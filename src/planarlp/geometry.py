@@ -41,18 +41,45 @@ def circular_delta(a: Angle, b: Angle) -> float:
 # Stores a field of a Frozen instance, past the __setattr__ that refuses it.
 _set = object.__setattr__
 
+# Marks an argument or default that was not given.
+_MISSING = object()
+
 
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in order, and its
-    ``__init__`` validates the arguments and stores each field with
-    ``object.__setattr__``.  Instances of the same class are equal when
-    their fields are; repr is ``Name(field=value, ...)``; copy and pickle
-    rebuild an instance by calling the class with its fields.
+    A subclass names its fields in ``__slots__``, in order, and the default
+    of any trailing field in a class-level ``_defaults`` dict.  The
+    ``__init__`` here binds positional arguments, then keyword arguments,
+    to the fields in that order, and raises TypeError for a missing, extra,
+    unknown or repeated argument, as a written-out signature would.  A
+    subclass writes its own ``__init__``, storing each field with
+    ``object.__setattr__``, when it checks or converts its fields, or when
+    it is built on a per-row or per-solve path, where the explicit form is
+    about twice as fast.  Instances of the same class are equal when their
+    fields are; repr is ``Name(field=value, ...)``; copy and pickle rebuild
+    an instance by calling the class with its fields.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names, cls = self.__slots__, self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            value = kwargs.pop(name, _MISSING)
+            if value is _MISSING:
+                value = self._defaults.get(name, _MISSING)
+                if value is _MISSING:
+                    raise TypeError(f"{cls}() missing argument {name!r}")
+            _set(self, name, value)
+        for name in kwargs:
+            kind = "repeated" if name in names else "unexpected"
+            raise TypeError(f"{cls}() got {kind} argument {name!r}")
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -37,6 +37,8 @@ class ConstraintRow(Frozen):
     a2: float
     b: float
 
+    # Written out, not Frozen's binder: a row is built per parsed line and
+    # two per solve, and this form is about twice as fast.
     def __init__(self, a1: float, a2: float, b: float):
         _set(self, "a1", a1)
         _set(self, "a2", a2)

@@ -11,7 +11,7 @@ is preserved by both.
 from __future__ import annotations
 
 from .errors import NonPositiveAlpha, ZeroObjective
-from .geometry import Frozen, Vec2, _set, apply_rotation, polar_of, rotation_of, wrap_angle
+from .geometry import Frozen, Vec2, apply_rotation, polar_of, rotation_of, wrap_angle
 from .lp_model import FeasibleRegion, Vertex
 
 
@@ -30,19 +30,7 @@ class NormalizedProblem(Frozen):
     translation: Vec2
     translated_along_ones: bool
 
-    def __init__(
-        self,
-        region: FeasibleRegion,
-        objective: Vec2,
-        theta0: float,
-        translation: Vec2,
-        translated_along_ones: bool = False,
-    ):
-        _set(self, "region", region)
-        _set(self, "objective", objective)
-        _set(self, "theta0", theta0)
-        _set(self, "translation", translation)
-        _set(self, "translated_along_ones", translated_along_ones)
+    _defaults = {"translated_along_ones": False}
 
 
 def normalizing_rotation(c: Vec2) -> float:

@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
 
 from .errors import EmptyRegion, VertexNeverOptimal
-from .geometry import TAU, Frozen, _set, wrap_angle
+from .geometry import TAU, Frozen, wrap_angle
 from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval
 from .solver import VALUE_TIE_REL
@@ -57,19 +57,7 @@ class SweepResult(Frozen):
     step: float
     estimated_interval: AngleInterval | None
 
-    def __init__(
-        self,
-        region: FeasibleRegion,
-        phis: np.ndarray,
-        argmax: np.ndarray,
-        step: float,
-        estimated_interval: AngleInterval | None = None,
-    ):
-        _set(self, "region", region)
-        _set(self, "phis", phis)
-        _set(self, "argmax", argmax)
-        _set(self, "step", step)
-        _set(self, "estimated_interval", estimated_interval)
+    _defaults = {"estimated_interval": None}
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
