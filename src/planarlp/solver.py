@@ -431,7 +431,7 @@ _TIE_REL = 1e-12
 #: Unit duals this close to zero are probed for a second optimal vertex.
 _PROBE_TOL = 1e-7
 #: Phase one counts a row as violated when its unit residual exceeds this
-#: times the largest unit right-hand side.
+#: times |b| + |x|_1, for the row's unit b and the basis point x.
 _INFEAS_REL = 1e-9
 
 
@@ -445,9 +445,12 @@ def _unit_columns(lp: LinearProgram2D) -> list[tuple[int, float, float, float]]:
 
 
 def _meet(r, s) -> Vec2:
-    """Where the boundary lines of columns r = (j, a1, a2, b) and s cross."""
+    """Where the boundary lines of columns r = (j, a1, a2, b) and s cross.
+    The + 0.0 makes a zero coordinate +0.0 whichever column comes first."""
     det = r[1] * s[2] - r[2] * s[1]
-    return Vec2((r[3] * s[2] - s[3] * r[2]) / det, (r[1] * s[3] - s[1] * r[3]) / det)
+    return Vec2(
+        (r[3] * s[2] - s[3] * r[2]) / det + 0.0, (r[1] * s[3] - s[1] * r[3]) / det + 0.0
+    )
 
 
 def _max_pivots(n_cols: int) -> int:
@@ -507,7 +510,6 @@ def _phase_one(cols) -> tuple[int, int]:
     (Bland 1977), which never repeats a basis; so the loop meets each of the
     C(n, 2) pairs of the n columns at most once.
     """
-    eps = _INFEAS_REL * max(abs(col[3]) for col in cols)
     p, q = 0, 1
     for _ in range(len(cols) * (len(cols) - 1) // 2):
         _, p1, p2, pb = cols[p]
@@ -515,8 +517,9 @@ def _phase_one(cols) -> tuple[int, int]:
         det = p1 * q2 - p2 * q1
         x1 = (pb * q2 - qb * p2) / det
         x2 = (p1 * qb - q1 * pb) / det
+        size = abs(x1) + abs(x2)
         for r, r1, r2, rb in cols:
-            if r1 * x1 + r2 * x2 - rb > eps:
+            if r1 * x1 + r2 * x2 - rb > _INFEAS_REL * (abs(rb) + size):
                 break
         else:
             return p, q
@@ -589,8 +592,11 @@ def solve_simplex(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
         if abs(y) > _PROBE_TOL:
             continue
         r, t = _blocking(cols, leave, stay)
+        if r < 0 and abs(y) <= _DUAL_TOL:  # a ray of optimal points
+            unique = False
+            break
         if r < 0 or t == 0.0:
-            continue  # an equal-value ray, or a degenerate step
+            continue  # a ray of worse points, or a degenerate step
         other = _meet(cols[r], cols[stay])
         gap = c1 * (other.x1 - point.x1) + c2 * (other.x2 - point.x2)
         scale = abs(point.x1) + abs(point.x2) + abs(other.x1) + abs(other.x2)

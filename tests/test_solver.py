@@ -362,6 +362,53 @@ def test_solve_simplex_infeasible_before_unbounded():
         pl.solve_simplex(lp)
 
 
+@pytest.mark.parametrize(
+    "c, row",
+    [
+        # every point with x1 = 3 and x2 >= 0 is optimal
+        ((1.0, 0.0), (1.0, 0.0, 3.0)),
+        # c is the row's normal: the whole boundary ray from (0, 5/3) is
+        ((-2.0, 3.0), (-4.0, 6.0, 10.0)),
+    ],
+)
+def test_solve_simplex_ray_of_optima_is_not_unique(c, row):
+    lp = pl.LinearProgram2D(pl.Vec2(*c), (pl.ConstraintRow(*row),))
+    assert not pl.solve_simplex(lp).unique
+    with pytest.raises(UnboundedRegion):
+        pl.solve_enumeration(lp)
+
+
+def test_solve_simplex_ray_of_worse_points_stays_unique():
+    # up the line x1 = 3 the value falls, by 1e-8 per unit
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, -1e-8), (pl.ConstraintRow(1.0, 0.0, 3.0),))
+    sol = pl.solve_simplex(lp)
+    assert sol.unique and sol.vertex.point == pl.Vec2(3.0, 0.0)
+
+
+def test_solve_simplex_zero_coordinates_are_positive():
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(1.0, 0.0, 3.0),))
+    p = pl.solve_simplex(lp).vertex.point
+    assert p == pl.Vec2(3.0, 0.0)
+    assert math.copysign(1.0, p.x2) == 1.0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # one large b must not hide the violated x1 + x2 <= -1
+        [(1.0, 1.0, -1.0), (1.0, 0.0, 1e12), (0.0, 1.0, 1e12)],
+        # nor a huge unit b, 1 / 2.28e-172, the violated x2 <= -1
+        [(0.0, 1.0, -1.0), (0.0, 2.28e-172, 1.0)],
+    ],
+)
+def test_solve_simplex_violated_row_beside_a_large_b(rows):
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(pl.ConstraintRow(*r) for r in rows))
+    with pytest.raises(Infeasible):
+        pl.solve_simplex(lp)
+    with pytest.raises(Infeasible):
+        pl.solve_enumeration(lp)
+
+
 @pytest.mark.parametrize("m", [1500, 2500])
 def test_solve_simplex_many_rows(m):
     # The pivot count grows with m: phase one takes about 0.13 m pivots here
