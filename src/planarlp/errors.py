@@ -88,10 +88,6 @@ class RotationOutsideStableCone(PlanarLPError):
 
 # --- sweep oracle ------------------------------------------------------------
 
-class EmptyRegion(PlanarLPError):
-    """The sweep was asked to scan a region with no vertices."""
-
-
 class VertexNeverOptimal(PlanarLPError):
     """No sweep sample made the given vertex the strict argmax."""
 

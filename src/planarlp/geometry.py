@@ -41,24 +41,21 @@ def circular_delta(a: Angle, b: Angle) -> float:
 # Stores a field of a Frozen instance, past the __setattr__ that refuses it.
 _set = object.__setattr__
 
-# Marks an argument or default that was not given.
-_MISSING = object()
+_MISSING = object()  # an argument or default that was not given
 
 
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in order, and the default
-    of any trailing field in a class-level ``_defaults`` dict.  The
-    ``__init__`` here binds positional arguments, then keyword arguments,
-    to the fields in that order, and raises TypeError for a missing, extra,
-    unknown or repeated argument, as a written-out signature would.  A
-    subclass writes its own ``__init__``, storing each field with
-    ``object.__setattr__``, when it checks or converts its fields, or when
-    it is built on a per-row or per-solve path, where the explicit form is
-    about twice as fast.  Instances of the same class are equal when their
-    fields are; repr is ``Name(field=value, ...)``; copy and pickle rebuild
-    an instance by calling the class with its fields.
+    A subclass names its fields in ``__slots__``, in order, and the defaults
+    of trailing fields in a ``_defaults`` dict.  The ``__init__`` here binds
+    positional, then keyword arguments to the fields, and raises TypeError
+    for a missing, extra, unknown or repeated one, as a real signature would.
+    A subclass writes its own ``__init__``, storing each field with ``_set``,
+    when it checks or converts its fields, or when it is built once per row
+    or per solve, where that form is about twice as fast.  Instances of the
+    same class are equal when their fields are; repr is ``Name(field=value,
+    ...)``; copy and pickle rebuild an instance by calling the class.
     """
 
     __slots__ = ()

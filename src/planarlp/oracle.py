@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
 
-from .errors import EmptyRegion, VertexNeverOptimal
+from .errors import VertexNeverOptimal
 from .geometry import TAU, Frozen, wrap_angle
 from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval
@@ -232,8 +232,6 @@ def sweep_argmax(
         raise ValueError(f"step must be positive and finite, got {step}")
     if not -math.inf < phi_lo < phi_hi < math.inf:
         raise ValueError(f"need finite phi_lo < phi_hi, got ({phi_lo}, {phi_hi})")
-    if not region.vertices:
-        raise EmptyRegion("cannot sweep a region with no vertices")
     steps = (phi_hi - phi_lo) / step + 1e-9
     if not steps < _MAX_SWEEP_ANGLES:  # floor(steps) + 1 angles
         raise ValueError(
@@ -280,8 +278,6 @@ def stable_interval_by_sweep(
     steps = TAU / step + 1e-9
     if not steps < _MAX_SWEEP_ANGLES + 1:  # at most floor(steps) angles
         raise ValueError(f"step {step} gives more than {_MAX_SWEEP_ANGLES} angles")
-    if not region.vertices:
-        raise EmptyRegion("cannot sweep a region with no vertices")
     x0_idx = region.index_of(x0)
 
     n = int(math.floor(steps))

@@ -448,9 +448,8 @@ def _meet(r, s) -> Vec2:
     """Where the boundary lines of columns r = (j, a1, a2, b) and s cross.
     The + 0.0 makes a zero coordinate +0.0 whichever column comes first."""
     det = r[1] * s[2] - r[2] * s[1]
-    return Vec2(
-        (r[3] * s[2] - s[3] * r[2]) / det + 0.0, (r[1] * s[3] - s[1] * r[3]) / det + 0.0
-    )
+    x1 = (r[3] * s[2] - s[3] * r[2]) / det + 0.0
+    return Vec2(x1, (r[1] * s[3] - s[1] * r[3]) / det + 0.0)
 
 
 def _max_pivots(n_cols: int) -> int:
