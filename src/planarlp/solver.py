@@ -547,7 +547,8 @@ def solve_simplex(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
     When some b < 0, so that the origin is infeasible, phase one (a dual
     simplex on the same bases) finds a feasible basis first.  Raises
     Infeasible or Unbounded accordingly.  The solution is not unique when
-    an edge with zero unit dual leads to a second vertex of the same value.
+    an edge with zero unit dual leads to a second vertex of the same value,
+    or is a ray of optimal points.
     """
     validate(lp)
     _check_arguments(lp, tol)
