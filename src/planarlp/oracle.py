@@ -3,18 +3,18 @@
 Independent of the analytic path: the argmax vertex is sampled at every
 angle of a grid, runs of a fixed winner are located, and the run boundaries
 are sharpened by bisection.  The point kernel is a full scan of the vertices
-in plain Python over float lists.  The grid kernel works on numpy blocks of
-angles instead: it looks each angle up in the normal fan of the vertex
-cycle and certifies the vertex it finds against that vertex's two
-neighbours; it takes the full scan wherever that check cannot certify the
-same answer, so its output equals the full scan at every angle (see
-_argmax_grid).  The bisection calls the full scan, so grid and bisection
-see the same winner at the same angle.
+in plain Python over float lists; the bisection calls it.  The grid kernel
+walks the grid run by run: it looks a run's first angle up in the normal
+fan of the vertex cycle and certifies the vertex it finds against its two
+neighbours at both ends of the run, which certifies every angle between.
+Where that check fails it takes the full scan, so its output equals the
+full scan at every angle (see _argmax_grid).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
@@ -69,16 +69,13 @@ class SweepResult(Frozen):
 
 
 def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
-    vx = [v.point.x1 for v in region.vertices]
-    vy = [v.point.x2 for v in region.vertices]
-    return vx, vy
+    return [v.point.x1 for v in region.vertices], [v.point.x2 for v in region.vertices]
 
 
 def _scan(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
     """The full scan at phi: the strict argmax of vx*cos(phi) + vy*sin(phi),
     or TIE when the runner-up is within rel_tol * max(1, |best|)."""
-    c = math.cos(phi)
-    s = math.sin(phi)
+    c, s = math.cos(phi), math.sin(phi)
     best = vx[0] * c + vy[0] * s
     best_j = 0
     second = -math.inf
@@ -140,83 +137,86 @@ def _convex(vx: list[float], vy: list[float]) -> bool:
     return crossings == 1
 
 
-#: Angles per block of the grid kernel; its temporaries are O(_BLOCK).
-_BLOCK = 1024
-
-
 def _argmax_grid(
     phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
 ) -> np.ndarray:
     """_scan at every angle of phis, as an int64 array.
 
-    On a convex counterclockwise cycle the values g_j = x_j c + y_j s
-    (exact, for the float c = cos(phi), s = sin(phi)) rise and then fall
-    once around the cycle, so a vertex p with g_p > g_(p-1), g_(p+1) is the
-    global maximum and every other g_j is at most max(g_(p-1), g_(p+1)),
-    however p was chosen.  The computed f_j = fl(fl(x_j c) + fl(y_j s))
-    differs from g_j by at most E = (2u + u^2) (|x_j| + |y_j|) + 3 eta
-    (u = 2**-53, eta = 2**-1075 for underflow; |c|, |s| <= 1), and
-    S = 2**-50 M + 2**-1060, with M = max_j (|x_j| + |y_j|), is at least 2E.
+    On a convex counterclockwise cycle the exact values g_j = x_j c + y_j s
+    rise and then fall once around the cycle, for any (c, s) != 0, so if
+    g_p - g_q > T + 2E for both neighbours q of p, then g_p - g_j > T + 2E
+    for every j != p: non-neighbours need no test.  E = (2u + u^2) (|x_j| +
+    |y_j|) + 3 eta (u = 2**-53, eta = 2**-1075) bounds the error of the
+    scan's f_j = fl(fl(x_j c) + fl(y_j s)) on c = math.cos(phi), s =
+    math.sin(phi), so f_p - f_j > T.  Rounding is monotone and |c|, |s| <= 1,
+    so |f_p| <= fl(|x_p| + |y_p|), and T = T_p = fl(rel_tol (1 + 2**-49)
+    max(1, fl(|x_p| + |y_p|))) exceeds the scan's threshold
+    t = fl(rel_tol max(1, |f_p|)) by more than an ulp if t is normal:
+    fl(f_p - f_j) >= T_p > t.  If t is 0 or subnormal, f_p - f_j > T_p >= t
+    are multiples of 2**-1074, so again fl(f_p - f_j) > t: the scan gives p.
 
-    The kernel guesses p from the normal fan (the edge-normal angles,
-    rotated to start at their least) by the angle of (c, s).  It evaluates
-    p and its two neighbours with the scan's expression, on the math.cos
-    and math.sin floats the scan uses, and accepts p when
-    fl(f_p - m) > fl(t' + S), m the larger neighbour value and
-    t' = rel_tol (1 + 2**-49) max(1, |f_p|).  Rounding is monotone, so then
-    f_p - m > t' + S exactly; hence g_p exceeds its neighbours, and every
-    other f_j <= m + 2E, so f_p - f_j > t'.  The scan's threshold is
-    t = rel_tol max(1, |f_p|); t' exceeds it by more than an ulp when t is
-    normal, so fl(f_p - f_j) >= t' > t; when t is 0 or subnormal,
-    f_p - f_j > t' >= t are multiples of 2**-1074, so again
-    fl(f_p - f_j) > t.  So the scan returns p.  A wrong guess only fails
-    the test: every angle that fails it takes the full scan.
-
-    Without a certified cycle (checked once, exactly, by _convex), a
-    negative or NaN rel_tol, or coordinates large enough to overflow, every
-    angle takes the full scan.
+    The grid is walked run by run in nondecreasing order (argsort order if
+    it is not).  At a run's first angle a, p is guessed from the normal fan
+    (edge-normal angles, rotated to start at their least) by atan2(s, c);
+    the run ends at b, the last grid angle before p's upper fan edge with
+    fl(b - a) <= 3 < pi.  For the exact cos and sin, g_p - g_q is a
+    sinusoid h(phi), concave on the arc of length pi where it is positive;
+    an interval shorter than pi with both ends in that arc lies in it, so
+    h > K >= 0 at a and b gives h > K on the run.  A libm cos or sin within
+    1 ulp errs by at most 2**-52, so g_p - g_q misses h by at most
+    2**-51 M, M = max_j (|x_j| + |y_j|).  The test at a and b,
+    fl(f_p - max(f_(p-1), f_(p+1))) > fl(T_p + S) with S = 2**-48 M +
+    2**-1060 >= 4E + 2**-50 M, gives h > T_p + S - 2E - 2**-51 M >= 0 there,
+    so on the run g_p - g_q > T_p + S - 2E - 2**-50 M >= T_p + 2E.  A failed
+    test at a sends a to the full scan; at b it moves b back by 1, 2, 4, ...
+    angles.  A wrong guess only fails a test.  Unless the cycle is certified
+    (once, exactly, by _convex), rel_tol >= 0 and all |x_j| + |y_j| <
+    2**1000, every angle takes the full scan.
     """
     import numpy as np
 
-    out = np.empty(len(phis), dtype=np.int64)
+    grid = np.ascontiguousarray(phis, dtype=float)
     n = len(vx)
     scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
-    certified = rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)
-    if certified:
-        normals = [
-            math.atan2(vx[k] - vx[(k + 1) % n], vy[(k + 1) % n] - vy[k])
-            for k in range(n)
-        ]
-        k0 = normals.index(min(normals))
-        fan = np.array(normals[k0:] + normals[:k0])
-        # searchsorted gives i in [0, n]; vertex k0 + i wins between
-        # fan[i - 1] and fan[i], and both ends of the fan wrap to vertex k0.
-        order = [(k0 + i) % n for i in range(n + 1)]
-        win = np.array(order, dtype=np.int64)
+    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)):
+        return np.array([_scan(phi, vx, vy, rel_tol) for phi in grid.tolist()], np.int64)
+    normals = [math.atan2(vx[k] - vx[k + 1 - n], vy[k + 1 - n] - vy[k]) for k in range(n)]
+    k0 = normals.index(min(normals))
+    # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
+    fan = normals[k0:] + normals[:k0] + [normals[k0] + TAU]
+    band = 2.0**-48 * scale + _UNDERFLOW
+    limit = [rel_tol * (1.0 + 2.0**-49) * max(1.0, abs(x) + abs(y)) + band for x, y in zip(vx, vy)]
 
-        def table(v: list[float], shift: int) -> np.ndarray:
-            return np.array([v[(j + shift) % n] for j in order])
+    def holds(p: int, c: float, s: float) -> bool:
+        fq = max(vx[p - 1] * c + vy[p - 1] * s, vx[p + 1 - n] * c + vy[p + 1 - n] * s)
+        return vx[p] * c + vy[p] * s - fq > limit[p]
 
-        xr, xp, xn = table(vx, -1), table(vx, 0), table(vx, 1)
-        yr, yp, yn = table(vy, -1), table(vy, 0), table(vy, 1)
-        band = 2.0**-50 * scale + _UNDERFLOW
-        rel = rel_tol * (1.0 + 2.0**-49)
-    for lo in range(0, len(phis), _BLOCK):
-        block = phis[lo : lo + _BLOCK].tolist()
-        rest = range(len(block))
-        if certified:
-            c = np.fromiter(map(math.cos, block), float, len(block))
-            s = np.fromiter(map(math.sin, block), float, len(block))
-            i = fan.searchsorted(np.arctan2(s, c))
-            fp = xp.take(i) * c + yp.take(i) * s
-            fr = xr.take(i) * c + yr.take(i) * s
-            fn = xn.take(i) * c + yn.take(i) * s
-            ok = fp - np.maximum(fr, fn) > rel * np.maximum(np.abs(fp), 1.0) + band
-            out[lo : lo + len(block)] = win.take(i)
-            rest = np.flatnonzero(~ok).tolist()
-        for k in rest:
-            out[lo + k] = _scan(block[k], vx, vy, rel_tol)
-    return out
+    order = None
+    windows = (grid[k : k + 2**16 + 1] for k in range(0, len(grid), 2**16))
+    if not all((w[1:] >= w[:-1]).all() for w in windows):  # False at a NaN
+        order = np.argsort(grid, kind="stable")
+        grid = grid[order]
+    out = np.empty(len(grid), dtype=np.int64)
+    k = 0
+    while k < len(grid):
+        a = float(grid[k])
+        c, s = math.cos(a), math.sin(a)
+        theta = math.atan2(s, c)
+        i = bisect_left(fan, theta)
+        p = (k0 + i) % n
+        if not holds(p, c, s):
+            out[k] = _scan(a, vx, vy, rel_tol)
+            k += 1
+            continue
+        b, drop = max(k, int(grid.searchsorted(a + (fan[i] - theta))) - 1), 1
+        while b > k:
+            e = float(grid[b])
+            if e - a <= 3.0 and holds(p, math.cos(e), math.sin(e)):
+                break
+            b, drop = max(k, b - drop), 2 * drop
+        out[k : b + 1] = p
+        k = b + 1
+    return out if order is None else out[np.argsort(order)]
 
 
 def sweep_argmax(

@@ -169,6 +169,7 @@ def test_backend_reports_name():
 NEAR_STRAIGHT = [(0.0, 0.0), (1.0 / 3.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
 SLIVER = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-5), (0.0, 1.0)]
 STRAIGHT = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
+TRIANGLE = region_of_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 # Cycles no FeasibleRegion accepts, which the kernel must still get right:
 # a reflex corner at (1, 1), and a star whose turns are all left but wind twice.
 DART = [(0.0, 0.0), (2.0, 1.0), (0.0, 2.0), (1.0, 1.0)]
@@ -201,14 +202,16 @@ def _cycle(kind, rng):
     return _xy(DART if kind == "dart" else PENTAGRAM)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=350)
 @given(
     kind=st.sampled_from(
         ["lp", "tangent", "sliver", "near-straight", "straight", "dart", "pentagram"]
     ),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([1e-6, 1e-3, 1.0, 7.0, 1e3, 1e8]),
-    order=st.sampled_from(["up", "down", "shuffled"]),
+    order=st.sampled_from(
+        ["up", "down", "shuffled", "swapped", "repeats", "nan", "turns"]
+    ),
     log_step=st.floats(-6.0, math.log10(3.0)),
     count=st.integers(1, 400),
     start=st.floats(-4.0, 4.0),
@@ -220,7 +223,8 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
     vx, vy = _cycle(kind, rng)
     vx = [x * scale for x in vx]
     vy = [y * scale for y in vy]
-    phis = start + 10.0**log_step * np.arange(count, dtype=float)
+    step = 10.0**log_step
+    phis = start + step * np.arange(count, dtype=float)
     # edge normals (ties) and their neighbouring floats
     n = len(vx)
     normals = [math.atan2(vx[k] - vx[(k + 1) % n], vy[(k + 1) % n] - vy[k]) for k in range(n)]
@@ -228,15 +232,60 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
     phis = np.concatenate(
         [phis, normals, np.nextafter(normals, -np.inf), np.nextafter(normals, np.inf)]
     )
+    # grids that a shortcut on sortedness (say, phis[0] <= phis[-1]) gets wrong
+    up = np.sort(phis)
+    j = int(rng.integers(len(up) - 1))
     if order == "up":
-        phis = np.sort(phis)
+        phis = up
     elif order == "down":
-        phis = np.sort(phis)[::-1]
-    else:
+        phis = up[::-1]
+    elif order == "shuffled":
         phis = rng.permutation(phis)
+    elif order == "swapped":  # ascending but for one adjacent pair
+        phis = up.copy()
+        phis[[j, j + 1]] = up[[j + 1, j]]
+    elif order == "repeats":  # nondecreasing, with repeated angles
+        phis = np.repeat(up, rng.integers(1, 4, len(up)))
+    elif order == "nan":  # NaN first, inside and last
+        phis = np.insert(up, [0, j, len(up)], math.nan)
+    else:  # the grid sweep_argmax samples over four turns
+        phis = pl.sweep_argmax(TRIANGLE, -3.0 * math.pi, 5.0 * math.pi, max(step, 0.02)).phis
     grid = oracle._argmax_grid(phis, vx, vy, rel_tol)
     assert grid.dtype == np.int64
     assert grid.tolist() == [oracle._scan(float(p), vx, vy, rel_tol) for p in phis]
+
+
+class _CountingMath:
+    """Stands in for the math module, counting calls to cos."""
+
+    def __init__(self):
+        self.cos_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.cos_calls += 1
+        return math.cos(x)
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_grid_work_does_not_grow_with_density(m, monkeypatch):
+    # the walk evaluates cos a bounded number of times per fan edge, full
+    # scans included, at any grid density; one per angle would be 36,000
+    region = pl.enumerate_vertices(tangent_circle_lp(rng_for(m), m))
+    vx, vy = oracle._coords(region)
+    n = len(vx)
+    grids = [
+        (pl.sweep_argmax(region, -math.pi, -math.pi + turns * math.tau, step), turns)
+        for step, turns in ((STEP, 1), (0.1 * STEP, 1), (STEP, 3))
+    ]
+    counting = _CountingMath()
+    monkeypatch.setattr(oracle, "math", counting)
+    for res, turns in grids:
+        counting.cos_calls = 0
+        oracle._argmax_grid(res.phis, vx, vy, 1e-9)
+        assert counting.cos_calls <= (4 * n + 4) * turns
 
 
 @pytest.mark.parametrize("which", ["paper", "tangent-16"])
@@ -353,8 +402,8 @@ def test_sweep_angle_cap_is_exact(ref_region, monkeypatch):
 
 @pytest.mark.parametrize("turns", [1, 10])
 def test_grid_memory_is_blockwise(turns):
-    # the kernel's temporaries are O(block), not O(grid): its peak is the
-    # int64 output plus an allowance that does not grow with the grid
+    # the kernel walks a nondecreasing grid in place: its peak is the int64
+    # output plus an allowance that does not grow with the grid
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
     vx, vy = oracle._coords(region)
     phis = -math.pi + STEP * np.arange(1, turns * 36000 + 1, dtype=float)
