@@ -1,11 +1,12 @@
 """Command-line front end.
 
-    planarlp solve <file.lp>
+    planarlp solve <file.lp> [--tol EPS]
     planarlp sensitivity <file.lp> [--json] [--radians] [--svg OUT.svg]
                          [--clip-first-quadrant] [--check-sweep STEP_DEG]
                          [--tol EPS]
 
-Exit codes: 0 success, 1 input/validation error, 2 infeasible, 3 unbounded,
+Exit codes: 0 success, 1 input/validation error, 2 infeasible or an argparse
+usage error (unknown flag, bad --tol or --check-sweep), 3 unbounded,
 4 sweep oracle disagreement (or no sweep sample picks the optimal vertex,
 whose cone is then narrower than the step), 5 degenerate (tied) optimum.
 """
@@ -104,38 +105,16 @@ class ReportDocument(Frozen):
         clipped = (
             clip_to_first_quadrant(r.interval) if self.clip_first_quadrant else None
         )
-        oc = None
-        if self.oracle_check is not None:
-            oc = {
-                "step": self.oracle_check.step,
-                "interval": _interval_dict(self.oracle_check.interval),
-                "max_endpoint_error": self.oracle_check.max_endpoint_error,
-                "agrees": self.oracle_check.agrees,
-            }
         return {
             "schema_version": self.schema_version,
-            "optimal_vertex": _vertex_dict(r.optimal_vertex),
-            "optimal_value": r.optimal_value,
-            "pred": _vertex_dict(r.pred),
-            "succ": _vertex_dict(r.succ),
-            "theta1": r.theta1,
-            "theta2": r.theta2,
-            "interval": _interval_dict(r.interval),
-            "objective_polar": {"r": r.objective_polar.r, "phi": r.objective_polar.phi},
-            "phi_inside": r.phi_inside,
-            "nu_interval": _interval_dict(r.nu_interval),
-            "theta0": r.theta0,
-            "endpoint_ties": {
-                "lo": _vertex_dict(r.endpoint_ties[0]),
-                "hi": _vertex_dict(r.endpoint_ties[1]),
-            },
+            **_json_value(r),
             "clip_first_quadrant": self.clip_first_quadrant,
-            "clipped_interval": _interval_dict(clipped) if clipped else None,
+            "clipped_interval": _json_value(clipped),
             "provenance": {
                 "input_path": self.input_path,
                 "tolerance": self.tolerance,
                 "solver": self.solver,
-                "oracle_check": oc,
+                "oracle_check": _json_value(self.oracle_check),
             },
         }
 
@@ -147,41 +126,14 @@ class ReportDocument(Frozen):
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReportDocument":
         prov = d["provenance"]
-        oc = None
-        if prov["oracle_check"] is not None:
-            o = prov["oracle_check"]
-            oc = OracleCheck(
-                o["step"],
-                _interval_from(o["interval"]),
-                o["max_endpoint_error"],
-                o["agrees"],
-            )
-        report = SensitivityReport(
-            optimal_vertex=_vertex_from(d["optimal_vertex"]),
-            optimal_value=d["optimal_value"],
-            pred=_vertex_from(d["pred"]),
-            succ=_vertex_from(d["succ"]),
-            theta1=d["theta1"],
-            theta2=d["theta2"],
-            interval=_interval_from(d["interval"]),
-            objective_polar=PolarVector(
-                d["objective_polar"]["r"], d["objective_polar"]["phi"]
-            ),
-            phi_inside=d["phi_inside"],
-            nu_interval=_interval_from(d["nu_interval"]),
-            theta0=d["theta0"],
-            endpoint_ties=(
-                _vertex_from(d["endpoint_ties"]["lo"]),
-                _vertex_from(d["endpoint_ties"]["hi"]),
-            ),
-        )
+        oc = prov["oracle_check"]
         return cls(
-            report=report,
+            report=_from_json_value(SensitivityReport, d),
             input_path=prov["input_path"],
             tolerance=prov["tolerance"],
             solver=prov["solver"],
             clip_first_quadrant=d["clip_first_quadrant"],
-            oracle_check=oc,
+            oracle_check=None if oc is None else _from_json_value(OracleCheck, oc),
             schema_version=d["schema_version"],
         )
 
@@ -192,23 +144,46 @@ class ReportDocument(Frozen):
         return cls.from_json_dict(json.loads(s))
 
 
-def _vertex_dict(v: Vertex) -> dict:
-    return {
-        "point": [v.point.x1, v.point.x2],
-        "active_rows": sorted(v.active_rows),
-    }
+def _json_value(value):
+    """JSON form of a record field: a Vertex is its point and sorted active
+    rows, a vertex pair is lo/hi, any other Frozen record is its fields in
+    slot order; numbers, bools and None pass through."""
+    if isinstance(value, Vertex):
+        return {
+            "point": [value.point.x1, value.point.x2],
+            "active_rows": sorted(value.active_rows),
+        }
+    if isinstance(value, tuple):
+        lo, hi = value
+        return {"lo": _json_value(lo), "hi": _json_value(hi)}
+    if isinstance(value, Frozen):
+        return {name: _json_value(getattr(value, name)) for name in value.__slots__}
+    return value
 
 
 def _vertex_from(d: dict) -> Vertex:
     return Vertex(Vec2(*d["point"]), frozenset(d["active_rows"]))
 
 
-def _interval_dict(iv: AngleInterval) -> dict:
-    return {"lo": iv.lo, "hi": iv.hi}
+#: Decoders of the record fields that are not plain JSON values, for
+#: SensitivityReport and OracleCheck; every other field is read as it is.
+_DECODERS = {
+    "optimal_vertex": _vertex_from,
+    "pred": _vertex_from,
+    "succ": _vertex_from,
+    "interval": lambda d: AngleInterval(**d),
+    "objective_polar": lambda d: PolarVector(**d),
+    "nu_interval": lambda d: AngleInterval(**d),
+    "endpoint_ties": lambda d: (_vertex_from(d["lo"]), _vertex_from(d["hi"])),
+}
 
 
-def _interval_from(d: dict) -> AngleInterval:
-    return AngleInterval(d["lo"], d["hi"])
+def _from_json_value(cls, d: dict):
+    """The cls record whose JSON form (see _json_value) is d."""
+    return cls(*[
+        _DECODERS[name](d[name]) if name in _DECODERS else d[name]
+        for name in cls.__slots__
+    ])
 
 
 def render_text(doc: ReportDocument, radians: bool = False) -> str:

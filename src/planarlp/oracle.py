@@ -8,7 +8,10 @@ walks the grid run by run: it looks a run's first angle up in the normal
 fan of the vertex cycle and certifies the vertex it finds against its two
 neighbours at both ends of the run, which certifies every angle between.
 Where that check fails it takes the full scan, so its output equals the
-full scan at every angle (see _argmax_grid).
+full scan at every angle (see _argmax_grid).  The fan's edge-normal angles
+come from analyze's formula (sensitivity._normal_angle), but they are only
+the kernel's guess: every result is certified against _scan, so a fault in
+that formula cannot make the oracle agree with the analytic cone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
 from .errors import VertexNeverOptimal
 from .geometry import TAU, Frozen, wrap_angle
 from .lp_model import FeasibleRegion
-from .sensitivity import AngleInterval
+from .sensitivity import AngleInterval, _normal_angle
 from .solver import VALUE_TIE_REL
 
 #: Marker used in sample arrays when no vertex wins strictly.
@@ -180,7 +183,7 @@ def _argmax_grid(
     scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
     if not (rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)):
         return np.array([_scan(phi, vx, vy, rel_tol) for phi in grid.tolist()], np.int64)
-    normals = [math.atan2(vx[k] - vx[k + 1 - n], vy[k + 1 - n] - vy[k]) for k in range(n)]
+    normals = [_normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)]
     k0 = normals.index(min(normals))
     # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
     fan = normals[k0:] + normals[:k0] + [normals[k0] + TAU]
@@ -260,6 +263,19 @@ def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
+def _bisect(inside: float, outside: float, wins, tol: float) -> float:
+    """Midpoint of the bracket of a cone edge, halved from (inside,
+    outside) until it is at most tol wide; wins(phi) says whether phi lies
+    on the inside."""
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if wins(mid):
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
 def stable_interval_by_sweep(
     region: FeasibleRegion,
     x0,
@@ -305,37 +321,15 @@ def stable_interval_by_sweep(
         s, e = run
         return (e - s) % n + 1
 
+    def at(k: int) -> float:  # phis unwrapped past either end of the array
+        return float(phis[k % n]) + TAU * (k // n)
+
     runs = _runs_of(mask)
     s, e = max(runs, key=run_len)  # ties: first wins (max is stable)
-
-    # Unwrapped angles of the run edges and their outside neighbors.
-    a_in_lo = float(phis[s])
-    a_out_lo = float(phis[s - 1]) if s > 0 else float(phis[-1]) - TAU
-    if s <= e:
-        a_in_hi = float(phis[e])
-        a_out_hi = float(phis[e + 1]) if e < n - 1 else float(phis[0]) + TAU
-    else:  # run wraps the seam
-        a_in_hi = float(phis[e]) + TAU
-        a_out_hi = float(phis[e + 1]) + TAU
-
+    last = s + (e - s) % n  # e, unwrapped when the run wraps the seam
     tol = step / 1024.0
-    lo_out, lo_in = a_out_lo, a_in_lo
-    while lo_in - lo_out > tol:
-        mid = 0.5 * (lo_in + lo_out)
-        if wins(mid):
-            lo_in = mid
-        else:
-            lo_out = mid
-    hi_in, hi_out = a_in_hi, a_out_hi
-    while hi_out - hi_in > tol:
-        mid = 0.5 * (hi_in + hi_out)
-        if wins(mid):
-            hi_in = mid
-        else:
-            hi_out = mid
-
-    lo = 0.5 * (lo_in + lo_out)
-    hi = 0.5 * (hi_in + hi_out)
+    lo = _bisect(at(s), at(s - 1), wins, tol)
+    hi = _bisect(at(last), at(last + 1), wins, tol)
     shift = wrap_angle(lo) - lo
     interval = AngleInterval(lo + shift, hi + shift)
     return SweepResult(region, phis, argmax, step, interval)

@@ -23,7 +23,6 @@ from .geometry import (
     TAU,
     Frozen,
     PolarVector,
-    Vec2,
     _atan2,
     _set,
     cross,
@@ -140,6 +139,13 @@ def edge_angles(pred: Vertex, x0: Vertex, succ: Vertex) -> tuple[float, float]:
     return theta1, theta2
 
 
+def _normal_angle(e1: float, e2: float) -> float:
+    """Angle of the outward normal of a counterclockwise edge (e1, e2), the
+    edge rotated -90 degrees: the gradient angle at which the edge is level
+    with the objective."""
+    return _atan2(-e1, e2)
+
+
 def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterval:
     """Open cone of gradient angles for which x0 beats both neighbors.
 
@@ -152,18 +158,9 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
     e2 = succ.point - x0.point
     if cross(e1, e2) <= 1e-12 * e1.norm() * e2.norm():
         raise ReflexVertex("corner is not strictly convex counterclockwise")
-    n1 = Vec2(e1.x2, -e1.x1)  # outward normal: edge rotated -90 degrees
-    n2 = Vec2(e2.x2, -e2.x1)
-    lo = _atan2(n1.x2, n1.x1)
-    span = (_atan2(n2.x2, n2.x1) - lo) % TAU
+    lo = _normal_angle(e1.x1, e1.x2)
+    span = (_normal_angle(e2.x1, e2.x2) - lo) % TAU
     return AngleInterval(lo, lo + span)
-
-
-def _tie_angle(first: Vertex, second: Vertex) -> float:
-    """Gradient angle at which the edge first -> second is level with the
-    objective: the angle of the edge's outward normal."""
-    e = second.point - first.point
-    return _atan2(-e.x1, e.x2)
 
 
 def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
@@ -188,10 +185,11 @@ def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityR
         angle = None
         if len(tied) == 1:
             i = tied[0]
-            if (i - best) % n == 1:
-                angle = _tie_angle(region.vertices[best], region.vertices[i])
-            elif (best - i) % n == 1:
-                angle = _tie_angle(region.vertices[i], region.vertices[best])
+            for a, b in ((best, i), (i, best)):
+                if (b - a) % n == 1:  # the edge a -> b is level
+                    e = region.vertices[b].point - region.vertices[a].point
+                    angle = _normal_angle(e.x1, e.x2)
+                    break
         raise DegenerateOptimum(
             "optimal value is tied between vertices", verts, angle
         )

@@ -275,12 +275,70 @@ def test_cli_sensitivity_json(capsys):
         assert key in doc
 
 
-def test_report_document_round_trip(capsys):
-    assert cli.main(["sensitivity", PAPER, "--json"]) == 0
+@pytest.mark.parametrize(
+    "origin, flags",
+    [
+        (False, []),
+        (False, ["--check-sweep", "0.05"]),
+        (False, ["--clip-first-quadrant"]),
+        (True, ["--clip-first-quadrant"]),
+    ],
+    ids=["plain", "check-sweep", "clip", "empty-clip"],
+)
+def test_report_document_round_trip(tmp_path, origin, flags, capsys):
+    path = PAPER
+    if origin:
+        # paper.lp's rows with objective (-1, -1): the optimum is the origin,
+        # whose cone (-180, -90) degrees misses the first quadrant
+        path = str(tmp_path / "origin.lp")
+        Path(path).write_text(Path(PAPER).read_text().replace("maximize: 2 3", "maximize: -1 -1"))
+    assert cli.main(["sensitivity", path, "--json", *flags]) == 0
     out = capsys.readouterr().out
     doc = cli.ReportDocument.from_json(out)
     assert doc.to_json() == out.strip()
     assert cli.ReportDocument.from_json(doc.to_json()) == doc
+    d = json.loads(out)
+    assert (d["provenance"]["oracle_check"] is None) == ("--check-sweep" not in flags)
+    assert d["clip_first_quadrant"] == ("--clip-first-quadrant" in flags)
+    assert (d["clipped_interval"] is None) == (origin or not d["clip_first_quadrant"])
+    if origin:
+        assert d["optimal_vertex"]["point"] == [0.0, 0.0]
+        iv = doc.report.interval
+        assert math.isclose(iv.lo, -math.pi) and math.isclose(iv.hi, -0.5 * math.pi)
+
+
+def _key_paths(value, prefix=()):
+    """Dotted paths of the leaves of a JSON document, in document order."""
+    if not isinstance(value, dict):
+        return [".".join(prefix)]
+    return [p for k, v in value.items() for p in _key_paths(v, (*prefix, k))]
+
+
+def test_report_document_key_paths(capsys):
+    # The layout, without values: renaming or reordering a key fails here.
+    argv = ["sensitivity", PAPER, "--json", "--clip-first-quadrant", "--check-sweep", "0.05"]
+    assert cli.main(argv) == 0
+    vertex = ["point", "active_rows"]
+    interval = ["lo", "hi"]
+    expected = (
+        ["schema_version"]
+        + [f"optimal_vertex.{k}" for k in vertex]
+        + ["optimal_value"]
+        + [f"{v}.{k}" for v in ("pred", "succ") for k in vertex]
+        + ["theta1", "theta2"]
+        + [f"interval.{k}" for k in interval]
+        + ["objective_polar.r", "objective_polar.phi", "phi_inside"]
+        + [f"nu_interval.{k}" for k in interval]
+        + ["theta0"]
+        + [f"endpoint_ties.{e}.{k}" for e in interval for k in vertex]
+        + ["clip_first_quadrant"]
+        + [f"clipped_interval.{k}" for k in interval]
+        + [f"provenance.{k}" for k in ("input_path", "tolerance", "solver")]
+        + ["provenance.oracle_check.step"]
+        + [f"provenance.oracle_check.interval.{k}" for k in interval]
+        + ["provenance.oracle_check.max_endpoint_error", "provenance.oracle_check.agrees"]
+    )
+    assert _key_paths(json.loads(capsys.readouterr().out)) == expected
 
 
 def test_clip_first_quadrant(capsys):
