@@ -90,31 +90,34 @@ class FeasibleRegion(Frozen):
         n = len(vs)
         if n < 3:
             raise ValueError(f"a region needs at least 3 vertices, got {n}")
-        # Edges as float pairs; one that overflows raises as Vec2 would.
+        # Edges as (e1, e2, length); one that overflows raises as Vec2 would.
+        pts = [v.point for v in vs]
+        isfinite, hypot = math.isfinite, math.hypot
         edges = []
-        for i in range(n):
-            p, q = vs[i].point, vs[(i + 1) % n].point
+        for p, q in zip(pts, pts[1:] + pts[:1]):
             e1, e2 = q.x1 - p.x1, q.x2 - p.x2
-            if not (math.isfinite(e1) and math.isfinite(e2)):
+            if not (isfinite(e1) and isfinite(e2)):
                 raise _non_finite(e1, e2)
-            edges.append((e1, e2))
-        lengths = [math.hypot(e1, e2) for e1, e2 in edges]
-        for i in range(n):
-            if lengths[i] <= MERGE_TOL:
+            edges.append((e1, e2, hypot(e1, e2)))
+        for i, (_, _, length) in enumerate(edges):
+            if length <= MERGE_TOL:
                 raise ValueError(
                     f"vertices {i} and {(i + 1) % n} coincide within the merge tolerance"
                 )
         # Every turn is left (or straight) and below a half turn, and the
-        # turns add up to one full turn: a convex cycle wound once.
+        # turns add up to one full turn: a convex cycle wound once.  Turn i
+        # is at vertex i, from edge i - 1 to edge i.
+        atan2 = math.atan2
         turning = 0.0
-        for i in range(n):
-            (u1, u2), (v1, v2) = edges[i], edges[(i + 1) % n]
+        u1, u2, lu = edges[0]
+        for i, (v1, v2, lv) in enumerate(edges[1:] + edges[:1], 1):
             c, d = u1 * v2 - u2 * v1, u1 * v1 + u2 * v2
-            if c <= -1e-9 * lengths[i] * lengths[(i + 1) % n] or (c <= 0.0 and d < 0.0):
+            if c <= -1e-9 * lu * lv or (c <= 0.0 and d < 0.0):
                 raise ValueError(
-                    f"vertex cycle is not convex counterclockwise at index {(i + 1) % n}"
+                    f"vertex cycle is not convex counterclockwise at index {i % n}"
                 )
-            turning += math.atan2(c, d)
+            turning += atan2(c, d)
+            u1, u2, lu = v1, v2, lv
         if abs(turning - math.tau) > math.pi:
             raise ValueError(
                 f"vertex cycle winds {round(turning / math.tau)} times, not once"
@@ -165,11 +168,13 @@ def validate(lp: LinearProgram2D) -> None:
     """
     if len(lp.constraints) == 0:
         raise EmptyConstraintList("the program has no constraint rows")
+    isfinite = math.isfinite
     for i, row in enumerate(lp.constraints):
-        for val in (row.a1, row.a2, row.b):
-            if not math.isfinite(val):
-                raise NonFiniteEntry(f"row {i} contains {val}")
-        if row.a1 == 0.0 and row.a2 == 0.0:
+        a1, a2, b = row.a1, row.a2, row.b
+        if not (isfinite(a1) and isfinite(a2) and isfinite(b)):
+            val = next(val for val in (a1, a2, b) if not isfinite(val))
+            raise NonFiniteEntry(f"row {i} contains {val}")
+        if a1 == 0.0 and a2 == 0.0:
             raise ZeroRow(f"row {i} has a zero coefficient vector")
 
 

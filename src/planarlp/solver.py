@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     DegenerateRegion,
@@ -93,14 +95,13 @@ def _sorted_normals(lp: LinearProgram2D):
     between consecutive normals; and whether that gap leaves the region
     bounded, that is, falls short of pi - _RECESSION_TOL (see
     check_recession)."""
-    rows = sorted(
-        ((_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)),
-        key=lambda t: t[0],
-    )
+    rows = [(_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)]
+    rows.sort(key=itemgetter(0))
     n_rows = len(rows)
-    gaps = [rows[k + 1][0] - rows[k][0] for k in range(n_rows - 1)]
-    gaps.append(rows[0][0] + TAU - rows[-1][0])
-    widest = max(range(n_rows), key=gaps.__getitem__)
+    angles = [ang for ang, _, _ in rows]
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + TAU - angles[-1])
+    widest = gaps.index(max(gaps))
     return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL
 
 
@@ -155,7 +156,11 @@ def _crossing(ri, rj) -> tuple[float, float]:
     a1, a2, b, _, _ = ri
     c1, c2, d, _, _ = rj
     det = a1 * c2 - a2 * c1
-    return _pair((b * c2 - d * a2) / det, (a1 * d - c1 * b) / det)
+    x1 = (b * c2 - d * a2) / det
+    x2 = (a1 * d - c1 * b) / det
+    if math.isfinite(x1) and math.isfinite(x2):
+        return x1, x2
+    raise _non_finite(x1, x2)
 
 
 def _outside(row, p) -> bool:
@@ -199,14 +204,17 @@ def _sweep(lines, closed: bool):
         # let that corner stand but h crosses dq[-1] more than MERGE_TOL
         # before it: the corners along dq[-1] would run backwards.  True
         # when h drops dq[-1]; otherwise their crossing, for the caller to
-        # keep as a corner, or None when they do not cross.
-        last = dq[-1][1]
-        if _outside(h, corners[-1]):
+        # keep as a corner, or None when they do not cross.  This runs once
+        # or more per line, so _outside, _turns_left and _advance are
+        # written out.
+        a1, a2, _, norm, _ = last = dq[-1][1]
+        x, y = corners[-1]
+        if h[0] * x + h[1] * y - h[2] > h[4]:
             return True
-        if not _turns_left(last, h):
+        if not a1 * h[1] - a2 * h[0] > _DET_TOL * norm * h[3]:
             return None
         p = _crossing(last, h)
-        return True if _advance(last, p, corners[-1]) < -MERGE_TOL else p
+        return True if ((p[1] - y) * a1 - (p[0] - x) * a2) / norm < -MERGE_TOL else p
 
     def cuts_front(h) -> bool:
         # The same test at the front, where h closes the cycle.
@@ -272,16 +280,17 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
     rows, start, bounded = _sorted_normals(lp)
+    # row.scale(), written out: one record is built per row.
     records = [
-        (row.a1, row.a2, row.b, math.hypot(row.a1, row.a2), tol * row.scale())
+        (a1, a2, b, math.hypot(a1, a2), tol * max(1.0, abs(a1), abs(a2), abs(b)))
         for _, _, row in rows
+        for a1, a2, b in ((row.a1, row.a2, row.b),)
     ]
     n_rows = len(rows)
     lines: list[tuple[float, tuple]] = []
-    for k in range(n_rows):
-        i = (start + k) % n_rows
+    for i in chain(range(start, n_rows), range(start)):
         ang, rec = rows[i][0], records[i]
-        if start + k >= n_rows:
+        if i < start:
             ang += TAU
         if lines and _parallel(lines[-1][1], rec):
             # Of rows facing the same way only the tightest bounds.
@@ -309,44 +318,57 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
         ),
         0,
     )
-    runs: list[list[tuple[float, float]]] = []
+    runs = [[corners[first]]]
     run_of = [0] * n_corners
-    for j in range(n_corners):
-        k = (first + j) % n_corners
-        if runs and _distance(corners[k], runs[-1][0]) <= MERGE_TOL:
-            runs[-1].append(corners[k])
+    for k in chain(range(first + 1, n_corners), range(first)):
+        p, q = corners[k], runs[-1][0]
+        # _distance, which checks the difference, only where hypot overflowed.
+        d = math.hypot(p[0] - q[0], p[1] - q[1])
+        if d == math.inf:
+            d = _distance(p, q)
+        if d <= MERGE_TOL:
+            runs[-1].append(p)
         else:
-            runs.append([corners[k]])
+            runs.append([p])
         run_of[k] = len(runs) - 1
-    # sum() starts from 0, so a run's mean of -0.0 is 0.0.
-    points = []
+    # A run's mean is sum(xs) / len(run).  sum() starts from 0, so a mean of
+    # -0.0 is 0.0; for one corner, x + 0.0 gives the same.
+    px: list[float] = []
+    py: list[float] = []
     for run in runs:
-        xs, ys = zip(*run)
-        points.append(Vec2(sum(xs) / len(run), sum(ys) / len(run)))
-    n = len(points)
+        if len(run) == 1:
+            x, y = run[0]
+            x, y = x + 0.0, y + 0.0
+        else:
+            xs, ys = zip(*run)
+            x, y = _pair(sum(xs) / len(run), sum(ys) / len(run))
+        px.append(x)
+        py.append(y)
+    n = len(px)
     if n < 3:
         raise DegenerateRegion(f"feasible set has only {n} distinct corner(s)")
 
     # Corner k owns the normal angles from lines[k] to lines[k + 1].  A row
     # can be tight only at the vertex owning its normal angle or at one of
-    # that vertex's two neighbours.
+    # that vertex's two neighbours; index -1 is the last vertex.
     phis = [ang for ang, _ in lines]
+    phi0 = phis[0]
+    last = n - 1
     active: list[set[int]] = [set() for _ in range(n)]
     for (ang, idx, _), (a1, a2, b, _, limit) in zip(rows, records):
-        k = bisect_right(phis, phis[0] + (ang - phis[0]) % TAU) - 1
-        for j in (run_of[k] - 1, run_of[k], run_of[k] + 1):
-            j %= n
-            p = points[j]
-            if abs(a1 * p.x1 + a2 * p.x2 - b) <= limit:
-                active[j].add(idx)
+        j = run_of[bisect_right(phis, phi0 + (ang - phi0) % TAU) - 1]
+        for i in (j - 1, j, j + 1 if j < last else 0):
+            if abs(a1 * px[i] + a2 * py[i] - b) <= limit:
+                active[i].add(idx)
 
     # Begin the cycle where sorting by angle about the centroid begins it.
-    cx = sum(p.x1 for p in points) / n
-    cy = sum(p.x2 for p in points) / n
-    s = min(range(n), key=lambda i: math.atan2(points[i].x2 - cy, points[i].x1 - cx))
+    cx = sum(px) / n
+    cy = sum(py) / n
+    bearing = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
+    s = bearing.index(min(bearing))
     try:
         return FeasibleRegion(
-            tuple(Vertex(points[(s + i) % n], active[(s + i) % n]) for i in range(n))
+            [Vertex(Vec2(px[i], py[i]), active[i]) for i in chain(range(s, n), range(s))]
         )
     except ValueError as exc:
         # The tolerance let through a sliver, or rounding bent the cycle:
@@ -357,11 +379,8 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
 def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
     """Index of the first strict maximum of values, and the other indices
     whose value is not more than VALUE_TIE_REL * max(1, |max|) below it."""
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    top = values[best]
+    top = max(values)
+    best = values.index(top)
     thr = VALUE_TIE_REL * max(1.0, abs(top))
     # "not >" rather than "<=": a NaN gap (overflowed values) is a tie.
     tied = [i for i, v in enumerate(values) if i != best and not top - v > thr]
@@ -372,7 +391,8 @@ def objective_values(c: Vec2, points: list[Vec2]) -> list[float]:
     """c . p for each point, to rank the points by.  When a value overflows,
     c is scaled by a power of two first: the ranking depends only on the
     direction of c."""
-    values = [c.dot(p) for p in points]
+    c1, c2 = c.x1, c.x2
+    values = [c1 * p.x1 + c2 * p.x2 for p in points]
     if all(map(math.isfinite, values)):
         return values
     c = _pow2_scaled(c)
