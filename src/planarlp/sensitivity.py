@@ -24,6 +24,7 @@ from .geometry import (
     Frozen,
     PolarVector,
     _atan2,
+    _pow2_scaled,
     _set,
     cross,
     line_direction_angle,
@@ -152,11 +153,16 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
     The cone runs counterclockwise from the outward normal of the edge
     (pred -> x0) to the outward normal of (x0 -> succ); its width is the
     exterior angle at x0, always below pi for a convex corner.
+
+    The convexity test runs on the edges scaled by powers of two, which is
+    exact, so that neither the cross product nor the product of the
+    lengths overflows on a large polygon.
     """
     _check_distinct(pred, x0, succ)
     e1 = x0.point - pred.point
     e2 = succ.point - x0.point
-    if cross(e1, e2) <= 1e-12 * e1.norm() * e2.norm():
+    u, v = _pow2_scaled(e1), _pow2_scaled(e2)
+    if cross(u, v) <= 1e-12 * u.norm() * v.norm():
         raise ReflexVertex("corner is not strictly convex counterclockwise")
     lo = _normal_angle(e1.x1, e1.x2)
     span = (_normal_angle(e2.x1, e2.x2) - lo) % TAU

@@ -312,3 +312,18 @@ def test_analyze_large_objective(ref_lp, c):
     assert report.optimal_vertex.point.x2 == pytest.approx(40.0)
     assert report.interval.lo == pytest.approx(math.atan(0.5), abs=1e-12)
     assert report.interval.hi == pytest.approx(math.atan(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [1e160, 1e200, 1e300, 1.7e308])
+def test_analyze_large_polygon(b):
+    # At (0, b) the cross product of the two edges and the product of their
+    # lengths overflow from b ~ 1e154 on; the convexity test runs on edges
+    # scaled by powers of two, so the cone is b = 1's.
+    def report(b):
+        lp = pl.LinearProgram2D(pl.Vec2(1.0, 2.0), (pl.ConstraintRow(1.0, 1.0, b),))
+        return pl.analyze(lp)
+
+    big, unit = report(b), report(1.0)
+    assert big.optimal_vertex.point == pl.Vec2(0.0, b)
+    assert big.interval == unit.interval
+    assert (unit.interval.lo, unit.interval.hi) == (math.pi / 4, math.pi)
