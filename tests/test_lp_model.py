@@ -92,8 +92,21 @@ def test_region_requires_three_vertices():
 
 
 def test_region_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertices 1 and 2 coincide"):
         region_of_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-9), (0.0, 1.0)])
+
+
+def test_region_checks_finite_edges_first():
+    # edge 2 overflows; edge 0 joins a coincident pair, which is checked later
+    cycle = [(0.0, 0.0), (0.0, 0.0), (-1.5e308, 1.0), (1.5e308, 0.0)]
+    with pytest.raises(NonFiniteEntry, match=r"non-finite coordinates \(inf, -1.0\)"):
+        region_of_points(cycle)
+
+
+def test_region_checks_coincidence_before_turns():
+    # vertices 1 and 2 coincide, and the turn at vertex 3 is clockwise
+    with pytest.raises(ValueError, match="vertices 1 and 2 coincide"):
+        region_of_points([(0.0, 0.0), (0.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
 
 
 def test_region_rejects_doubly_wound_cycle():
@@ -102,12 +115,14 @@ def test_region_rejects_doubly_wound_cycle():
     corners = [
         (math.cos(math.tau * k / 5), math.sin(math.tau * k / 5)) for k in range(5)
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex cycle winds 2 times, not once$"):
         region_of_points([corners[k] for k in (0, 2, 4, 1, 3)])
 
 
 def test_region_rejects_clockwise_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^vertex cycle is not convex counterclockwise at index 1$"
+    ):
         region_of_points([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
 
 

@@ -80,6 +80,37 @@ def test_enumerate_unit_triangle():
     )
 
 
+def test_enumerate_merges_close_corners():
+    # x1 <= 1, x2 <= 1 and x1 + x2 <= b, b just below 2, cross in two corners
+    # 1.4e-9 apart, (1, b - 1) and (b - 1, 1).  They merge into one vertex
+    # at their mean, tight for all three rows.
+    b = 2.0 - 1e-9
+    rows = (
+        pl.ConstraintRow(1.0, 0.0, 1.0),
+        pl.ConstraintRow(0.0, 1.0, 1.0),
+        pl.ConstraintRow(1.0, 1.0, b),
+    )
+    region = pl.enumerate_vertices(pl.LinearProgram2D(pl.Vec2(1.0, 1.0), rows))
+    mean = (1.0 + (b - 1.0)) / 2
+    assert mean not in (1.0, b - 1.0)
+    merged = [v for v in region.vertices if v.active_rows == {0, 1, 2}]
+    assert len(region) == 4 and len(merged) == 1
+    assert merged[0].point == pl.Vec2(mean, mean)
+
+
+def test_enumerate_zero_coordinates_are_positive():
+    # The crossing of -x1 <= 0 and -x2 <= 0 has a -0.0 coordinate; a vertex
+    # has +0.0 there, as the mean of its corners gives.
+    region = pl.enumerate_vertices(triangle_lp())
+    (origin,) = [
+        v.point
+        for v in region.vertices
+        if v.active_rows == {pl.X1_NONNEG, pl.X2_NONNEG}
+    ]
+    assert math.copysign(1.0, origin.x1) == 1.0
+    assert math.copysign(1.0, origin.x2) == 1.0
+
+
 def test_enumerate_infeasible():
     lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(1.0, 1.0, -1.0),))
     with pytest.raises(Infeasible):
