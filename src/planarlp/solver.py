@@ -392,7 +392,7 @@ def objective_values(c: Vec2, points: list[Vec2]) -> list[float]:
     c is scaled by a power of two first: the ranking depends only on the
     direction of c."""
     c1, c2 = c.x1, c.x2
-    values = [c1 * p.x1 + c2 * p.x2 for p in points]
+    values = [c1 * p.x1 + c2 * p.x2 for p in points]  # c.dot(p), written out
     if all(map(math.isfinite, values)):
         return values
     c = _pow2_scaled(c)

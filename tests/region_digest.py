@@ -46,7 +46,8 @@ def _integer_lp(rng: random.Random) -> pl.LinearProgram2D:
         pl.ConstraintRow(*(float(rng.randint(lo, hi)) for lo, hi in _INT_RANGES))
         for _ in range(rng.randint(1, 6))
     )
-    return pl.LinearProgram2D(pl.Vec2(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))), rows)
+    c = pl.Vec2(float(rng.randint(-3, 3)), float(rng.randint(-3, 3)))
+    return pl.LinearProgram2D(c, rows)
 
 
 def _mixed_lp(rng: random.Random) -> pl.LinearProgram2D:
