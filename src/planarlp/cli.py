@@ -8,7 +8,8 @@
 Exit codes: 0 success, 1 input/validation error, 2 infeasible or an argparse
 usage error (unknown flag, bad --tol or --check-sweep), 3 unbounded,
 4 sweep oracle disagreement (or no sweep sample picks the optimal vertex,
-whose cone is then narrower than the step), 5 degenerate (tied) optimum.
+whose cone is then narrower than the step, or every sample does, so the
+grid cannot bracket the cone), 5 degenerate (tied) optimum.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from .errors import (
     DegenerateOptimum,
+    GridTooCoarse,
     Infeasible,
     PlanarLPError,
     Unbounded,
@@ -257,8 +259,9 @@ def run_sensitivity(
         step = math.radians(check_sweep_deg)
         try:
             sweep = stable_interval_by_sweep(region, report.optimal_vertex, step)
-        except VertexNeverOptimal as exc:
-            # The cone is narrower than the grid; the report stands.
+        except (VertexNeverOptimal, GridTooCoarse) as exc:
+            # The grid misses the cone or holds no sample outside it; the
+            # report stands.
             sweep_error = f"sweep oracle: {exc}"
         else:
             est = sweep.estimated_interval

@@ -92,6 +92,11 @@ class VertexNeverOptimal(PlanarLPError):
     """No sweep sample made the given vertex the strict argmax."""
 
 
+class GridTooCoarse(PlanarLPError):
+    """Every sweep sample made the given vertex the strict argmax, so the
+    grid cannot bracket the ends of its cone."""
+
+
 # --- text format -------------------------------------------------------------
 
 class LPSyntaxError(PlanarLPError):

@@ -4,14 +4,18 @@ Independent of the analytic path: the argmax vertex is sampled at every
 angle of a grid, runs of a fixed winner are located, and the run boundaries
 are sharpened by bisection.  The point kernel is a full scan of the vertices
 in plain Python over float lists; the bisection calls it.  The grid kernel
-walks the grid run by run: it looks a run's first angle up in the normal
-fan of the vertex cycle and certifies the vertex it finds against its two
-neighbours at both ends of the run, which certifies every angle between.
-Where that check fails it takes the full scan, so its output equals the
-full scan at every angle (see _argmax_grid).  The fan's edge-normal angles
-come from analyze's formula (sensitivity._normal_angle), but they are only
-the kernel's guess: every result is certified against _scan, so a fault in
-that formula cannot make the oracle agree with the analytic cone.
+walks a nondecreasing grid run by run and returns the runs, not one winner
+per angle: it looks a run's first angle up in the normal fan of the vertex
+cycle and certifies the vertex it finds against its two neighbours at both
+ends of the run, which certifies every angle between.  Where that check
+fails it takes the full scan, so its runs equal the full scan at every
+angle (see _walk).  The sweeps walk an arithmetic grid that computes each
+angle when asked (_Grid), so no array is built while they run; a
+SweepResult builds its phis and argmax arrays, with numpy, when they are
+first read.  The fan's edge-normal angles come from analyze's formula
+(sensitivity._normal_angle), but they are only the kernel's guess: every
+result is certified against _scan, so a fault in that formula cannot make
+the oracle agree with the analytic cone.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
 
-from .errors import VertexNeverOptimal
-from .geometry import TAU, Frozen, wrap_angle
+from .errors import GridTooCoarse, VertexNeverOptimal
+from .geometry import TAU, Frozen, _set, wrap_angle
 from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval, _normal_angle
 from .solver import VALUE_TIE_REL
@@ -32,9 +36,9 @@ from .solver import VALUE_TIE_REL
 #: Marker used in sample arrays when no vertex wins strictly.
 TIE = -1
 
-#: Most angles one sweep may sample; each costs 16 bytes (its angle and its
-#: winner).  A finer grid is refused before its size is converted to an
-#: integer or allocated.
+#: Most angles one sweep may sample.  Reading a result's arrays costs 16
+#: bytes per angle (its angle and its winner).  A finer grid is refused
+#: before its size is converted to an integer.
 _MAX_SWEEP_ANGLES = 10**7
 
 
@@ -44,13 +48,75 @@ def sweep_backend() -> str:
     return "python"
 
 
-class SweepResult(Frozen):
+class _Grid:
+    """The angles first + step * (start + k) for k in range(count), each
+    rounded as numpy rounds first + step * np.arange(start, start + count):
+    the same two float operations on the same operands.
+
+    With step > 0 the exact product step * j grows with j, and rounding is
+    monotone, so fl(step * j) and fl(first + fl(step * j)) never decrease:
+    the grid is nondecreasing, as _walk requires.
+    """
+
+    __slots__ = ("first", "step", "start", "count")
+
+    def __init__(self, first: float, step: float, start: int, count: int):
+        self.first, self.step, self.start, self.count = first, step, start, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> float:
+        return self.first + self.step * (self.start + k)
+
+    def searchsorted(self, x: float) -> int:
+        """The least k in [0, count] with self[k] >= x (count if none), as
+        numpy's searchsorted finds it on the array: guessed from
+        (x - first) / step, and bisected only if the guess is wrong."""
+        t = (x - self.first) / self.step - self.start
+        k = 0 if not t > 0.0 else self.count if not t < self.count else math.ceil(t)
+        if (k > 0 and self[k - 1] >= x) or (k < self.count and self[k] < x):
+            k = bisect_left(self, x)
+        return k
+
+    def array(self) -> np.ndarray:
+        import numpy as np
+
+        return self.first + self.step * np.arange(
+            self.start, self.start + self.count, dtype=float
+        )
+
+
+def _winners(runs: list[tuple[int, int, int]], count: int) -> np.ndarray:
+    """The int64 array of count winners that runs (start, end, winner)
+    cover."""
+    import numpy as np
+
+    out = np.empty(count, dtype=np.int64)
+    for s, e, p in runs:
+        out[s : e + 1] = p
+    return out
+
+
+class _KernelSlot(Frozen):
+    """Keeps a kernel result's grid and runs outside SweepResult's fields,
+    so that repr, copy and pickle see only the five public ones."""
+
+    __slots__ = ("_kernel",)
+
+
+class SweepResult(_KernelSlot):
     """Samples of the winning vertex index over a grid of gradient angles.
 
     argmax[k] is the index into region.vertices of the strict winner at
     phis[k], or TIE.  estimated_interval is filled by
     stable_interval_by_sweep and None for a plain sweep.  Results compare
     by identity, as arrays have no single truth value.
+
+    A result from sweep_argmax or stable_interval_by_sweep holds its grid
+    and its runs of one winner, and builds phis and argmax (with numpy) when
+    each is first read; repr, copy and pickle read them, and so give the
+    arrays.
     """
 
     __slots__ = ("region", "phis", "argmax", "step", "estimated_interval")
@@ -65,10 +131,36 @@ class SweepResult(Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __getattr__(self, name: str):
+        # Called only for an unset slot or an unknown name.
+        if name == "phis" or name == "argmax":
+            grid, runs = self._kernel
+            value = grid.array() if name == "phis" else _winners(runs, len(grid))
+            _set(self, name, value)
+            return value
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     def samples(self):
         """Iterate (phi, Vertex-or-None) pairs; None marks a tie."""
         for phi, idx in zip(self.phis, self.argmax):
             yield float(phi), (None if idx == TIE else self.region.vertices[idx])
+
+
+def _kernel_result(
+    region: FeasibleRegion,
+    grid: _Grid,
+    runs: list[tuple[int, int, int]],
+    step: float,
+    interval: AngleInterval | None = None,
+) -> SweepResult:
+    """A SweepResult that builds its arrays from grid and runs when they
+    are first read."""
+    res = SweepResult.__new__(SweepResult)
+    _set(res, "region", region)
+    _set(res, "step", step)
+    _set(res, "estimated_interval", interval)
+    _set(res, "_kernel", (grid, runs))
+    return res
 
 
 def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
@@ -140,10 +232,14 @@ def _convex(vx: list[float], vy: list[float]) -> bool:
     return crossings == 1
 
 
-def _argmax_grid(
-    phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
-) -> np.ndarray:
-    """_scan at every angle of phis, as an int64 array.
+def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[int, int, int]]:
+    """_scan at every angle of a nondecreasing grid, as maximal runs.
+
+    grid is indexable, has a length, and has searchsorted(x), the least k
+    with grid[k] >= x (len(grid) if none): a sorted numpy array or a _Grid.
+    The result is a list of (start, end, winner) in grid order that covers
+    0, ..., len(grid) - 1, with _scan(grid[k]) == winner for start <= k <=
+    end and a different winner in each neighbouring run.
 
     On a convex counterclockwise cycle the exact values g_j = x_j c + y_j s
     rise and then fall once around the cycle, for any (c, s) != 0, so if
@@ -158,31 +254,40 @@ def _argmax_grid(
     fl(f_p - f_j) >= T_p > t.  If t is 0 or subnormal, f_p - f_j > T_p >= t
     are multiples of 2**-1074, so again fl(f_p - f_j) > t: the scan gives p.
 
-    The grid is walked run by run in nondecreasing order (argsort order if
-    it is not).  At a run's first angle a, p is guessed from the normal fan
-    (edge-normal angles, rotated to start at their least) by atan2(s, c);
-    the run ends at b, the last grid angle before p's upper fan edge with
-    fl(b - a) <= 3 < pi.  For the exact cos and sin, g_p - g_q is a
-    sinusoid h(phi), concave on the arc of length pi where it is positive;
-    an interval shorter than pi with both ends in that arc lies in it, so
-    h > K >= 0 at a and b gives h > K on the run.  A libm cos or sin within
-    1 ulp errs by at most 2**-52, so g_p - g_q misses h by at most
-    2**-51 M, M = max_j (|x_j| + |y_j|).  The test at a and b,
-    fl(f_p - max(f_(p-1), f_(p+1))) > fl(T_p + S) with S = 2**-48 M +
-    2**-1060 >= 4E + 2**-50 M, gives h > T_p + S - 2E - 2**-51 M >= 0 there,
-    so on the run g_p - g_q > T_p + S - 2E - 2**-50 M >= T_p + 2E.  A failed
-    test at a sends a to the full scan; at b it moves b back by 1, 2, 4, ...
-    angles.  A wrong guess only fails a test.  Unless the cycle is certified
-    (once, exactly, by _convex), rel_tol >= 0 and all |x_j| + |y_j| <
-    2**1000, every angle takes the full scan.
+    The walk starts a run at the first angle a not yet covered.  p is
+    guessed from the normal fan (edge-normal angles, rotated to start at
+    their least) by atan2(s, c), and the run is to end at b, the last grid
+    angle before p's upper fan edge, found by searchsorted, with fl(b - a)
+    <= 3 < pi.  For the exact cos and sin, g_p - g_q is a sinusoid h(phi),
+    concave on the arc of length pi where it is positive; an interval
+    shorter than pi with both ends in that arc lies in it, so h > K >= 0 at
+    a and b gives h > K on [a, b].  A libm cos or sin within 1 ulp errs by
+    at most 2**-52, so g_p - g_q misses h by at most 2**-51 M, M = max_j
+    (|x_j| + |y_j|).  The test at a and b, fl(f_p - max(f_(p-1),
+    f_(p+1))) > fl(T_p + S) with S = 2**-48 M + 2**-1060 >= 4E + 2**-50 M,
+    gives h > T_p + S - 2E - 2**-51 M >= 0 there, so on [a, b] g_p - g_q >
+    T_p + S - 2E - 2**-50 M >= T_p + 2E.  The grid is nondecreasing (a
+    _Grid is, as step > 0 and rounding is monotone), so every angle between
+    a and b in grid order lies in [a, b]: the run from a to b is certified.  A failed test at a makes a run of the one angle a
+    with the full scan's winner; at b it moves b back by 1, 2, 4, ...
+    angles.  A wrong guess only fails a test.  A run whose winner is the
+    previous run's extends it, so the runs are maximal.  Unless the cycle is
+    certified (once, exactly, by _convex), rel_tol >= 0 and all |x_j| +
+    |y_j| < 2**1000, every angle takes the full scan.
     """
-    import numpy as np
+    runs: list[tuple[int, int, int]] = []
 
-    grid = np.ascontiguousarray(phis, dtype=float)
-    n = len(vx)
+    def emit(start: int, end: int, p: int) -> None:
+        if runs and runs[-1][2] == p:
+            start = runs.pop()[0]
+        runs.append((start, end, p))
+
+    n, count = len(vx), len(grid)
     scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
     if not (rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)):
-        return np.array([_scan(phi, vx, vy, rel_tol) for phi in grid.tolist()], np.int64)
+        for k in range(count):
+            emit(k, k, _scan(float(grid[k]), vx, vy, rel_tol))
+        return runs
     normals = [_normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)]
     k0 = normals.index(min(normals))
     # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
@@ -194,21 +299,15 @@ def _argmax_grid(
         fq = max(vx[p - 1] * c + vy[p - 1] * s, vx[p + 1 - n] * c + vy[p + 1 - n] * s)
         return vx[p] * c + vy[p] * s - fq > limit[p]
 
-    order = None
-    windows = (grid[k : k + 2**16 + 1] for k in range(0, len(grid), 2**16))
-    if not all((w[1:] >= w[:-1]).all() for w in windows):  # False at a NaN
-        order = np.argsort(grid, kind="stable")
-        grid = grid[order]
-    out = np.empty(len(grid), dtype=np.int64)
     k = 0
-    while k < len(grid):
+    while k < count:
         a = float(grid[k])
         c, s = math.cos(a), math.sin(a)
         theta = math.atan2(s, c)
         i = bisect_left(fan, theta)
         p = (k0 + i) % n
         if not holds(p, c, s):
-            out[k] = _scan(a, vx, vy, rel_tol)
+            emit(k, k, _scan(a, vx, vy, rel_tol))
             k += 1
             continue
         b, drop = max(k, int(grid.searchsorted(a + (fan[i] - theta))) - 1), 1
@@ -217,8 +316,26 @@ def _argmax_grid(
             if e - a <= 3.0 and holds(p, math.cos(e), math.sin(e)):
                 break
             b, drop = max(k, b - drop), 2 * drop
-        out[k : b + 1] = p
+        emit(k, b, p)
         k = b + 1
+    return runs
+
+
+def _argmax_grid(
+    phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
+) -> np.ndarray:
+    """_scan at every angle of phis, as an int64 array: the walk's runs on
+    phis in argsort order (if they are not in order already), filled in and
+    put back in the order of phis."""
+    import numpy as np
+
+    grid = np.ascontiguousarray(phis, dtype=float)
+    order = None
+    windows = (grid[k : k + 2**16 + 1] for k in range(0, len(grid), 2**16))
+    if not all((w[1:] >= w[:-1]).all() for w in windows):  # False at a NaN
+        order = np.argsort(grid, kind="stable")
+        grid = grid[order]
+    out = _winners(_walk(grid, vx, vy, rel_tol), len(grid))
     return out if order is None else out[np.argsort(order)]
 
 
@@ -229,8 +346,6 @@ def sweep_argmax(
     step: float,
 ) -> SweepResult:
     """Sample the winning vertex on the grid phi_lo, phi_lo+step, ..."""
-    import numpy as np
-
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if not -math.inf < phi_lo < phi_hi < math.inf:
@@ -241,26 +356,20 @@ def sweep_argmax(
             f"step {step} over ({phi_lo}, {phi_hi}) gives more than "
             f"{_MAX_SWEEP_ANGLES} angles"
         )
-    count = int(math.floor(steps)) + 1
-    phis = phi_lo + step * np.arange(count, dtype=float)
+    grid = _Grid(phi_lo, step, 0, int(math.floor(steps)) + 1)
     vx, vy = _coords(region)
-    argmax = _argmax_grid(phis, vx, vy, VALUE_TIE_REL)
-    return SweepResult(region, phis, argmax, step)
+    return _kernel_result(region, grid, _walk(grid, vx, vy, VALUE_TIE_REL), step)
 
 
-def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True as inclusive (start, end) pairs, with a wrap
-    across the array seam merged into one cyclic run.  mask holds a True."""
-    import numpy as np
-
-    cuts = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
-    bounds = [0, *cuts, len(mask)]  # runs of one value alternate between them
-    first = 0 if mask[0] else 1
-    runs = [(bounds[k], bounds[k + 1] - 1) for k in range(first, len(bounds) - 1, 2)]
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == len(mask) - 1:
-        s, _ = runs.pop()
-        runs[0] = (s, runs[0][1])  # cyclic: start past the seam
-    return runs
+def _cyclic_runs(runs: list[tuple[int, int, int]], p: int, count: int) -> list[tuple[int, int]]:
+    """The (start, end) of each of winner p's maximal runs among runs, which
+    cover a cyclic grid of count angles: a run across the seam is merged
+    into one, first in the list, that starts past the seam."""
+    own = [(s, e) for s, e, q in runs if q == p]
+    if len(own) > 1 and own[0][0] == 0 and own[-1][1] == count - 1:
+        s, _ = own.pop()
+        own[0] = (s, own[0][1])
+    return own
 
 
 def _bisect(inside: float, outside: float, wins, tol: float) -> float:
@@ -283,12 +392,11 @@ def stable_interval_by_sweep(
 ) -> SweepResult:
     """Estimate the stable cone of x0 by sweeping the full circle.
 
-    Samples the grid -pi + k*step over (-pi, pi], finds the run of samples
-    where x0 wins strictly, and bisects each run boundary down to
-    step/1024.  Raises VertexNeverOptimal when no sample picks x0.
+    Samples the grid -pi + k*step over (-pi, pi], finds the longest run of
+    samples where x0 wins strictly, and bisects each run boundary down to
+    step/1024.  Raises VertexNeverOptimal when no sample picks x0, and
+    GridTooCoarse when every sample does.
     """
-    import numpy as np
-
     if not 0.0 < step <= math.pi:
         raise ValueError(f"step must lie in (0, pi], got {step}")
     steps = TAU / step + 1e-9
@@ -297,39 +405,41 @@ def stable_interval_by_sweep(
     x0_idx = region.index_of(x0)
 
     n = int(math.floor(steps))
-    phis = -math.pi + step * np.arange(1, n + 1, dtype=float)
-    if phis[-1] > math.pi + 1e-9:
-        phis = phis[:-1]
+    grid = _Grid(-math.pi, step, 1, n)
+    if grid[n - 1] > math.pi + 1e-9:
         n -= 1
+        grid = _Grid(-math.pi, step, 1, n)
 
     vx, vy = _coords(region)
-    argmax = _argmax_grid(phis, vx, vy, VALUE_TIE_REL)
+    runs = _walk(grid, vx, vy, VALUE_TIE_REL)
 
     def wins(phi: float) -> bool:
         return _scan(phi, vx, vy, VALUE_TIE_REL) == x0_idx
 
-    mask = argmax == x0_idx
-    if not mask.any():
+    own = _cyclic_runs(runs, x0_idx, n)
+    if not own:
         raise VertexNeverOptimal(
             f"vertex {x0_idx} never wins at step {step}; its cone may be "
             "narrower than the grid"
         )
-    if mask.all():
-        raise RuntimeError("vertex wins at every angle; region is not a polygon")
+    if own[0] == (0, n - 1):
+        raise GridTooCoarse(
+            f"vertex {x0_idx} wins at all {n} angles of step {step}; the grid is "
+            "too coarse to bracket its cone"
+        )
 
     def run_len(run: tuple[int, int]) -> int:
         s, e = run
         return (e - s) % n + 1
 
-    def at(k: int) -> float:  # phis unwrapped past either end of the array
-        return float(phis[k % n]) + TAU * (k // n)
+    def at(k: int) -> float:  # the grid unwrapped past either end
+        return grid[k % n] + TAU * (k // n)
 
-    runs = _runs_of(mask)
-    s, e = max(runs, key=run_len)  # ties: first wins (max is stable)
+    s, e = max(own, key=run_len)  # ties: first wins (max is stable)
     last = s + (e - s) % n  # e, unwrapped when the run wraps the seam
     tol = step / 1024.0
     lo = _bisect(at(s), at(s - 1), wins, tol)
     hi = _bisect(at(last), at(last + 1), wins, tol)
     shift = wrap_angle(lo) - lo
     interval = AngleInterval(lo + shift, hi + shift)
-    return SweepResult(region, phis, argmax, step, interval)
+    return _kernel_result(region, grid, runs, step, interval)

@@ -255,6 +255,18 @@ def test_cli_sensitivity_cone_narrower_than_sweep_step(tmp_path, json_mode, caps
     assert "never wins" in err and err.startswith("error: sweep oracle:")
 
 
+def test_cli_sensitivity_grid_too_coarse(capsys):
+    # both angles of a 162 degree grid fall in the optimal cone: the report
+    # prints, and the sweep's message goes to stderr with exit code 4
+    sharp = str(FIXTURES / "sharp.lp")
+    assert cli.main(["sensitivity", sharp, "--check-sweep", "162"]) == 4
+    out, err = capsys.readouterr()
+    assert "stable cone (open): (-25.5000°, 151.4999°)" in out
+    assert "sweep check" not in out
+    assert err.startswith("error: sweep oracle: vertex 2 wins at all 2 angles")
+    assert "too coarse to bracket its cone" in err
+
+
 def test_cli_sensitivity_json(capsys):
     assert cli.main(["sensitivity", PAPER, "--json", "--check-sweep", "0.05"]) == 0
     out = capsys.readouterr().out
@@ -385,8 +397,8 @@ def _run_python(code):
 
 
 def test_cli_does_not_import_numpy(tmp_path):
-    # numpy is loaded on first use (simplex, sweep); solve and sensitivity
-    # without --check-sweep must run without importing it
+    # numpy is loaded only to build a sweep result's arrays, which no
+    # command reads: every command runs without importing it
     svg = str(tmp_path / "out.svg")
     code = "\n".join([
         "import contextlib, io, sys",
@@ -397,6 +409,7 @@ def test_cli_does_not_import_numpy(tmp_path):
         f"    assert cli.main(['sensitivity', {PAPER!r}]) == 0",
         f"    assert cli.main(['sensitivity', '--json', {PAPER!r}]) == 0",
         f"    assert cli.main(['sensitivity', '--svg', {svg!r}, {PAPER!r}]) == 0",
+        f"    assert cli.main(['sensitivity', '--check-sweep', '0.01', {PAPER!r}]) == 0",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
     ])
     proc = _run_python(code)

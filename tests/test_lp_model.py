@@ -119,6 +119,19 @@ def test_region_rejects_doubly_wound_cycle():
         region_of_points([corners[k] for k in (0, 2, 4, 1, 3)])
 
 
+@pytest.mark.parametrize("scale", [1e300, 8e307])
+def test_region_winding_at_large_scale(scale):
+    # edge products overflow here, so each turn comes out NaN unless the
+    # turns are taken on power-of-two scaled edges
+    corners = [
+        (scale * math.cos(math.tau * k / 5), scale * math.sin(math.tau * k / 5))
+        for k in range(5)
+    ]
+    with pytest.raises(ValueError, match="^vertex cycle winds 2 times, not once$"):
+        region_of_points([corners[k] for k in (0, 2, 4, 1, 3)])
+    assert len(region_of_points(corners)) == 5
+
+
 def test_region_rejects_clockwise_order():
     with pytest.raises(
         ValueError, match="^vertex cycle is not convex counterclockwise at index 1$"

@@ -1,4 +1,7 @@
+import copy
+import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import planarlp as pl
 from planarlp import oracle
-from planarlp.errors import VertexNeverOptimal, VertexNotInRegion
+from planarlp.errors import GridTooCoarse, PlanarLPError, VertexNeverOptimal, VertexNotInRegion
+from planarlp.solver import VALUE_TIE_REL
 from conftest import (
+    FIXTURES,
     circ_close,
     random_bounded_lp,
     region_of_points,
@@ -128,6 +133,28 @@ def test_sweep_never_optimal():
         pl.stable_interval_by_sweep(region, region.vertices[1], math.radians(1.0))
 
 
+def test_sweep_grid_too_coarse():
+    # the cone of (10, 20) spans ~177 degrees, so both angles of a 162 degree
+    # grid fall in it and neither cone end is bracketed
+    lp = pl.load_lp(FIXTURES / "sharp.lp")
+    region = pl.enumerate_vertices(lp)
+    x0 = pl.analyze(lp).optimal_vertex
+    with pytest.raises(GridTooCoarse, match="too coarse to bracket") as err:
+        pl.stable_interval_by_sweep(region, x0, math.radians(162.0))
+    assert isinstance(err.value, PlanarLPError)
+    iv = pl.stable_interval_by_sweep(region, x0, math.radians(1.0)).estimated_interval
+    assert circ_close(iv.lo, math.radians(-25.5), math.radians(2.0))
+
+
+def test_sweep_trims_the_angle_past_pi(ref_region):
+    # three steps overshoot pi by ~1.9e-9, past the 1e-9 allowance
+    step = math.tau / (3 - 0.9e-9)
+    assert -math.pi + step * 3 > math.pi + 1e-9
+    res = pl.stable_interval_by_sweep(ref_region, vertex_at(ref_region, 100, 0), step)
+    assert res.phis.tolist() == [-math.pi + step, -math.pi + 2.0 * step]
+    assert res.argmax.tolist()[0] == ref_region.index_of(pl.Vec2(100.0, 0.0))
+
+
 def test_simplex_confirms_cone_edges(ref_lp, ref_region):
     # the simplex, which never builds the polygon, picks x0 just inside the
     # analytic cone and its neighbours just outside it
@@ -188,6 +215,8 @@ def test_convexity_check():
     assert not oracle._convex(*_xy(DART))
     assert not oracle._convex(*_xy(PENTAGRAM))
     assert not oracle._convex(*_xy([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    for points in ([], [(0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)]):  # too few to wind
+        assert not oracle._convex(*_xy(points))
 
 
 def _cycle(kind, rng):
@@ -253,6 +282,44 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
     grid = oracle._argmax_grid(phis, vx, vy, rel_tol)
     assert grid.dtype == np.int64
     assert grid.tolist() == [oracle._scan(float(p), vx, vy, rel_tol) for p in phis]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    first=st.floats(-10.0, 10.0),
+    log_step=st.floats(-17.0, 0.5),
+    start=st.integers(0, 2),
+    count=st.integers(1, 1500),
+    probes=st.lists(st.floats(-20.0, 20.0), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arithmetic_grid_equals_numpy(first, log_step, start, count, probes, seed):
+    # every angle, the array and searchsorted match numpy's grid to the bit,
+    # plateaus of equal angles (a step below an ulp of first) included, and
+    # the walk's runs over the grid are maximal and equal the full scan
+    step = 10.0**log_step
+    grid = oracle._Grid(first, step, start, count)
+    phis = first + step * np.arange(start, start + count, dtype=float)
+    assert grid.array().tobytes() == phis.tobytes()
+    assert [grid[k] for k in range(count)] == phis.tolist()
+    xs = np.concatenate([phis[:: max(1, count // 40)], phis[-1:], probes])
+    for x in np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)]):
+        assert grid.searchsorted(float(x)) == np.searchsorted(phis, x)
+    vx, vy = oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng_for(seed), 8)))
+    runs = oracle._walk(grid, vx, vy, VALUE_TIE_REL)
+    assert [s for s, _, _ in runs] == [0] + [e + 1 for _, e, _ in runs[:-1]]
+    assert runs[-1][1] == count - 1
+    assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+    winners = [p for s, e, p in runs for _ in range(s, e + 1)]
+    assert winners == [oracle._scan(grid[k], vx, vy, VALUE_TIE_REL) for k in range(count)]
+
+
+def test_arithmetic_grid_search_bounds():
+    # (x - first) / step overflows to inf for a subnormal step
+    grid = oracle._Grid(0.0, 5e-324, 0, 10)
+    assert grid.searchsorted(1.0) == 10
+    assert grid.searchsorted(-1.0) == 0
+    assert grid.searchsorted(1e-323) == 2
 
 
 class _CountingMath:
@@ -322,7 +389,8 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
 
 
 def _runs_by_loop(mask):
-    # the index-by-index loop _runs_of replaced, kept as its reference
+    # the index-by-index loop over a winner mask that the run-list merge
+    # replaced, kept as its reference
     idx = np.flatnonzero(mask)
     runs = []
     start = prev = int(idx[0])
@@ -340,6 +408,16 @@ def _runs_by_loop(mask):
     return runs
 
 
+def _walk_runs(mask):
+    # the maximal (start, end, winner) runs the walk emits for these winners
+    runs, k = [], 0
+    for value, group in itertools.groupby(mask.tolist()):
+        size = len(list(group))
+        runs.append((k, k + size - 1, int(value)))
+        k += size
+    return runs
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     bits=st.lists(st.booleans(), min_size=1, max_size=60).filter(any),
@@ -347,7 +425,7 @@ def _runs_by_loop(mask):
     a=st.integers(0, 59),
     b=st.integers(0, 59),
 )
-def test_runs_of_equals_loop(bits, kind, a, b):
+def test_cyclic_runs_equals_loop(bits, kind, a, b):
     mask = np.array(bits)
     n = len(mask)
     lo, hi = sorted((a % n, b % n))
@@ -362,13 +440,13 @@ def test_runs_of_equals_loop(bits, kind, a, b):
     elif kind == "wraps":
         mask[: lo + 1] = True
         mask[hi:] = True
-    assert oracle._runs_of(mask) == _runs_by_loop(mask)
+    assert oracle._cyclic_runs(_walk_runs(mask), 1, n) == _runs_by_loop(mask)
 
 
-def test_runs_of_merges_the_seam():
+def test_cyclic_runs_merges_the_seam():
     mask = np.array([True, True, False, True, False, False, True])
-    assert oracle._runs_of(mask) == [(6, 1), (3, 3)]
-    assert oracle._runs_of(np.array([True])) == [(0, 0)]
+    assert oracle._cyclic_runs(_walk_runs(mask), 1, 7) == [(6, 1), (3, 3)]
+    assert oracle._cyclic_runs(_walk_runs(np.array([True])), 1, 1) == [(0, 0)]
 
 
 @pytest.mark.parametrize(
@@ -415,3 +493,66 @@ def test_grid_memory_is_blockwise(turns):
     finally:
         tracemalloc.stop()
     assert peak < 8 * len(phis) + 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda r: pl.stable_interval_by_sweep(r, r.vertices[0], STEP),
+        lambda r: pl.sweep_argmax(r, -math.pi, math.pi, STEP),
+    ],
+    ids=["interval", "argmax"],
+)
+def test_sweep_builds_arrays_when_read(sweep):
+    # a sweep allocates no block of 8 bytes per angle; reading phis and then
+    # argmax allocates one array of that size each
+    region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
+    warm = sweep(region)  # numpy's import and lazy set-up
+    warm.phis, warm.argmax
+    tracemalloc.start()
+    try:
+        res = sweep(region)
+        _, sweep_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        phis = res.phis
+        after_phis = tracemalloc.get_traced_memory()[0]
+        argmax = res.argmax
+        after_argmax = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    size = 8 * len(phis)
+    assert size >= 8 * 36000
+    assert sweep_peak < size // 4
+    assert after_phis - before >= size
+    assert after_argmax - after_phis >= size
+    assert res.phis is phis and res.argmax is argmax  # built once
+    assert phis.tobytes() == warm.phis.tobytes()
+    assert argmax.tobytes() == warm.argmax.tobytes()
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)), None],
+    ids=["copy", "deepcopy", "pickle", "repr"],
+)
+def test_kernel_result_copies_eager_arrays(ref_region, clone):
+    # a copy of a result that has not built its arrays yet holds the arrays
+    # that the eager numpy expressions give
+    x0 = vertex_at(ref_region, 80, 40)
+    step = math.radians(0.5)
+    res = pl.stable_interval_by_sweep(ref_region, x0, step)
+    phis = -math.pi + step * np.arange(1, 721, dtype=float)
+    argmax = oracle._argmax_grid(phis, *oracle._coords(ref_region), VALUE_TIE_REL)
+    eager = pl.SweepResult(ref_region, phis, argmax, step, res.estimated_interval)
+    if clone is None:
+        assert repr(res) == repr(eager)
+        return
+    other = clone(res)
+    assert type(other) is pl.SweepResult and other is not res
+    assert not hasattr(other, "_kernel")
+    assert other.phis.tobytes() == phis.tobytes()
+    assert other.argmax.dtype == np.int64
+    assert other.argmax.tobytes() == argmax.tobytes()
+    assert (other.region, other.step) == (ref_region, step)
+    assert other.estimated_interval == res.estimated_interval
