@@ -268,10 +268,11 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
     gives h > T_p + S - 2E - 2**-51 M >= 0 there, so on [a, b] g_p - g_q >
     T_p + S - 2E - 2**-50 M >= T_p + 2E.  The grid is nondecreasing (a
     _Grid is, as step > 0 and rounding is monotone), so every angle between
-    a and b in grid order lies in [a, b]: the run from a to b is certified.  A failed test at a makes a run of the one angle a
-    with the full scan's winner; at b it moves b back by 1, 2, 4, ...
-    angles.  A wrong guess only fails a test.  A run whose winner is the
-    previous run's extends it, so the runs are maximal.  Unless the cycle is
+    a and b in grid order lies in [a, b]: the run from a to b is
+    certified.  A failed test at a makes a run of the one angle a with the
+    full scan's winner; at b it moves b back by 1, 2, 4, ... angles.  A
+    wrong guess only fails a test.  A run whose winner is the previous
+    run's extends it, so the runs are maximal.  Unless the cycle is
     certified (once, exactly, by _convex), rel_tol >= 0 and all |x_j| +
     |y_j| < 2**1000, every angle takes the full scan.
     """
