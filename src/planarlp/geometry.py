@@ -152,6 +152,62 @@ def cross(u: Vec2, v: Vec2) -> float:
     return u.x1 * v.x2 - u.x2 * v.x1
 
 
+# Shewchuk's (1997) error bound for a 2x2 orientation determinant of float
+# differences, (3 + 16 eps) eps with eps = 2**-53, and an absolute term for
+# products that fall below the normal range.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_UNDERFLOW = 2.0**-1060
+
+
+def _turns_left(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> bool:
+    """The turn a -> b -> c of finite points is exactly a strict left turn:
+    not straight, not a reversal, not at a zero-length edge, and not right.
+    Floats decide it when the filter is sure; otherwise, as when a product
+    overflows, exact rationals do."""
+    left = (bx - ax) * (cy - by)
+    right = (by - ay) * (cx - bx)
+    det = left - right
+    err = _ORIENT_ERR * (abs(left) + abs(right)) + _UNDERFLOW
+    if det > err:
+        return True
+    if det < -err:
+        return False
+    from fractions import Fraction
+
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    return (bx - ax) * (cy - by) > (by - ay) * (cx - bx)
+
+
+def _cycle_fault(xs: list[float], ys: list[float]) -> str | None:
+    """Why the cycle of finite points (xs[k], ys[k]) is not strictly convex
+    and counterclockwise, or None if it is: it must have 3 points or more,
+    every turn must be exactly a strict left turn (_turns_left), tested at
+    vertex 1, 2, ..., n - 1 and then 0, and the edge directions must wind
+    once.  They wind k times when they cross from the lower half-turn
+    [pi, 2 pi) into the upper [0, pi) k times, as each turn is below a half
+    turn."""
+    n = len(xs)
+    if n < 3:
+        return f"a cycle needs at least 3 vertices, got {n}"
+    ax, ay, bx, by = xs[0], ys[0], xs[1], ys[1]
+    up_before = by > ay or (by == ay and bx > ax)
+    crossings = 0
+    for i, (cx, cy) in enumerate(zip(xs[2:] + xs[:2], ys[2:] + ys[:2]), 1):
+        # _turns_left's filter, written out so that a sure left turn costs
+        # no call
+        left = (bx - ax) * (cy - by)
+        right = (by - ay) * (cx - bx)
+        sure = left - right > _ORIENT_ERR * (abs(left) + abs(right)) + _UNDERFLOW
+        if not (sure or _turns_left(ax, ay, bx, by, cx, cy)):
+            return f"vertex cycle is not convex counterclockwise at index {i % n}"
+        up_after = cy > by or (cy == by and cx > bx)
+        crossings += up_after and not up_before
+        ax, ay, bx, by, up_before = bx, by, cx, cy, up_after
+    if crossings != 1:
+        return f"vertex cycle winds {crossings} times, not once"
+    return None
+
+
 class Rotation(Frozen):
     """A rotation matrix [[cos, -sin], [sin, cos]] stored by its generators."""
 

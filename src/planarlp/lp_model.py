@@ -16,7 +16,7 @@ from .errors import (
     VertexNotInRegion,
     ZeroRow,
 )
-from .geometry import Frozen, Vec2, _non_finite, _pow2_scaled, _set
+from .geometry import Frozen, Vec2, _cycle_fault, _non_finite, _set
 
 # Synthetic row indices for the implicit bounds x1 >= 0 and x2 >= 0.
 X1_NONNEG = -1
@@ -79,24 +79,6 @@ class Vertex(Frozen):
         _set(self, "active_rows", frozenset(active_rows))
 
 
-def _turning(edges: list[tuple[float, float, float]]) -> float:
-    """The sum of the turns of a cycle of edges (e1, e2, length), in
-    radians.  Turn i is at vertex i, from edge i - 1 to edge i; one that is
-    clockwise, or a reversal, raises ValueError."""
-    atan2 = math.atan2
-    turning = 0.0
-    u1, u2, lu = edges[0]
-    for i, (v1, v2, lv) in enumerate(edges[1:] + edges[:1], 1):
-        c, d = u1 * v2 - u2 * v1, u1 * v1 + u2 * v2
-        if c <= -1e-9 * lu * lv or (c <= 0.0 and d < 0.0):
-            raise ValueError(
-                f"vertex cycle is not convex counterclockwise at index {i % len(edges)}"
-            )
-        turning += atan2(c, d)
-        u1, u2, lu = v1, v2, lv
-    return turning
-
-
 class FeasibleRegion(Frozen):
     """A bounded feasible polygon as a counterclockwise cycle of vertices."""
 
@@ -108,33 +90,25 @@ class FeasibleRegion(Frozen):
         n = len(vs)
         if n < 3:
             raise ValueError(f"a region needs at least 3 vertices, got {n}")
-        # Edges as (e1, e2, length); one that overflows raises as Vec2 would.
-        pts = [v.point for v in vs]
+        # Edges must be finite (one that overflows raises as Vec2 would) and
+        # longer than the merge tolerance, and the corners strictly convex.
+        xs = [v.point.x1 for v in vs]
+        ys = [v.point.x2 for v in vs]
         isfinite, hypot = math.isfinite, math.hypot
-        edges = []
-        for p, q in zip(pts, pts[1:] + pts[:1]):
-            e1, e2 = q.x1 - p.x1, q.x2 - p.x2
+        lengths = []
+        for px, py, qx, qy in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+            e1, e2 = qx - px, qy - py
             if not (isfinite(e1) and isfinite(e2)):
                 raise _non_finite(e1, e2)
-            edges.append((e1, e2, hypot(e1, e2)))
-        for i, (_, _, length) in enumerate(edges):
+            lengths.append(hypot(e1, e2))
+        for i, length in enumerate(lengths):
             if length <= MERGE_TOL:
                 raise ValueError(
                     f"vertices {i} and {(i + 1) % n} coincide within the merge tolerance"
                 )
-        # Every turn is left (or straight) and below a half turn, and the
-        # turns add up to one full turn: a convex cycle wound once.
-        turning = _turning(edges)
-        if not math.isfinite(turning):
-            # Past ~1e154 a cross or dot product of two edges overflows and
-            # its turn is NaN.  Each edge times a power of two turns by the
-            # same angles, and their products cannot overflow.
-            scaled = [_pow2_scaled(Vec2(e1, e2)) for e1, e2, _ in edges]
-            turning = _turning([(u.x1, u.x2, u.norm()) for u in scaled])
-        if abs(turning - math.tau) > math.pi:
-            raise ValueError(
-                f"vertex cycle winds {round(turning / math.tau)} times, not once"
-            )
+        fault = _cycle_fault(xs, ys)
+        if fault is not None:
+            raise ValueError(fault)
         _set(self, "vertices", vs)
 
     def __len__(self) -> int:

@@ -9,13 +9,14 @@ per angle: it looks a run's first angle up in the normal fan of the vertex
 cycle and certifies the vertex it finds against its two neighbours at both
 ends of the run, which certifies every angle between.  Where that check
 fails it takes the full scan, so its runs equal the full scan at every
-angle (see _walk).  The sweeps walk an arithmetic grid that computes each
-angle when asked (_Grid), so no array is built while they run; a
-SweepResult builds its phis and argmax arrays, with numpy, when they are
-first read.  The fan's edge-normal angles come from analyze's formula
-(sensitivity._normal_angle), but they are only the kernel's guess: every
-result is certified against _scan, so a fault in that formula cannot make
-the oracle agree with the analytic cone.
+angle (see _walk); so does every angle of a cycle that FeasibleRegion's
+exact convexity check (geometry._cycle_fault) rejects.  The sweeps walk
+an arithmetic grid that computes each angle when asked (_Grid), so no
+array is built while they run; a SweepResult builds its phis and argmax
+arrays, with numpy, when they are first read.  The fan's edge-normal
+angles come from analyze's formula (sensitivity._normal_angle), but they
+are only the kernel's guess: every result is certified against _scan, so a
+fault in that formula cannot make the oracle agree with the analytic cone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
 
 from .errors import GridTooCoarse, VertexNeverOptimal
-from .geometry import TAU, Frozen, _set, wrap_angle
+from .geometry import TAU, _UNDERFLOW, Frozen, _cycle_fault, _set, wrap_angle
 from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval, _normal_angle
 from .solver import VALUE_TIE_REL
@@ -187,51 +188,6 @@ def _scan(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
     return best_j
 
 
-# Shewchuk's error bound for a 2x2 orientation determinant of differences,
-# (3 + 16 eps) eps with eps = 2**-53, and an absolute term for products that
-# fall below the normal range.
-_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
-_UNDERFLOW = 2.0**-1060
-
-
-def _turns_left(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> bool:
-    """The turn a -> b -> c is exactly a left turn or straight on (not a
-    reversal, not a zero-length edge).  Floats decide it when the filter is
-    sure; otherwise exact rationals do."""
-    left = (bx - ax) * (cy - by)
-    right = (by - ay) * (cx - bx)
-    det = left - right
-    err = _ORIENT_ERR * (abs(left) + abs(right)) + _UNDERFLOW
-    if det > err:
-        return True
-    if det < -err:
-        return False
-    from fractions import Fraction
-
-    ex, ey = Fraction(bx) - Fraction(ax), Fraction(by) - Fraction(ay)
-    fx, fy = Fraction(cx) - Fraction(bx), Fraction(cy) - Fraction(by)
-    det = ex * fy - ey * fx
-    return det > 0 or (det == 0 and ex * fx + ey * fy > 0)
-
-
-def _convex(vx: list[float], vy: list[float]) -> bool:
-    """The float vertex cycle is exactly convex and counterclockwise: every
-    turn is left or straight on, and the edge directions wind once (they
-    cross from the lower half-turn [pi, 2 pi) into the upper [0, pi) once)."""
-    n = len(vx)
-    if n < 3:
-        return False
-    crossings = 0
-    for k in range(n):
-        ax, ay, bx, by, cx, cy = vx[k - 2], vy[k - 2], vx[k - 1], vy[k - 1], vx[k], vy[k]
-        if not _turns_left(ax, ay, bx, by, cx, cy):
-            return False
-        up_before = by > ay or (by == ay and bx > ax)
-        up_after = cy > by or (cy == by and cx > bx)
-        crossings += up_after and not up_before
-    return crossings == 1
-
-
 def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[int, int, int]]:
     """_scan at every angle of a nondecreasing grid, as maximal runs.
 
@@ -273,8 +229,9 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
     full scan's winner; at b it moves b back by 1, 2, 4, ... angles.  A
     wrong guess only fails a test.  A run whose winner is the previous
     run's extends it, so the runs are maximal.  Unless the cycle is
-    certified (once, exactly, by _convex), rel_tol >= 0 and all |x_j| +
-    |y_j| < 2**1000, every angle takes the full scan.
+    certified strictly convex and counterclockwise (once, exactly, by
+    geometry._cycle_fault, the check FeasibleRegion makes), rel_tol >= 0
+    and all |x_j| + |y_j| < 2**1000, every angle takes the full scan.
     """
     runs: list[tuple[int, int, int]] = []
 
@@ -285,7 +242,7 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
 
     n, count = len(vx), len(grid)
     scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
-    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _convex(vx, vy)):
+    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _cycle_fault(vx, vy) is None):
         for k in range(count):
             emit(k, k, _scan(float(grid[k]), vx, vy, rel_tol))
         return runs

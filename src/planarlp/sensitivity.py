@@ -24,9 +24,8 @@ from .geometry import (
     Frozen,
     PolarVector,
     _atan2,
-    _pow2_scaled,
     _set,
-    cross,
+    _turns_left,
     line_direction_angle,
     polar_of,
 )
@@ -152,20 +151,22 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
 
     The cone runs counterclockwise from the outward normal of the edge
     (pred -> x0) to the outward normal of (x0 -> succ); its width is the
-    exterior angle at x0, always below pi for a convex corner.
-
-    The convexity test runs on the edges scaled by powers of two, which is
-    exact, so that neither the cross product nor the product of the
-    lengths overflows on a large polygon.
+    exterior angle at x0.  The corner must be an exact strict left turn,
+    the test FeasibleRegion makes, so the width lies in (0, pi);
+    ReflexVertex is raised for a corner that is exactly straight or reflex.
+    A cone narrower than the rounding of its ends, which then come out
+    equal or swapped, is given one ulp wide.
     """
     _check_distinct(pred, x0, succ)
-    e1 = x0.point - pred.point
-    e2 = succ.point - x0.point
-    u, v = _pow2_scaled(e1), _pow2_scaled(e2)
-    if cross(u, v) <= 1e-12 * u.norm() * v.norm():
+    p, x, q = pred.point, x0.point, succ.point
+    if not _turns_left(p.x1, p.x2, x.x1, x.x2, q.x1, q.x2):
         raise ReflexVertex("corner is not strictly convex counterclockwise")
+    e1 = x - p
+    e2 = q - x
     lo = _normal_angle(e1.x1, e1.x2)
     span = (_normal_angle(e2.x1, e2.x2) - lo) % TAU
+    if not 0.0 < span < 1.5 * math.pi:  # 0, or a full turn less a rounding
+        span = math.ulp(lo)
     return AngleInterval(lo, lo + span)
 
 

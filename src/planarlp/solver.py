@@ -272,7 +272,9 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     Raises ValueError for a negative or non-finite tol, Infeasible when the
     rows leave no feasible point, UnboundedRegion when the recession cone is
     nonzero, and DegenerateRegion when fewer than three distinct vertices
-    remain or the corners do not make a convex counterclockwise cycle.
+    remain or the corners do not make a strictly convex counterclockwise
+    cycle, FeasibleRegion's exact test: rounded crossings can make a corner
+    straight or reflex.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")

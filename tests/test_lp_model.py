@@ -121,8 +121,7 @@ def test_region_rejects_doubly_wound_cycle():
 
 @pytest.mark.parametrize("scale", [1e300, 8e307])
 def test_region_winding_at_large_scale(scale):
-    # edge products overflow here, so each turn comes out NaN unless the
-    # turns are taken on power-of-two scaled edges
+    # edge products overflow here, so exact rationals decide each turn
     corners = [
         (scale * math.cos(math.tau * k / 5), scale * math.sin(math.tau * k / 5))
         for k in range(5)
@@ -133,19 +132,34 @@ def test_region_winding_at_large_scale(scale):
 
 
 def test_region_rejects_clockwise_order():
-    with pytest.raises(
-        ValueError, match="^vertex cycle is not convex counterclockwise at index 1$"
+    # a clockwise triangle; a corner at (1/3, 1) that turns right by a
+    # rounding error, as fl(1/3) < 1/3; an exactly straight corner; and a
+    # clockwise cycle whose first cross product is inf - inf
+    for cycle in (
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)],
+        [(0.0, 0.0), (1.0 / 3.0, 1.0), (1.0, 3.0), (0.0, 3.0)],
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)],
+        [(0.0, 0.0), (0.5e300, 1e300), (1e300, 1.2e300), (1e300, 0.0)],
     ):
-        region_of_points([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(
+            ValueError, match="^vertex cycle is not convex counterclockwise at index 1$"
+        ):
+            region_of_points(cycle)
+    # one ulp further right, the corner turns left
+    x = math.nextafter(1.0 / 3.0, 1.0)
+    assert len(region_of_points([(0.0, 0.0), (x, 1.0), (1.0, 3.0), (0.0, 3.0)])) == 4
 
 
 def test_region_cyclic_equality():
     a = region_of_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     b = region_of_points([(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
     c = region_of_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 2.0)])
+    d = region_of_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     assert a.same_polygon(b)
     assert b.same_polygon(a)
     assert not a.same_polygon(c)
+    assert not a.same_polygon(d) and not d.same_polygon(a)  # 4 vertices against 3
+    assert list(b) == list(b.vertices)
 
 
 def test_region_index_of(ref_region):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import planarlp as pl
 from planarlp import oracle
 from planarlp.errors import GridTooCoarse, PlanarLPError, VertexNeverOptimal, VertexNotInRegion
+from planarlp.geometry import _cycle_fault
 from planarlp.solver import VALUE_TIE_REL
 from conftest import (
     FIXTURES,
@@ -198,7 +199,8 @@ SLIVER = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-5), (0.0, 1.0)]
 STRAIGHT = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
 TRIANGLE = region_of_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 # Cycles no FeasibleRegion accepts, which the kernel must still get right:
-# a reflex corner at (1, 1), and a star whose turns are all left but wind twice.
+# the straight and near-straight ones above, a reflex corner at (1, 1), and a
+# star whose turns are all left but wind twice.
 DART = [(0.0, 0.0), (2.0, 1.0), (0.0, 2.0), (1.0, 1.0)]
 PENTAGRAM = [(math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)) for k in range(5)]
 
@@ -208,15 +210,16 @@ def _xy(points):
 
 
 def test_convexity_check():
-    assert oracle._convex(*_xy(STRAIGHT))  # a straight turn is allowed
-    assert oracle._convex(*_xy(SLIVER))
-    assert not oracle._convex(*_xy(NEAR_STRAIGHT))
-    assert not oracle._convex(*_xy(STRAIGHT[::-1]))  # clockwise
-    assert not oracle._convex(*_xy(DART))
-    assert not oracle._convex(*_xy(PENTAGRAM))
-    assert not oracle._convex(*_xy([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    # the kernel walks only a cycle that FeasibleRegion's check accepts
+    assert _cycle_fault(*_xy(SLIVER)) is None
+    assert _cycle_fault(*_xy(STRAIGHT))  # a straight turn takes the full scan
+    assert _cycle_fault(*_xy(NEAR_STRAIGHT))
+    assert _cycle_fault(*_xy(STRAIGHT[::-1]))  # clockwise
+    assert _cycle_fault(*_xy(DART))
+    assert _cycle_fault(*_xy(PENTAGRAM))
+    assert _cycle_fault(*_xy([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
     for points in ([], [(0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)]):  # too few to wind
-        assert not oracle._convex(*_xy(points))
+        assert _cycle_fault(*_xy(points))
 
 
 def _cycle(kind, rng):
@@ -225,10 +228,10 @@ def _cycle(kind, rng):
     if kind == "tangent":
         m = int(rng.integers(4, 65))
         return oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng, m)))
-    if kind in ("sliver", "near-straight", "straight"):
-        points = {"sliver": SLIVER, "near-straight": NEAR_STRAIGHT, "straight": STRAIGHT}
-        return oracle._coords(region_of_points(points[kind]))
-    return _xy(DART if kind == "dart" else PENTAGRAM)
+    if kind == "sliver":
+        return oracle._coords(region_of_points(SLIVER))
+    points = {"near-straight": NEAR_STRAIGHT, "straight": STRAIGHT, "dart": DART}
+    return _xy(points.get(kind, PENTAGRAM))
 
 
 @settings(deadline=None, max_examples=350)

@@ -104,6 +104,27 @@ def test_stable_interval_reflex_rejected():
         pl.stable_angle_interval(*corner((0, 1), (1, 1), (1, 0)))
     with pytest.raises(ReflexVertex):  # collinear triple
         pl.stable_angle_interval(*corner((0, 0), (1, 0), (2, 0)))
+    with pytest.raises(ReflexVertex):  # right by a rounding error: fl(1/3) < 1/3
+        pl.stable_angle_interval(*corner((0, 0), (1 / 3, 1), (1, 3)))
+
+
+def test_stable_interval_ulp_corners():
+    # one ulp right of 1/3 the corner turns left, and has its ~1e-16 wide cone
+    x = math.nextafter(1 / 3, 1)
+    iv = pl.stable_angle_interval(*corner((0, 0), (x, 1), (1, 3)))
+    assert iv.lo == math.atan2(-x, 1.0)
+    assert 0.0 < iv.width < 1e-15
+    # left turns whose cone ends round equal, or swapped: one ulp wide
+    for triple in (
+        ((-1.0, 0.0), (0.0, 0.0), (1.0, 1e-300)),
+        (
+            (-5.496925967272565, -5.59982819283858),
+            (0.3, 0.3056159875271382),
+            (3.1932586564947787, 3.253036325780781),
+        ),
+    ):
+        iv = pl.stable_angle_interval(*corner(*triple))
+        assert iv.hi == math.nextafter(iv.lo, math.inf)
 
 
 def test_stable_interval_against_local_grid():
@@ -316,9 +337,9 @@ def test_analyze_large_objective(ref_lp, c):
 
 @pytest.mark.parametrize("b", [1e160, 1e200, 1e300, 1.7e308])
 def test_analyze_large_polygon(b):
-    # At (0, b) the cross product of the two edges and the product of their
-    # lengths overflow from b ~ 1e154 on; the convexity test runs on edges
-    # scaled by powers of two, so the cone is b = 1's.
+    # At (0, b) the cross product of the two edges overflows from b ~ 1e154
+    # on; the convexity test then decides in exact rationals, so the cone is
+    # b = 1's.
     def report(b):
         lp = pl.LinearProgram2D(pl.Vec2(1.0, 2.0), (pl.ConstraintRow(1.0, 1.0, b),))
         return pl.analyze(lp)
@@ -327,3 +348,26 @@ def test_analyze_large_polygon(b):
     assert big.optimal_vertex.point == pl.Vec2(0.0, b)
     assert big.interval == unit.interval
     assert (unit.interval.lo, unit.interval.hi) == (math.pi / 4, math.pi)
+
+
+def test_analyze_sliver_tip():
+    # random-1604 of tests/region_digest.py: the region is a sliver triangle
+    # along x2 ~ 0 whose corners are all exactly convex.  The far tip turns
+    # by almost a half turn, and its cone holds phi_c = pi / 4.
+    rows = (
+        ("0x1.3bca88ba50ed6p-622", "-0x1.62f05ed1c7754p-130", "0x1.2db482305bf80p-512"),
+        ("-0x1.42a5649ae734dp-185", "0x1.23022e37fb855p+237", "0x1.63459c8d24aa2p+925"),
+        ("-0x1.48fc8be7bce72p-163", "0x0.0p+0", "-0x1.1e7a15758c707p-80"),
+        ("-0x1.c1f4a9cb8c334p-384", "0x1.2e0f27cdd0182p+513", "0x1.3e4514320302ap+394"),
+        ("0x1.7b49d90ead91ap+20", "0x1.870bf689a6763p-825", "0x1.2a58d10b2ebb5p+366"),
+    )
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        tuple(pl.ConstraintRow(*map(float.fromhex, row)) for row in rows),
+    )
+    for tol in (1e-9, 0.0, 1e-3):
+        rep = pl.analyze(lp, tol=tol)
+        tip = rep.optimal_vertex.point
+        assert math.isclose(tip.x1, 1.1275e104, rel_tol=1e-4)
+        assert math.isclose(tip.x2, 7.9e-37, rel_tol=1e-2)
+        assert rep.interval.contains(math.pi / 4)

@@ -165,6 +165,28 @@ def test_enumerate_degenerate_region():
         pl.enumerate_vertices(lp)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_enumerate_sliver_makes_no_polygon(tol):
+    # A sliver ~1e-9 wide and ~5.4e9 tall: the merged corners turn right at
+    # vertex 1, so the builder refuses them rather than return a region.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(0.0, 0.10352011439222264, 562341325.1903491),
+            pl.ConstraintRow(0.0, -1.0, 0.0),
+            pl.ConstraintRow(1.0, 0.0, 0.0),
+            pl.ConstraintRow(1.0, 0.0, 0.0),
+            pl.ConstraintRow(0.1171875, 0.0, -1e-10),
+        ),
+    )
+    with pytest.raises(
+        DegenerateRegion,
+        match=r"^the corners make no convex polygon: vertex cycle is not convex "
+        r"counterclockwise at index 1$",
+    ):
+        pl.enumerate_vertices(lp, tol=tol)
+
+
 def test_enumerate_overflowing_corner():
     # The two rows cross at x2 ~ 1e451, beyond the float range: the corner
     # is refused as any point with an infinite coordinate is.
