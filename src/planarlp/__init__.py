@@ -22,14 +22,12 @@ from .geometry import (
     PolarVector,
     Rotation,
     Vec2,
-    angle_between,
     apply_rotation,
     circular_delta,
     cross,
     distance_to_line,
     line_direction_angle,
     polar_of,
-    project_onto_line,
     rotation_of,
     wrap_angle,
 )
@@ -74,7 +72,6 @@ from .sensitivity import (
 from .solver import (
     Recession,
     Solution,
-    adjacent_vertices,
     check_recession,
     enumerate_vertices,
     solve_enumeration,
@@ -107,9 +104,7 @@ __all__ = [
     "Vertex",
     "X1_NONNEG",
     "X2_NONNEG",
-    "adjacent_vertices",
     "analyze",
-    "angle_between",
     "apply_rotation",
     "argmax_distance",
     "check_recession",
@@ -129,7 +124,6 @@ __all__ = [
     "objective_line",
     "parse_lp",
     "polar_of",
-    "project_onto_line",
     "rotate_problem",
     "rotation_of",
     "serialize_lp",

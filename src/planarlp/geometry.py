@@ -222,15 +222,6 @@ class Rotation(Frozen):
         _set(self, "cos_theta", cos_theta)
         _set(self, "sin_theta", sin_theta)
 
-    def transpose(self) -> "Rotation":
-        """The inverse rotation."""
-        return Rotation(self.cos_theta, -self.sin_theta)
-
-    @property
-    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        c, s = self.cos_theta, self.sin_theta
-        return ((c, -s), (s, c))
-
 
 class PolarVector(Frozen):
     """Polar form r (cos phi, sin phi), r >= 0 and phi in (-pi, pi].
@@ -313,23 +304,8 @@ def line_direction_angle(v: Vec2) -> Angle:
     return a
 
 
-def project_onto_line(x: Vec2, d: LineThroughOrigin) -> Vec2:
-    """Orthogonal projection of x onto the line d."""
-    n = d.normal
-    t = x.dot(n) / n.dot(n)
-    return Vec2(x.x1 - t * n.x1, x.x2 - t * n.x2)
-
-
 def distance_to_line(x: Vec2, d: LineThroughOrigin) -> float:
     """Euclidean distance from x to the line d."""
     n = d.normal
     return abs(x.dot(n)) / n.norm()
 
-
-def angle_between(u: Vec2, v: Vec2) -> Angle:
-    """Unsigned angle between two nonzero vectors, in [0, pi]."""
-    nu, nv = u.norm(), v.norm()
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("angle undefined for the zero vector")
-    c = u.dot(v) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, c)))

@@ -132,20 +132,6 @@ class FeasibleRegion(Frozen):
             raise VertexNotInRegion(f"({p.x1}, {p.x2}) matches no vertex")
         return best
 
-    def same_polygon(self, other: "FeasibleRegion", tol: float = MERGE_TOL) -> bool:
-        """True if other is the same vertex cycle up to a cyclic shift."""
-        n = len(self.vertices)
-        if n != len(other.vertices):
-            return False
-        mine = self.points()
-        theirs = other.points()
-        for shift in range(n):
-            if all(
-                (mine[i] - theirs[(i + shift) % n]).norm() <= tol for i in range(n)
-            ):
-                return True
-        return False
-
 
 def validate(lp: LinearProgram2D) -> None:
     """Raise if the program's data is structurally unusable.

@@ -141,11 +141,6 @@ class SweepResult(_KernelSlot):
             return value
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def samples(self):
-        """Iterate (phi, Vertex-or-None) pairs; None marks a tie."""
-        for phi, idx in zip(self.phis, self.argmax):
-            yield float(phi), (None if idx == TIE else self.region.vertices[idx])
-
 
 def _kernel_result(
     region: FeasibleRegion,
@@ -277,24 +272,6 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
         emit(k, b, p)
         k = b + 1
     return runs
-
-
-def _argmax_grid(
-    phis: np.ndarray, vx: list[float], vy: list[float], rel_tol: float
-) -> np.ndarray:
-    """_scan at every angle of phis, as an int64 array: the walk's runs on
-    phis in argsort order (if they are not in order already), filled in and
-    put back in the order of phis."""
-    import numpy as np
-
-    grid = np.ascontiguousarray(phis, dtype=float)
-    order = None
-    windows = (grid[k : k + 2**16 + 1] for k in range(0, len(grid), 2**16))
-    if not all((w[1:] >= w[:-1]).all() for w in windows):  # False at a NaN
-        order = np.argsort(grid, kind="stable")
-        grid = grid[order]
-    out = _winners(_walk(grid, vx, vy, rel_tol), len(grid))
-    return out if order is None else out[np.argsort(order)]
 
 
 def sweep_argmax(

@@ -426,13 +426,6 @@ def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution
     return Solution(x, evaluate(lp, x.point), not tied)
 
 
-def adjacent_vertices(region: FeasibleRegion, v) -> tuple[Vertex, Vertex]:
-    """Counterclockwise predecessor and successor of v in the cycle."""
-    i = region.index_of(v)
-    n = len(region.vertices)
-    return region.vertices[i - 1], region.vertices[(i + 1) % n]
-
-
 # --- two-phase simplex -------------------------------------------------------
 #
 # The slack tableau of  max c . x,  A x <= b,  x >= 0  has two nonbasic

@@ -23,8 +23,12 @@ def _f(x: float) -> str:
 
 def render_svg(region: FeasibleRegion, report: SensitivityReport) -> str:
     pts = region.points()
-    xs = [p.x1 for p in pts]
-    ys = [p.x2 for p in pts]
+    # Past 2**1020 the padded extent, the ray length or a ray's end can
+    # overflow.  Scaling by a power of two is exact, so drawing from scaled
+    # coordinates gives the same pixels; labels keep the real ones.
+    k = 2.0**-4 if max(max(abs(p.x1), abs(p.x2)) for p in pts) >= 2.0**1020 else 1.0
+    xs = [k * p.x1 for p in pts]
+    ys = [k * p.x2 for p in pts]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
     w = max(maxx - minx, 1e-9)
@@ -41,7 +45,7 @@ def render_svg(region: FeasibleRegion, report: SensitivityReport) -> str:
     def to_px(x: float, y: float) -> tuple[float, float]:
         return ox + (x - minx) * scale, oy + (maxy - y) * scale
 
-    x0 = report.optimal_vertex.point
+    x0 = report.optimal_vertex.point.scaled(k)
     ray_len = 0.35 * math.hypot(w, h)
     lo, hi = report.interval.lo, report.interval.hi
 
@@ -51,9 +55,7 @@ def render_svg(region: FeasibleRegion, report: SensitivityReport) -> str:
         f'<rect width="{_f(_W)}" height="{_f(_H)}" fill="#ffffff"/>',
     ]
 
-    poly = " ".join(
-        f"{_f(px)},{_f(py)}" for px, py in (to_px(p.x1, p.x2) for p in pts)
-    )
+    poly = " ".join(f"{_f(px)},{_f(py)}" for px, py in map(to_px, xs, ys))
     parts.append(
         f'<polygon class="region" points="{poly}" fill="#dbe9f6" '
         f'stroke="#2b6cb0" stroke-width="2"/>'
@@ -102,8 +104,8 @@ def render_svg(region: FeasibleRegion, report: SensitivityReport) -> str:
     )
 
     opt_idx = region.index_of(report.optimal_vertex)
-    for i, p in enumerate(pts):
-        px, py = to_px(p.x1, p.x2)
+    for i, (p, x, y) in enumerate(zip(pts, xs, ys)):
+        px, py = to_px(x, y)
         parts.append(
             f'<circle class="vertex" cx="{_f(px)}" cy="{_f(py)}" r="4" '
             f'fill="#2b6cb0"/>'

@@ -96,6 +96,16 @@ def tangent_circle_lp(rng, m):
     return pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows))
 
 
+def same_cycle(a, b, tol=pl.MERGE_TOL):
+    """The two regions' vertex cycles match point for point, each within
+    tol, after some cyclic shift."""
+    p, q = a.points(), b.points()
+    n = len(p)
+    return len(q) == n and any(
+        all((p[i] - q[(i + k) % n]).norm() <= tol for i in range(n)) for k in range(n)
+    )
+
+
 def circ_close(a, b, tol):
     """Angles equal modulo full turns, within tol radians."""
     return abs(pl.circular_delta(a, b)) <= tol

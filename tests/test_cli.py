@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -77,6 +78,9 @@ def test_parse_syntax_errors_carry_line_numbers():
         pl.parse_lp("maximize: 1\nconstraints:\n1 2 3\n")
     with pytest.raises(LPSyntaxError):
         pl.parse_lp("maximize: 1 1\nrows:\n1 2 3\n")
+    with pytest.raises(LPSyntaxError, match="expected 'maximize: <c1> <c2>'") as ei:
+        pl.parse_lp("# a comment\nminimize: 1 1\nconstraints:\n1 2 3\n")
+    assert ei.value.line == 2
 
 
 @given(fin, fin, st.lists(st.tuples(fin, fin, fin), min_size=1, max_size=5))
@@ -137,6 +141,27 @@ def test_cli_solve(capsys):
     out = capsys.readouterr().out
     assert "x* = (80, 40), value = 280" in out
     assert "active rows: [0, 1]" in out
+
+
+def test_cli_solve_tolerance(capsys):
+    assert cli.main(["solve", PAPER, "--tol", "1e-6"]) == 0
+    assert "x* = (80, 40), value = 280" in capsys.readouterr().out
+
+
+def test_cli_solve_notes_a_tie(capsys):
+    assert cli.main(["solve", TIE]) == 0
+    out = capsys.readouterr().out
+    assert "x* = (100, 0), value = 200" in out
+    assert "note: the optimum is not unique" in out
+
+
+def test_cli_runs_as_a_module(monkeypatch, capsys):
+    # python -m planarlp, in this process
+    monkeypatch.setattr(sys, "argv", ["planarlp", "solve", PAPER])
+    with pytest.raises(SystemExit) as ei:
+        runpy.run_module("planarlp", run_name="__main__")
+    assert ei.value.code == 0
+    assert "x* = (80, 40)" in capsys.readouterr().out
 
 
 def test_cli_solve_missing_file(capsys):
@@ -359,6 +384,17 @@ def test_clip_first_quadrant(capsys):
     assert "clipped to first quadrant: (26.5650°, 63.4349°)" in out
 
 
+def test_clip_first_quadrant_empty(tmp_path, capsys):
+    # the optimum of -x1 - x2 is (0, 0), whose cone (-180, -90) degrees
+    # misses the quadrant
+    f = tmp_path / "corner.lp"
+    f.write_text(Path(PAPER).read_text().replace("maximize: 2 3", "maximize: -1 -1"))
+    assert cli.main(["sensitivity", str(f), "--clip-first-quadrant"]) == 0
+    out = capsys.readouterr().out
+    assert "stable cone (open): (-180.0000°, -90.0000°)" in out
+    assert "clipped to first quadrant: (empty)" in out
+
+
 def test_clip_helper_wraps():
     # cone (-359, -351) degrees is (1, 9) degrees after a full turn
     iv = pl.AngleInterval(math.radians(-359.0), math.radians(-351.0))
@@ -381,6 +417,37 @@ def test_cli_svg_deterministic(tmp_path, capsys):
     assert svg.count('class="cone-ray"') == 2
     assert 'class="cone"' in svg and 'class="optimum"' in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def _svg(tmp_path, text, capsys):
+    lp, out = tmp_path / "in.lp", tmp_path / "out.svg"
+    lp.write_text(text)
+    assert cli.main(["sensitivity", str(lp), "--svg", str(out)]) == 0
+    capsys.readouterr()
+    return out.read_text()
+
+
+def test_svg_numbers_stay_finite_past_overflow(tmp_path, capsys):
+    # the region's diagonal, ~1.8e308, overflows, and so would the cone rays
+    svg = _svg(tmp_path, "maximize: 1 2\nconstraints:\n1 1 1.3e308\n", capsys)
+    assert "inf" not in svg and "nan" not in svg
+    assert svg.count('class="cone-ray"') == 2
+
+
+def test_svg_draws_a_scaled_region_alike(tmp_path, capsys):
+    # paper.lp with b scaled by 2**1014 has every vertex scaled by 2**1014,
+    # past the 2**1020 where drawing rescales: the same pixels, other labels
+    text = Path(PAPER).read_text()
+    big = _svg(tmp_path, text.replace(" 40\n", f" {40.0 * 2.0**1014!r}\n"), capsys)
+    small = _svg(tmp_path, text, capsys)
+    s = 2.0**1014
+    assert f"({80.0 * s:.6g}, {40.0 * s:.6g})" in big
+
+    def pixels(svg):
+        return [line for line in svg.splitlines() if 'class="label"' not in line]
+
+    assert pixels(big) == pixels(small)
+    assert big != small
 
 
 def _run_python(code):
@@ -439,6 +506,28 @@ def test_cli_import_budget(tmp_path):
     ])
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_surface():
+    # a change to the public names edits this list
+    assert sorted(pl.__all__) == [
+        "Angle", "AngleInterval", "ConstraintRow", "DistanceSolution", "FEAS_TOL",
+        "FeasibleRegion", "HalfPlaneSide", "LineThroughOrigin", "LinearProgram2D",
+        "MERGE_TOL", "NormalizedProblem", "PolarVector", "Recession", "Rotation",
+        "SensitivityReport", "Solution", "SweepResult", "TIE", "ValueShift", "Vec2",
+        "Vertex", "X1_NONNEG", "X2_NONNEG", "analyze", "apply_rotation",
+        "argmax_distance", "check_recession", "circular_delta", "classify_value_shift",
+        "cross", "distance_to_line", "edge_angles", "enumerate_vertices", "errors",
+        "evaluate", "is_feasible", "line_direction_angle", "load_lp", "normalize",
+        "normalizing_rotation", "objective_line", "parse_lp", "polar_of",
+        "rotate_problem", "rotation_of", "serialize_lp", "side_of", "solve_enumeration",
+        "solve_simplex", "stable_angle_interval", "stable_interval_by_sweep",
+        "sweep_argmax", "sweep_backend", "translate_region", "validate",
+        "value_distance_ratio", "value_under_rotation", "wrap_angle",
+    ]
+    assert len(set(pl.__all__)) == len(pl.__all__)
+    for name in pl.__all__:
+        assert hasattr(pl, name), name
 
 
 def test_simplex_does_not_import_numpy():

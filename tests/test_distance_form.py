@@ -23,6 +23,8 @@ def test_side_of_examples():
     assert pl.side_of(pl.Vec2(1.0, 1.0), c) is pl.HalfPlaneSide.PLUS
     assert pl.side_of(pl.Vec2(-1.0, -1.0), c) is pl.HalfPlaneSide.MINUS
     assert pl.side_of(pl.Vec2(-3.0, 2.0), c) is pl.HalfPlaneSide.ON
+    with pytest.raises(ZeroObjective):
+        pl.side_of(pl.Vec2(1.0, 1.0), pl.Vec2(0.0, 0.0))
 
 
 def test_ratio_examples():

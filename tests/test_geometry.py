@@ -37,6 +37,12 @@ def test_rotation_rejects_nan(c, s):
         pl.Rotation(c, s)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_rotation_of_rejects_non_finite_angle(theta):
+    with pytest.raises(NonFiniteEntry, match="non-finite angle"):
+        pl.rotation_of(theta)
+
+
 def test_rotation_quarter_turn():
     rot = pl.rotation_of(0.5 * math.pi)
     v = pl.apply_rotation(rot, pl.Vec2(2.0, 3.0))
@@ -64,15 +70,6 @@ def test_rotation_preserves_dot(theta, x1, y1, x2, y2):
     before = u.dot(v)
     after = pl.apply_rotation(rot, u).dot(pl.apply_rotation(rot, v))
     assert abs(before - after) <= 1e-9 * max(1.0, abs(before))
-
-
-@given(angles, finite, finite)
-def test_transpose_inverts(theta, x, y):
-    rot = pl.rotation_of(theta)
-    v = pl.Vec2(x, y)
-    w = pl.apply_rotation(rot.transpose(), pl.apply_rotation(rot, v))
-    assert abs(w.x1 - v.x1) <= 1e-9 * max(1.0, abs(v.x1))
-    assert abs(w.x2 - v.x2) <= 1e-9 * max(1.0, abs(v.x2))
 
 
 # --- polar form --------------------------------------------------------------
@@ -134,6 +131,7 @@ def test_polar_round_trip(x, y):
         ((0.0, 3.0), 90.0),
         ((-20.0, 40.0), 116.56505117707799),
         ((-20.0, 10.0), 153.43494882292202),
+        ((-1.0, -1e-300), 180.0),  # atan2 rounds to -pi, and -pi + pi is 0
     ],
 )
 def test_line_direction_angle_examples(v, expected_deg):
@@ -159,16 +157,7 @@ def test_line_direction_angle_scale_invariant(x, y, s):
     assert 0.0 < b <= math.pi
 
 
-# --- projection and distance -------------------------------------------------
-
-def test_project_reference_point():
-    line = pl.LineThroughOrigin(pl.Vec2(2.0, 3.0))
-    q = pl.project_onto_line(pl.Vec2(80.0, 40.0), line)
-    assert abs(q.x1 - 480.0 / 13.0) < 1e-12
-    assert abs(q.x2 - (-320.0 / 13.0)) < 1e-12
-    # the residual x - P(x) is parallel to the normal
-    assert abs(q.dot(pl.Vec2(2.0, 3.0))) < 1e-9
-
+# --- distance ----------------------------------------------------------------
 
 def test_distance_reference_point():
     line = pl.LineThroughOrigin(pl.Vec2(2.0, 3.0))
@@ -176,53 +165,7 @@ def test_distance_reference_point():
     assert abs(d - 280.0 / math.sqrt(13.0)) < 1e-12
 
 
-@given(finite, finite, finite, finite)
-def test_projection_idempotent(x, y, nx, ny):
-    if not nonzero_vec(nx, ny):
-        return
-    line = pl.LineThroughOrigin(pl.Vec2(nx, ny))
-    p1 = pl.project_onto_line(pl.Vec2(x, y), line)
-    p2 = pl.project_onto_line(p1, line)
-    assert (p2 - p1).norm() <= 1e-9 * max(1.0, p1.norm())
-
-
-@given(finite, finite, finite, finite)
-def test_projected_point_is_on_line(x, y, nx, ny):
-    if not nonzero_vec(nx, ny):
-        return
-    line = pl.LineThroughOrigin(pl.Vec2(nx, ny))
-    p = pl.project_onto_line(pl.Vec2(x, y), line)
-    assert abs(p.dot(line.normal)) <= 1e-6 * max(1.0, p.norm()) * line.normal.norm()
-
-
-@given(angles, angles, finite, finite, st.floats(min_value=-50, max_value=50))
-def test_projected_segment_shrinks_by_cos(a, b, ox, oy, t):
-    # M, N on a line with direction angle a; project both onto the line
-    # with direction angle b: |P(M)-P(N)| = |M-N| |cos(angle between)|.
-    if abs(t) < 1e-3:
-        return
-    u = pl.Vec2(math.cos(a), math.sin(a))
-    m = pl.Vec2(ox, oy)
-    n = m + u.scaled(t)
-    line = pl.LineThroughOrigin(pl.Vec2(-math.sin(b), math.cos(b)))
-    pm = pl.project_onto_line(m, line)
-    pn = pl.project_onto_line(n, line)
-    lhs = (pm - pn).norm()
-    rhs = (m - n).norm() * abs(math.cos(pl.angle_between(u, line.direction)))
-    assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
-
-
 # --- angle helpers -----------------------------------------------------------
-
-def test_angle_between_example():
-    a = pl.angle_between(pl.Vec2(2.0, 3.0), pl.Vec2(-1.0, 2.0))
-    assert abs(a - math.acos(4.0 / math.sqrt(65.0))) < 1e-12
-
-
-def test_angle_between_zero_vector():
-    with pytest.raises(ZeroVector):
-        pl.angle_between(pl.Vec2(0.0, 0.0), pl.Vec2(1.0, 0.0))
-
 
 def test_line_through_origin_direction():
     line = pl.LineThroughOrigin(pl.Vec2(2.0, 3.0))

@@ -10,7 +10,7 @@ from planarlp.errors import (
     VertexNotInRegion,
     ZeroRow,
 )
-from conftest import region_of_points, square_lp
+from conftest import region_of_points, same_cycle, square_lp
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -155,10 +155,10 @@ def test_region_cyclic_equality():
     b = region_of_points([(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
     c = region_of_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 2.0)])
     d = region_of_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    assert a.same_polygon(b)
-    assert b.same_polygon(a)
-    assert not a.same_polygon(c)
-    assert not a.same_polygon(d) and not d.same_polygon(a)  # 4 vertices against 3
+    assert same_cycle(a, b)
+    assert same_cycle(b, a)
+    assert not same_cycle(a, c)
+    assert not same_cycle(a, d) and not same_cycle(d, a)  # 4 vertices against 3
     assert list(b) == list(b.vertices)
 
 

@@ -242,7 +242,7 @@ def test_analyze_mixed_sign_matches_direct_cone():
         i = region.index_of(rep.optimal_vertex)
         vs = region.vertices
         direct = pl.stable_angle_interval(vs[i - 1], vs[i], vs[(i + 1) % len(vs)])
-        assert (rep.pred, rep.succ) == pl.adjacent_vertices(region, rep.optimal_vertex)
+        assert (rep.pred, rep.succ) == (vs[i - 1], vs[(i + 1) % len(vs)])
         assert circ_close(direct.lo, rep.interval.lo, 1e-9)
         assert circ_close(direct.hi, rep.interval.hi, 1e-9)
         assert rep.theta0 != 0.0
@@ -348,6 +348,22 @@ def test_analyze_large_polygon(b):
     assert big.optimal_vertex.point == pl.Vec2(0.0, b)
     assert big.interval == unit.interval
     assert (unit.interval.lo, unit.interval.hi) == (math.pi / 4, math.pi)
+
+
+def test_analyze_gradient_on_the_boundary_without_a_value_tie():
+    # c = (7000, -1000) is normal to the edge from (0, 0) to (1e6 / 7, 1e6),
+    # so both ends are optimal, but c . x rounds to 2**-23 at the far end:
+    # more than the tie threshold 1e-9 max(1, |value|) = 1e-9.  The tie
+    # shows as the gradient on the boundary of the far end's cone.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(7000.0, -1000.0),
+        (pl.ConstraintRow(7.0, -1.0, 0.0), pl.ConstraintRow(0.0, 1.0, 1e6)),
+    )
+    with pytest.raises(DegenerateOptimum, match="on the stable-cone boundary") as ei:
+        pl.analyze(lp)
+    far, origin = (v.point for v in ei.value.tied_vertices)
+    assert (far.x1, far.x2, origin) == (1e6 / 7.0, 1e6, pl.Vec2(0.0, 0.0))
+    assert ei.value.stable_angle == math.atan2(-1.0, 7.0)
 
 
 def test_analyze_sliver_tip():

@@ -20,7 +20,9 @@ from conftest import (
     REF_OPTIMUM,
     REF_VERTICES,
     random_bounded_lp,
+    region_of_points,
     rng_for,
+    same_cycle,
     square_lp,
     tangent_circle_lp,
     triangle_lp,
@@ -69,15 +71,7 @@ def test_enumerate_is_ccw(ref_region):
 
 def test_enumerate_unit_triangle():
     region = pl.enumerate_vertices(triangle_lp())
-    assert region.same_polygon(
-        pl.FeasibleRegion(
-            (
-                pl.Vertex(pl.Vec2(0.0, 0.0)),
-                pl.Vertex(pl.Vec2(1.0, 0.0)),
-                pl.Vertex(pl.Vec2(0.0, 1.0)),
-            )
-        )
-    )
+    assert same_cycle(region, region_of_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
 
 
 def test_enumerate_merges_close_corners():
@@ -203,6 +197,67 @@ def test_enumerate_overflowing_corner():
     )
     with pytest.raises(pl.errors.NonFiniteEntry, match=r"non-finite coordinates \(0.0, inf\)"):
         pl.enumerate_vertices(lp)
+
+
+def test_enumerate_crossing_beyond_the_float_range():
+    # x2 <= 1e300 and x2 <= 2e-12 x1 - 1e300 turn by more than _DET_TOL, so
+    # the sweep crosses them, at x1 = 1e312: the crossing itself is refused
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (pl.ConstraintRow(0.0, 1.0, 1e300), pl.ConstraintRow(-2e-12, 1.0, -1e300)),
+    )
+    with pytest.raises(pl.errors.NonFiniteEntry, match=r"non-finite coordinates \(inf, 1e\+300\)"):
+        pl.enumerate_vertices(lp)
+
+
+def test_enumerate_open_chain_ends_at_a_facing_row():
+    # The normals of row 0 and of x2 >= 0 are a half turn apart but for
+    # 1e-13, within _DET_TOL: the sweep drops row 1 and x1 >= 0, and then
+    # x2 >= 0 faces row 0, which ends the open chain.  Their gap, pi - 1e-13,
+    # counts as a recession direction.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (pl.ConstraintRow(1e-13, 1.0000000000001, 1.0), pl.ConstraintRow(-1e-13, 1e-13, -1.0)),
+    )
+    assert pl.check_recession(lp) is pl.Recession.UNBOUNDED
+    with pytest.raises(UnboundedRegion):
+        pl.enumerate_vertices(lp)
+
+
+def test_enumerate_closing_drops_the_first_row():
+    # Row 1, x1 <= x2 with coefficients 1e-13, tolerates x1 - x2 up to 1e4
+    # (a row's scale is at least 1), so it keeps the first corner, (11, 4),
+    # where the redundant row 2 meets row 0.  Closing the cycle drops row 2
+    # from the front, as row 1 meets it at (4, 4), 7 units past that corner.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(-1.0, 3.0, 1.0),
+            pl.ConstraintRow(1e-13, -1e-13, 0.0),
+            pl.ConstraintRow(-1e-13, 0.5, 2.0),
+        ),
+    )
+    region = pl.enumerate_vertices(lp)
+    expected = region_of_points([(0.0, 0.0), (0.5, 0.5), (0.0, 1.0 / 3.0)])
+    assert same_cycle(region, expected, tol=1e-15)
+    assert [v.active_rows for v in region] == [{1, -1, -2}, {0, 1}, {0, 1, -1}]
+
+
+def test_enumerate_merge_measures_past_hypot_overflow():
+    # The corners (1.3e308, 2e307) and (0, 1.5e308) are farther apart than
+    # the largest float, so hypot overflows and the merge measures them again
+    # from their checked difference: they stay two vertices.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (pl.ConstraintRow(1.0, 0.0, 1.3e308), pl.ConstraintRow(1.0, 1.0, 1.5e308)),
+    )
+    region = pl.enumerate_vertices(lp)
+    assert [(p.x1, p.x2) for p in region.points()] == [
+        (0.0, 0.0),
+        (1.3e308, 0.0),
+        (1.3e308, 1.5e308 - 1.3e308),
+        (0.0, 1.5e308),
+    ]
 
 
 extreme = st.builds(
@@ -574,17 +629,20 @@ def test_solvers_agree_on_random_batch():
 
 
 def test_adjacent_vertices_reference(ref_region):
-    x0 = ref_region.vertices[ref_region.index_of(pl.Vec2(80.0, 40.0))]
-    pred, succ = pl.adjacent_vertices(ref_region, x0)
+    vs = ref_region.vertices
+    i = ref_region.index_of(pl.Vec2(80.0, 40.0))
+    pred, succ = vs[i - 1], vs[(i + 1) % len(vs)]
     assert abs(pred.point.x1 - 100.0) < 1e-9 and abs(pred.point.x2) < 1e-9
     assert abs(succ.point.x1 - 60.0) < 1e-9 and abs(succ.point.x2 - 50.0) < 1e-9
 
 
-def test_adjacent_vertices_wraps(ref_region):
-    first = ref_region.vertices[0]
-    pred, succ = pl.adjacent_vertices(ref_region, first)
-    assert pred == ref_region.vertices[-1]
-    assert succ == ref_region.vertices[1]
+def test_adjacent_vertices_wraps(ref_lp, ref_region):
+    # the optimum of -x1 - x2 is the cycle's first vertex, (0, 0): analyze
+    # takes its neighbours across the end of the cycle
+    rep = pl.analyze(pl.LinearProgram2D(pl.Vec2(-1.0, -1.0), ref_lp.constraints))
+    assert rep.optimal_vertex == ref_region.vertices[0]
+    assert rep.pred == ref_region.vertices[-1]
+    assert rep.succ == ref_region.vertices[1]
 
 
 def _same_outcome(lp):
@@ -600,7 +658,7 @@ def _same_outcome(lp):
     if isinstance(new, type) or isinstance(ref, type):
         assert new == ref
         return
-    assert new.same_polygon(ref, pl.MERGE_TOL)
+    assert same_cycle(new, ref)
     for v in new.vertices:
         assert v.active_rows == ref.vertices[ref.index_of(v)].active_rows
 
