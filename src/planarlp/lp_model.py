@@ -120,15 +120,15 @@ class FeasibleRegion(Frozen):
     def points(self) -> list[Vec2]:
         return [v.point for v in self.vertices]
 
-    def index_of(self, v, tol: float = MERGE_TOL) -> int:
-        """Index of the vertex matching v (a Vertex or bare Vec2)."""
+    def index_of(self, v) -> int:
+        """Index of the vertex within MERGE_TOL of v (a Vertex or bare Vec2)."""
         p = v.point if isinstance(v, Vertex) else v
         best, best_d = -1, math.inf
         for i, w in enumerate(self.vertices):
             d = (w.point - p).norm()
             if d < best_d:
                 best, best_d = i, d
-        if best_d > tol:
+        if best_d > MERGE_TOL:
             raise VertexNotInRegion(f"({p.x1}, {p.x2}) matches no vertex")
         return best
 

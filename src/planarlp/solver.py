@@ -65,14 +65,6 @@ class Solution(Frozen):
         _set(self, "unique", unique)
 
 
-def _indexed_rows(lp: LinearProgram2D):
-    """Constraint rows plus the synthetic nonnegativity rows."""
-    rows = list(enumerate(lp.constraints))
-    rows.append((X1_NONNEG, ConstraintRow(-1.0, 0.0, 0.0)))
-    rows.append((X2_NONNEG, ConstraintRow(0.0, -1.0, 0.0)))
-    return rows
-
-
 def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> frozenset[int]:
     """Indices of all rows (synthetic included) tight at p."""
     out = {
@@ -89,13 +81,19 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> froze
     return frozenset(out)
 
 
+# _sorted_normals's entries for -x1 <= 0 and -x2 <= 0, angles as _atan2 gives them.
+_NONNEG_NORMALS = [(math.pi, X1_NONNEG, ConstraintRow(-1.0, 0.0, 0.0)),
+                   (-0.5 * math.pi, X2_NONNEG, ConstraintRow(0.0, -1.0, 0.0))]
+
+
 def _sorted_normals(lp: LinearProgram2D):
     """The rows, the two x >= 0 rows included, as (angle, index, row) sorted
     by normal angle; the position just after the widest counterclockwise gap
     between consecutive normals; and whether that gap leaves the region
     bounded, that is, falls short of pi - _RECESSION_TOL (see
     check_recession)."""
-    rows = [(_atan2(row.a2, row.a1), idx, row) for idx, row in _indexed_rows(lp)]
+    rows = [(_atan2(row.a2, row.a1), idx, row) for idx, row in enumerate(lp.constraints)]
+    rows += _NONNEG_NORMALS
     rows.sort(key=itemgetter(0))
     n_rows = len(rows)
     angles = [ang for ang, _, _ in rows]

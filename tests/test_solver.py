@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,12 +14,13 @@ from planarlp.errors import (
     ZeroRow,
 )
 from planarlp import cli
-from planarlp.solver import argmax_with_ties
-from pairwise_enumeration import candidate_recession, pairwise_enumerate_vertices
+from planarlp.solver import _RECESSION_TOL, argmax_with_ties
+from exact_reference import exact_bounded, exact_region
 from conftest import (
     FIXTURES,
     REF_OPTIMUM,
     REF_VERTICES,
+    circ_close,
     random_bounded_lp,
     region_of_points,
     rng_for,
@@ -200,8 +202,9 @@ def test_enumerate_overflowing_corner():
 
 
 def test_enumerate_crossing_beyond_the_float_range():
-    # x2 <= 1e300 and x2 <= 2e-12 x1 - 1e300 turn by more than _DET_TOL, so
-    # the sweep crosses them, at x1 = 1e312: the crossing itself is refused
+    # x2 <= 1e300 and x2 <= 2e-12 x1 - 1e300 turn by more than the sweep's
+    # 1e-12 parallel tolerance, so it crosses them, at x1 = 1e312: the
+    # crossing itself is refused
     lp = pl.LinearProgram2D(
         pl.Vec2(1.0, 1.0),
         (pl.ConstraintRow(0.0, 1.0, 1e300), pl.ConstraintRow(-2e-12, 1.0, -1e300)),
@@ -212,9 +215,9 @@ def test_enumerate_crossing_beyond_the_float_range():
 
 def test_enumerate_open_chain_ends_at_a_facing_row():
     # The normals of row 0 and of x2 >= 0 are a half turn apart but for
-    # 1e-13, within _DET_TOL: the sweep drops row 1 and x1 >= 0, and then
-    # x2 >= 0 faces row 0, which ends the open chain.  Their gap, pi - 1e-13,
-    # counts as a recession direction.
+    # 1e-13, within the sweep's 1e-12 parallel tolerance: the sweep drops
+    # row 1 and x1 >= 0, and then x2 >= 0 faces row 0, which ends the open
+    # chain.  Their gap, pi - 1e-13, counts as a recession direction.
     lp = pl.LinearProgram2D(
         pl.Vec2(1.0, 1.0),
         (pl.ConstraintRow(1e-13, 1.0000000000001, 1.0), pl.ConstraintRow(-1e-13, 1e-13, -1.0)),
@@ -595,7 +598,7 @@ def _phase_one_lp():
 @example(base="tie", seed=0, which="b", exponent=-9.0)
 def test_solve_simplex_scale_invariance(base, seed, which, exponent):
     # Scaling c or one row by s > 0 leaves the optimum; scaling b scales it.
-    # active_rows is left out: active_rows_at tests each row against
+    # active_rows is left out: the simplex tests each row against
     # tol * ConstraintRow.scale(), which floors at 1, so it is not invariant.
     lp = {
         "paper": lambda: pl.load_lp(FIXTURES / "paper.lp"),
@@ -645,11 +648,20 @@ def test_adjacent_vertices_wraps(ref_lp, ref_region):
     assert rep.succ == ref_region.vertices[1]
 
 
+def _near(p, exact, ulps=8):
+    """Each coordinate of the point p lies within ulps units in the last
+    place of max(1, |x1|, |x2|) of the exact vertex (x1, x2, ...)."""
+    x1, x2 = exact[0], exact[1]
+    tol = ulps * math.ulp(float(max(1, abs(x1), abs(x2))))
+    return abs(Fraction(p.x1) - x1) <= tol and abs(Fraction(p.x2) - x2) <= tol
+
+
 def _same_outcome(lp):
-    """enumerate_vertices agrees with the pairwise reference: the same
-    exception class, or the same cycle with the same active rows."""
+    """enumerate_vertices agrees with the exact reference: the same
+    exception class, or the same cycle up to a cyclic shift, with the same
+    active rows and every vertex within 8 ulps of the exact one."""
     outcomes = []
-    for build in (pl.enumerate_vertices, pairwise_enumerate_vertices):
+    for build in (pl.enumerate_vertices, exact_region):
         try:
             outcomes.append(build(lp))
         except pl.errors.PlanarLPError as exc:
@@ -658,9 +670,12 @@ def _same_outcome(lp):
     if isinstance(new, type) or isinstance(ref, type):
         assert new == ref
         return
-    assert same_cycle(new, ref)
-    for v in new.vertices:
-        assert v.active_rows == ref.vertices[ref.index_of(v)].active_rows
+    n = len(ref)
+    assert len(new) == n
+    shift = next(k for k in range(n) if _near(new.vertices[k].point, ref[0]))
+    for k, exact in enumerate(ref):
+        v = new.vertices[(shift + k) % n]
+        assert _near(v.point, exact) and v.active_rows == exact[2]
 
 
 small_int = st.integers(min_value=-10, max_value=10).map(float)
@@ -682,11 +697,14 @@ def test_enumerate_matches_pairwise_reference_on_random_lps():
 
 
 def _recession_outcomes(rows):
-    """check_recession and the candidate search of the reference on rows:
-    each a Recession, or the class of the exception it raised."""
+    """check_recession and the exact reference on rows: each a Recession,
+    or the class of the exception it raised."""
     lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows))
     outcomes = []
-    for test in (pl.check_recession, candidate_recession):
+    for test in (
+        pl.check_recession,
+        lambda lp: pl.Recession.BOUNDED if exact_bounded(lp) else pl.Recession.UNBOUNDED,
+    ):
         try:
             outcomes.append(test(lp))
         except pl.errors.PlanarLPError as exc:
@@ -694,18 +712,85 @@ def _recession_outcomes(rows):
     return outcomes
 
 
+def _widest_normal_gap(rows):
+    """The widest counterclockwise gap between the rows' normal angles, the
+    two x >= 0 rows included, in floats."""
+    normals = [(r.a1, r.a2) for r in rows] + [(-1.0, 0.0), (0.0, -1.0)]
+    angles = sorted(math.atan2(a2 + 0.0, a1) for a1, a2 in normals)
+    return max(b - a for a, b in zip(angles, angles[1:] + [angles[0] + math.tau]))
+
+
 real = st.floats(-10.0, 10.0)
 real_row = st.builds(pl.ConstraintRow, real, real, st.floats(-5.0, 100.0))
+dyadic = st.builds(math.ldexp, small_int, st.integers(-16, 16))
+dyadic_row = st.builds(pl.ConstraintRow, dyadic, dyadic, dyadic)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    st.lists(small_row, min_size=1, max_size=6)
-    | st.lists(real_row, min_size=1, max_size=6)
+    st.tuples(
+        st.just(True),
+        st.lists(small_row, min_size=1, max_size=6)
+        | st.lists(dyadic_row, min_size=1, max_size=6),
+    )
+    | st.tuples(st.just(False), st.lists(real_row, min_size=1, max_size=6))
 )
-def test_check_recession_matches_candidate_search(rows):
+# bounded, but its widest normal gap, pi - 2.5e-83, rounds to pi
+@example((False, [pl.ConstraintRow(1.0, 2.5e-83, 0.0)]))
+def test_check_recession_matches_candidate_search(case):
+    # Small-integer and dyadic rows must agree exactly.  Real rows may
+    # disagree only in check_recession's documented band: a bounded region
+    # whose widest normal gap counts as a half turn, from pi -
+    # _RECESSION_TOL on (twice that here, for the rounding of atan2).
+    exact_rows, rows = case
     new, ref = _recession_outcomes(rows)
-    assert new == ref
+    in_band = (new, ref) == (pl.Recession.UNBOUNDED, pl.Recession.BOUNDED) and (
+        _widest_normal_gap(rows) >= math.pi - 2 * _RECESSION_TOL
+    )
+    assert new == ref or (in_band and not exact_rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(small_row, min_size=1, max_size=6), st.builds(pl.Vec2, small_int, small_int))
+def test_solvers_and_analyze_give_the_exact_answer(rows, c):
+    # On small integers distinct vertices and values lie far apart, so each
+    # float answer must match the exact one: the same error, the exact
+    # optimum, uniqueness, a tie, and cone ends at the normals of the rows
+    # along x0's two edges.
+    assume(not c.is_zero())
+    lp = pl.LinearProgram2D(c, tuple(rows))
+    try:
+        cycle = exact_region(lp)
+    except pl.errors.PlanarLPError as exc:
+        for solve in (pl.solve_enumeration, pl.analyze):
+            assert _solve_outcome(solve, lp) is type(exc)
+        return
+    values = [Fraction(c.x1) * x1 + Fraction(c.x2) * x2 for x1, x2, _ in cycle]
+    best = [k for k, v in enumerate(values) if v == max(values)]
+    for solve in (pl.solve_enumeration, pl.solve_simplex):
+        sol = solve(lp)
+        assert sol.unique == (len(best) == 1)
+        x = sol.vertex.point
+        assert any(
+            max(abs(Fraction(x.x1) - x1), abs(Fraction(x.x2) - x2))
+            <= 1e-12 * max(1, abs(x1), abs(x2))
+            for x1, x2, _ in (cycle[k] for k in best)
+        )
+    if len(best) > 1:
+        assert _solve_outcome(pl.analyze, lp) is pl.errors.DegenerateOptimum
+        return
+    rep = pl.analyze(lp)
+    k = best[0]
+    at_x0, at_pred, at_succ = cycle[k][2], cycle[k - 1][2], cycle[(k + 1) % len(cycle)][2]
+    by_index = dict(enumerate(rows))
+    by_index[pl.X1_NONNEG] = pl.ConstraintRow(-1.0, 0.0, 0.0)
+    by_index[pl.X2_NONNEG] = pl.ConstraintRow(0.0, -1.0, 0.0)
+    normals = [
+        math.atan2(by_index[i].a2, by_index[i].a1)
+        for i in (at_x0 & at_pred) | (at_x0 & at_succ)
+    ]
+    for end in (rep.interval.lo, rep.interval.hi):
+        assert any(circ_close(end, normal, 1e-12) for normal in normals)
 
 
 def _solve_outcome(solve, lp):
@@ -758,19 +843,21 @@ def _paper_scaled(s):
 
 
 @pytest.mark.parametrize(
-    "rows, expected",
+    "rows, expected, exact",
     [
         # x1 - x2 <= 1 and -x1 + x2 <= 1: a strip along (1, 1)
         (
             [pl.ConstraintRow(1.0, -1.0, 1.0), pl.ConstraintRow(-1.0, 1.0, 1.0)],
             pl.Recession.UNBOUNDED,
+            pl.Recession.UNBOUNDED,
         ),
-        (_tilted(0.5e-12), pl.Recession.UNBOUNDED),
-        (_tilted(1.5e-12), pl.Recession.BOUNDED),
-        (_tilted(1e-9), pl.Recession.BOUNDED),
-        ([pl.ConstraintRow(0.0, 1.0, -1.0)], pl.Recession.UNBOUNDED),
-        (_paper_scaled(1e-200), pl.Recession.BOUNDED),
-        (_paper_scaled(1e200), pl.Recession.BOUNDED),
+        # a gap of pi - 0.5e-12 is in check_recession's band
+        (_tilted(0.5e-12), pl.Recession.UNBOUNDED, pl.Recession.BOUNDED),
+        (_tilted(1.5e-12), pl.Recession.BOUNDED, pl.Recession.BOUNDED),
+        (_tilted(1e-9), pl.Recession.BOUNDED, pl.Recession.BOUNDED),
+        ([pl.ConstraintRow(0.0, 1.0, -1.0)], pl.Recession.UNBOUNDED, pl.Recession.UNBOUNDED),
+        (_paper_scaled(1e-200), pl.Recession.BOUNDED, pl.Recession.BOUNDED),
+        (_paper_scaled(1e200), pl.Recession.BOUNDED, pl.Recession.BOUNDED),
     ],
     ids=[
         "strip",
@@ -782,5 +869,5 @@ def _paper_scaled(s):
         "paper-1e200",
     ],
 )
-def test_check_recession_edge_cases(rows, expected):
-    assert _recession_outcomes(rows) == [expected, expected]
+def test_check_recession_edge_cases(rows, expected, exact):
+    assert _recession_outcomes(rows) == [expected, exact]
