@@ -31,8 +31,8 @@ from .geometry import Frozen, PolarVector, Vec2, circular_delta
 from .lp_io import load_lp
 from .lp_model import FEAS_TOL, Vertex
 from .oracle import _MAX_SWEEP_ANGLES, stable_interval_by_sweep
-from .sensitivity import AngleInterval, SensitivityReport, _analyze_region
-from .solver import _check_arguments, enumerate_vertices, solve_enumeration
+from .sensitivity import AngleInterval, SensitivityReport, _report
+from .solver import _check_arguments, _polygon, _region, solve_enumeration
 from .svg import emit_svg
 
 SCHEMA_VERSION = 1
@@ -250,8 +250,10 @@ def run_sensitivity(
 ) -> int:
     lp = load_lp(path)
     _check_arguments(lp, tol)
-    region = enumerate_vertices(lp, tol=tol)
-    report = _analyze_region(lp, region)
+    poly = _polygon(lp, tol)
+    report = _report(lp, poly)
+    # The report reads three vertices; --svg and the sweep read them all.
+    region = None if svg_path is None and check_sweep_deg is None else _region(poly)
 
     oracle_check = None
     sweep_error = None

@@ -87,28 +87,7 @@ class FeasibleRegion(Frozen):
 
     def __init__(self, vertices: tuple[Vertex, ...]):
         vs = tuple(vertices)
-        n = len(vs)
-        if n < 3:
-            raise ValueError(f"a region needs at least 3 vertices, got {n}")
-        # Edges must be finite (one that overflows raises as Vec2 would) and
-        # longer than the merge tolerance, and the corners strictly convex.
-        xs = [v.point.x1 for v in vs]
-        ys = [v.point.x2 for v in vs]
-        isfinite, hypot = math.isfinite, math.hypot
-        lengths = []
-        for px, py, qx, qy in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
-            e1, e2 = qx - px, qy - py
-            if not (isfinite(e1) and isfinite(e2)):
-                raise _non_finite(e1, e2)
-            lengths.append(hypot(e1, e2))
-        for i, length in enumerate(lengths):
-            if length <= MERGE_TOL:
-                raise ValueError(
-                    f"vertices {i} and {(i + 1) % n} coincide within the merge tolerance"
-                )
-        fault = _cycle_fault(xs, ys)
-        if fault is not None:
-            raise ValueError(fault)
+        _check_cycle([v.point.x1 for v in vs], [v.point.x2 for v in vs])
         _set(self, "vertices", vs)
 
     def __len__(self) -> int:
@@ -131,6 +110,36 @@ class FeasibleRegion(Frozen):
         if best_d > MERGE_TOL:
             raise VertexNotInRegion(f"({p.x1}, {p.x2}) matches no vertex")
         return best
+
+
+def _check_cycle(xs: list[float], ys: list[float]) -> None:
+    """Raise ValueError unless (xs[k], ys[k]) make a cycle FeasibleRegion accepts: 3 or
+    more, edges finite (else NonFiniteEntry) and over MERGE_TOL, corners strictly convex."""
+    n = len(xs)
+    if n < 3:
+        raise ValueError(f"a region needs at least 3 vertices, got {n}")
+    isfinite, hypot = math.isfinite, math.hypot
+    lengths = []
+    for px, py, qx, qy in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        e1, e2 = qx - px, qy - py
+        if not (isfinite(e1) and isfinite(e2)):
+            raise _non_finite(e1, e2)
+        lengths.append(hypot(e1, e2))
+    for i, length in enumerate(lengths):
+        if length <= MERGE_TOL:
+            raise ValueError(
+                f"vertices {i} and {(i + 1) % n} coincide within the merge tolerance"
+            )
+    fault = _cycle_fault(xs, ys)
+    if fault is not None:
+        raise ValueError(fault)
+
+
+def _unchecked_region(vertices: tuple[Vertex, ...]) -> FeasibleRegion:
+    """The FeasibleRegion of a cycle that _check_cycle has passed."""
+    region = FeasibleRegion.__new__(FeasibleRegion)
+    _set(region, "vertices", vertices)
+    return region
 
 
 def validate(lp: LinearProgram2D) -> None:

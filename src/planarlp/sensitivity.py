@@ -29,22 +29,9 @@ from .geometry import (
     line_direction_angle,
     polar_of,
 )
-from .lp_model import (
-    FEAS_TOL,
-    MERGE_TOL,
-    FeasibleRegion,
-    LinearProgram2D,
-    Vertex,
-    evaluate,
-)
+from .lp_model import FEAS_TOL, MERGE_TOL, LinearProgram2D, Vertex, evaluate
 from .normalization import normalizing_rotation
-from .solver import (
-    VALUE_TIE_REL,
-    _check_arguments,
-    argmax_with_ties,
-    enumerate_vertices,
-    objective_values,
-)
+from .solver import VALUE_TIE_REL, _check_arguments, _polygon, _ranked, _vertices
 
 
 class AngleInterval(Frozen):
@@ -173,36 +160,35 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
 def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
     """Full sensitivity report for the optimal vertex of lp.
 
+    Ranks the vertices of enumerate_vertices' polygon and builds a Vertex
+    only for those it returns: x0 and its two neighbours, or the tied ones.
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs.
     """
     _check_arguments(lp, tol)
-    return _analyze_region(lp, enumerate_vertices(lp, tol=tol))
+    return _report(lp, _polygon(lp, tol))
 
 
-def _analyze_region(lp: LinearProgram2D, region: FeasibleRegion) -> SensitivityReport:
-    """analyze() on the already built region of lp, whose objective is
-    nonzero."""
+def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
+    """analyze() on the polygon that solver._polygon built for lp, whose
+    objective is nonzero."""
     c = lp.objective
-    best, tied = argmax_with_ties(objective_values(c, region.points()))
-    n = len(region.vertices)
+    xs, ys, _ = poly
+    best, tied = _ranked(c, xs, ys)
+    n = len(xs)
     if tied:
-        verts = [region.vertices[best]] + [region.vertices[i] for i in tied]
+        verts = _vertices(poly, (best, *tied))
         angle = None
         if len(tied) == 1:
             i = tied[0]
             for a, b in ((best, i), (i, best)):
-                if (b - a) % n == 1:  # the edge a -> b is level
-                    e = region.vertices[b].point - region.vertices[a].point
-                    angle = _normal_angle(e.x1, e.x2)
+                if (b - a) % n == 1:  # the edge a -> b is level; it is finite
+                    angle = _normal_angle(xs[b] - xs[a], ys[b] - ys[a])
                     break
-        raise DegenerateOptimum(
-            "optimal value is tied between vertices", verts, angle
-        )
+        raise DegenerateOptimum("optimal value is tied between vertices", verts, angle)
 
-    x0 = region.vertices[best]
-    pred, succ = region.vertices[best - 1], region.vertices[(best + 1) % n]
+    pred, x0, succ = _vertices(poly, ((best - 1) % n, best, (best + 1) % n))
     theta1, theta2 = edge_angles(pred, x0, succ)
 
     # The cone turns with the polygon, so it needs no rotated copy; theta0

@@ -2,11 +2,13 @@
 
 solve_enumeration builds the feasible polygon by sorted half-plane
 intersection and picks the best vertex; the same sort of the row normals
-decides boundedness, by a gap of a half turn.  solve_simplex is a two-phase
-revised simplex with Bland's rule whose basis is the pair of tight
-constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m) pass
-over the rows.  Neither needs numpy.  They share no code on the solve path,
-which is what makes cross-checking one against the other meaningful.
+decides boundedness, by a gap of a half turn.  solve_enumeration and
+analyze rank the builder's float lists and build a Vertex only for the
+vertices they return.  solve_simplex is a two-phase revised simplex with
+Bland's rule whose basis is the pair of tight constraints, in both phases,
+so a pivot is a 2 x 2 solve and one O(m) pass over the rows.  Neither
+needs numpy.  They share no code on the solve path, which is what makes
+cross-checking one against the other meaningful.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .lp_model import (
     FeasibleRegion,
     LinearProgram2D,
     Vertex,
+    _check_cycle,
+    _unchecked_region,
     evaluate,
     validate,
 )
@@ -265,7 +269,7 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     and swept once with a deque (Preparata & Shamos 1985; de Berg et al.,
     ch. 4).  A point is outside a row when its residual exceeds
     tol * row.scale(), as in is_feasible; corners within MERGE_TOL of each
-    other merge into one vertex.
+    other merge into one vertex, which carries the rows active at it.
 
     Raises ValueError for a negative or non-finite tol, Infeasible when the
     rows leave no feasible point, UnboundedRegion when the recession cone is
@@ -274,6 +278,14 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     cycle, FeasibleRegion's exact test: rounded crossings can make a corner
     straight or reflex.
     """
+    return _region(_polygon(lp, tol))
+
+
+def _polygon(lp: LinearProgram2D, tol: float):
+    """enumerate_vertices' cycle, checked as FeasibleRegion checks it, as
+    (xs, ys, rows): vertex k is (xs[k], ys[k]); rows holds (owner, index,
+    a1, a2, b, |a|, limit) per row, x >= 0 rows included, by normal angle.
+    A row is tight at a vertex x where |a1 x1 + a2 x2 - b| <= limit."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
     validate(lp)
@@ -348,32 +360,54 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     if n < 3:
         raise DegenerateRegion(f"feasible set has only {n} distinct corner(s)")
 
-    # Corner k owns the normal angles from lines[k] to lines[k + 1].  A row
-    # can be tight only at the vertex owning its normal angle or at one of
-    # that vertex's two neighbours; index -1 is the last vertex.
-    phis = [ang for ang, _ in lines]
-    phi0 = phis[0]
-    last = n - 1
-    active: list[set[int]] = [set() for _ in range(n)]
-    for (ang, idx, _), (a1, a2, b, _, limit) in zip(rows, records):
-        j = run_of[bisect_right(phis, phi0 + (ang - phi0) % TAU) - 1]
-        for i in (j - 1, j, j + 1 if j < last else 0):
-            if abs(a1 * px[i] + a2 * py[i] - b) <= limit:
-                active[i].add(idx)
-
     # Begin the cycle where sorting by angle about the centroid begins it.
     cx = sum(px) / n
     cy = sum(py) / n
     bearing = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
     s = bearing.index(min(bearing))
+    xs, ys = px[s:] + px[:s], py[s:] + py[:s]
     try:
-        return FeasibleRegion(
-            [Vertex(Vec2(px[i], py[i]), active[i]) for i in chain(range(s, n), range(s))]
-        )
+        _check_cycle(xs, ys)
     except ValueError as exc:
         # The tolerance let through a sliver, or rounding bent the cycle:
         # the corners bound no proper polygon.
         raise DegenerateRegion(f"the corners make no convex polygon: {exc}") from None
+
+    # Corner k owns the normal angles from lines[k] to lines[k + 1], and a
+    # row can be tight only at the vertex owning its angle or a neighbour.
+    phis = [ang for ang, _ in lines]
+    phi0 = phis[0]
+    return xs, ys, [
+        ((run_of[bisect_right(phis, phi0 + (ang - phi0) % TAU) - 1] - s) % n, idx, *rec)
+        for (ang, idx, _), rec in zip(rows, records)
+    ]
+
+
+def _region(poly) -> FeasibleRegion:
+    """The FeasibleRegion of a _polygon result, not checked a second time."""
+    xs, ys, rows = poly
+    last = len(xs) - 1
+    active: list[set[int]] = [set() for _ in xs]
+    for j, idx, a1, a2, b, _, limit in rows:
+        for i in (j - 1, j, j + 1 if j < last else 0):  # -1 is the last vertex
+            if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
+                active[i].add(idx)
+    vertices = [Vertex(Vec2(x, y), a) for x, y, a in zip(xs, ys, active)]
+    return _unchecked_region(tuple(vertices))
+
+
+def _vertices(poly, ks) -> list[Vertex]:
+    """Vertices ks (distinct) of a _polygon result, active rows as _region finds them."""
+    xs, ys, rows = poly
+    n = len(xs)
+    active: dict[int, set[int]] = {k: set() for k in ks}
+    near = {(k + d) % n for k in ks for d in (-1, 0, 1)}  # owners worth testing
+    for j, idx, a1, a2, b, _, limit in rows:
+        if j in near:
+            for i in ((j - 1) % n, j, (j + 1) % n):
+                if i in active and abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
+                    active[i].add(idx)
+    return [Vertex(Vec2(xs[k], ys[k]), active[k]) for k in ks]
 
 
 def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
@@ -387,16 +421,15 @@ def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
     return best, tied
 
 
-def objective_values(c: Vec2, points: list[Vec2]) -> list[float]:
-    """c . p for each point, to rank the points by.  When a value overflows,
-    c is scaled by a power of two first: the ranking depends only on the
-    direction of c."""
+def _ranked(c: Vec2, xs: list[float], ys: list[float]) -> tuple[int, list[int]]:
+    """argmax_with_ties of c . (xs[k], ys[k]).  When a value overflows, c is
+    scaled by a power of two first: only the direction of c matters."""
     c1, c2 = c.x1, c.x2
-    values = [c1 * p.x1 + c2 * p.x2 for p in points]  # c.dot(p), written out
-    if all(map(math.isfinite, values)):
-        return values
-    c = _pow2_scaled(c)
-    return [c.dot(p) for p in points]
+    values = [c1 * x + c2 * y for x, y in zip(xs, ys)]  # c.dot(p), written out
+    if not all(map(math.isfinite, values)):
+        c = _pow2_scaled(c)
+        values = [c.x1 * x + c.x2 * y for x, y in zip(xs, ys)]
+    return argmax_with_ties(values)
 
 
 def _check_arguments(lp: LinearProgram2D, tol: float) -> None:
@@ -416,11 +449,11 @@ def _check_arguments(lp: LinearProgram2D, tol: float) -> None:
 
 
 def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
-    """Maximize by brute force over the region's vertices."""
+    """Maximize by brute force over the polygon's vertices, building only the best."""
     _check_arguments(lp, tol)
-    region = enumerate_vertices(lp, tol=tol)
-    best, tied = argmax_with_ties(objective_values(lp.objective, region.points()))
-    x = region.vertices[best]
+    poly = _polygon(lp, tol)
+    best, tied = _ranked(lp.objective, poly[0], poly[1])
+    (x,) = _vertices(poly, (best,))
     return Solution(x, evaluate(lp, x.point), not tied)
 
 

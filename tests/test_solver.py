@@ -309,6 +309,39 @@ def test_solve_enumeration_tie(ref_lp):
     assert abs(sol.value - 200.0) < 1e-9 * 200.0
 
 
+def _counting_vertices(monkeypatch) -> list:
+    """A list that gains one entry for each Vertex built from now on."""
+    built = []
+    init = pl.Vertex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pl.Vertex, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("entry, n_built", [(pl.analyze, 3), (pl.solve_enumeration, 1)])
+@pytest.mark.parametrize("c", [1.0, 1e307])  # c . x overflows at 1e307
+def test_entry_points_build_only_the_vertices_they_return(monkeypatch, entry, n_built, c):
+    # analyze returns x0 and its two neighbours, solve_enumeration x0; the
+    # m = 64 polygon's other corners stay floats.
+    lp = tangent_circle_lp(rng_for(64), 64)
+    lp = pl.LinearProgram2D(pl.Vec2(c, c), lp.constraints)
+    built = _counting_vertices(monkeypatch)
+    entry(lp)
+    assert len(built) == n_built
+
+
+def test_analyze_tie_builds_only_the_tied_vertices(ref_lp, monkeypatch):
+    lp = pl.LinearProgram2D(pl.Vec2(2.0, 1.0), ref_lp.constraints)
+    built = _counting_vertices(monkeypatch)
+    with pytest.raises(pl.errors.DegenerateOptimum) as ei:
+        pl.analyze(lp)
+    assert built == list(ei.value.tied_vertices) and len(built) == 2
+
+
 def test_argmax_with_ties():
     # first strict maximum; the threshold is relative above |max| = 1
     assert argmax_with_ties([1.0, 3e9, 3e9 - 2.0, 3e9 - 4.0]) == (1, [2])
@@ -694,6 +727,47 @@ def test_enumerate_matches_pairwise_reference_on_random_lps():
     rng = rng_for(2718)
     for _ in range(200):
         _same_outcome(random_bounded_lp(rng))
+
+
+def _bits(v):
+    """A vertex's coordinates bit for bit, and its active rows."""
+    return v.point.x1.hex(), v.point.x2.hex(), v.active_rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_bounded_lp(rng_for(seed)))
+    | st.builds(
+        lambda rows, c: pl.LinearProgram2D(c, tuple(rows)),
+        st.lists(small_row, min_size=1, max_size=6),
+        st.builds(pl.Vec2, small_int, small_int).filter(lambda c: not c.is_zero()),
+    ),
+    st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+def test_returned_vertices_match_enumerate_vertices(lp, tol):
+    # analyze and solve_enumeration build only the vertices they return,
+    # each with its own pass over the rows; every one must be the Vertex
+    # enumerate_vertices builds at that place of the cycle.
+    region = _solve_outcome(lambda lp: pl.enumerate_vertices(lp, tol=tol), lp)
+    sol = _solve_outcome(lambda lp: pl.solve_enumeration(lp, tol=tol), lp)
+    try:
+        rep = pl.analyze(lp, tol=tol)
+    except pl.errors.PlanarLPError as exc:
+        rep = exc
+    if isinstance(region, type):
+        assert sol is region and type(rep) is region
+        return
+    cycle = [_bits(v) for v in region.vertices]
+    assert _bits(sol.vertex) in cycle
+    k = cycle.index(_bits(sol.vertex))
+    if isinstance(rep, pl.errors.DegenerateOptimum):
+        got = [_bits(v) for v in rep.tied_vertices]
+        assert got[0] == cycle[k] and all(v in cycle for v in got)
+        return
+    assert sol.unique
+    assert [_bits(rep.pred), _bits(rep.optimal_vertex), _bits(rep.succ)] == [
+        cycle[k - 1], cycle[k], cycle[(k + 1) % len(cycle)]
+    ]
 
 
 def _recession_outcomes(rows):
