@@ -108,8 +108,7 @@ class ValueShift(Enum):
     UNCHANGED = "unchanged"
 
 
-def _check_distinct(pred: Vertex, x0: Vertex, succ: Vertex) -> None:
-    pairs = ((pred, x0), (x0, succ), (pred, succ))
+def _check_distinct(*pairs: tuple[Vertex, Vertex]) -> None:
     if any((a.point - b.point).norm() <= MERGE_TOL for a, b in pairs):
         raise CoincidentVertices("corner triple contains coincident vertices")
 
@@ -120,7 +119,12 @@ def edge_angles(pred: Vertex, x0: Vertex, succ: Vertex) -> tuple[float, float]:
     theta1 belongs to the edge toward the predecessor, theta2 to the edge
     toward the successor.
     """
-    _check_distinct(pred, x0, succ)
+    _check_distinct((pred, x0), (x0, succ), (pred, succ))
+    return _edge_angles(pred, x0, succ)
+
+
+def _edge_angles(pred: Vertex, x0: Vertex, succ: Vertex) -> tuple[float, float]:
+    """edge_angles of a corner whose three vertices are known to be distinct."""
     theta1 = line_direction_angle(pred.point - x0.point)
     theta2 = line_direction_angle(x0.point - succ.point)
     return theta1, theta2
@@ -144,7 +148,13 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
     A cone narrower than the rounding of its ends, which then come out
     equal or swapped, is given one ulp wide.
     """
-    _check_distinct(pred, x0, succ)
+    _check_distinct((pred, x0), (x0, succ), (pred, succ))
+    return _stable_interval(pred, x0, succ)
+
+
+def _stable_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterval:
+    """stable_angle_interval of a corner whose three vertices are known to
+    be distinct."""
     p, x, q = pred.point, x0.point, succ.point
     if not _turns_left(p.x1, p.x2, x.x1, x.x2, q.x1, q.x2):
         raise ReflexVertex("corner is not strictly convex counterclockwise")
@@ -174,7 +184,7 @@ def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
     """analyze() on the polygon that solver._polygon built for lp, whose
     objective is nonzero."""
     c = lp.objective
-    xs, ys, _ = poly
+    xs, ys = poly[0], poly[1]
     best, tied = _ranked(c, xs, ys)
     n = len(xs)
     if tied:
@@ -189,11 +199,16 @@ def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
         raise DegenerateOptimum("optimal value is tied between vertices", verts, angle)
 
     pred, x0, succ = _vertices(poly, ((best - 1) % n, best, (best + 1) % n))
-    theta1, theta2 = edge_angles(pred, x0, succ)
+    # The builder has shown every edge, pred -> x0 and x0 -> succ among
+    # them, finite and longer than MERGE_TOL; pred -> succ is one only for
+    # a triangle.
+    if n > 3:
+        _check_distinct((pred, succ))
+    theta1, theta2 = _edge_angles(pred, x0, succ)
 
     # The cone turns with the polygon, so it needs no rotated copy; theta0
     # only reports the rotation that would normalize the objective.
-    interval = stable_angle_interval(pred, x0, succ)
+    interval = _stable_interval(pred, x0, succ)
     theta0 = normalizing_rotation(c) if c.x1 < 0.0 or c.x2 < 0.0 else 0.0
 
     pv = polar_of(c)

@@ -27,13 +27,12 @@ from .errors import (
     UnboundedRegion,
     ZeroObjective,
 )
-from .geometry import TAU, Frozen, Vec2, _atan2, _non_finite, _pow2_scaled, _set
+from .geometry import TAU, Frozen, Vec2, _cycle_fault, _non_finite, _pow2_scaled, _set
 from .lp_model import (
     FEAS_TOL,
     MERGE_TOL,
     X1_NONNEG,
     X2_NONNEG,
-    ConstraintRow,
     FeasibleRegion,
     LinearProgram2D,
     Vertex,
@@ -85,22 +84,25 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> froze
     return frozenset(out)
 
 
-# _sorted_normals's entries for -x1 <= 0 and -x2 <= 0, angles as _atan2 gives them.
-_NONNEG_NORMALS = [(math.pi, X1_NONNEG, ConstraintRow(-1.0, 0.0, 0.0)),
-                   (-0.5 * math.pi, X2_NONNEG, ConstraintRow(0.0, -1.0, 0.0))]
-
-
-def _sorted_normals(lp: LinearProgram2D):
-    """The rows, the two x >= 0 rows included, as (angle, index, row) sorted
-    by normal angle; the position just after the widest counterclockwise gap
-    between consecutive normals; and whether that gap leaves the region
-    bounded, that is, falls short of pi - _RECESSION_TOL (see
-    check_recession)."""
-    rows = [(_atan2(row.a2, row.a1), idx, row) for idx, row in enumerate(lp.constraints)]
-    rows += _NONNEG_NORMALS
+def _sorted_normals(lp: LinearProgram2D, tol: float):
+    """One record per row, the two x >= 0 rows included, sorted by normal
+    angle (see the sweep below); the position just after the widest
+    counterclockwise gap between consecutive normals; and whether that gap
+    leaves the region bounded, that is, falls short of pi - _RECESSION_TOL
+    (see check_recession)."""
+    # _atan2 and row.scale(), written out: this runs once per row.
+    atan2, hypot = math.atan2, math.hypot
+    rows = [
+        (atan2(a2 + 0.0, a1), idx, a1, a2, b, hypot(a1, a2),
+         tol * max(1.0, abs(a1), abs(a2), abs(b)))
+        for idx, row in enumerate(lp.constraints)
+        for a1, a2, b in ((row.a1, row.a2, row.b),)
+    ]
+    rows.append((math.pi, X1_NONNEG, -1.0, 0.0, 0.0, 1.0, tol))
+    rows.append((-0.5 * math.pi, X2_NONNEG, 0.0, -1.0, 0.0, 1.0, tol))
     rows.sort(key=itemgetter(0))
     n_rows = len(rows)
-    angles = [ang for ang, _, _ in rows]
+    angles = [rec[0] for rec in rows]
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + TAU - angles[-1])
     widest = gaps.index(max(gaps))
@@ -122,11 +124,13 @@ def check_recession(lp: LinearProgram2D) -> Recession:
     cosine is sin(pi - gap).
     """
     validate(lp)
-    return Recession.BOUNDED if _sorted_normals(lp)[2] else Recession.UNBOUNDED
+    return Recession.BOUNDED if _sorted_normals(lp, FEAS_TOL)[2] else Recession.UNBOUNDED
 
 
-# The sweep below works on one record per row, (a1, a2, b, |a|, tol * scale),
-# and on corners as (x1, x2) float pairs.  Each expression keeps the order of
+# The sweep below works on one record per row, (angle, index, a1, a2, b, |a|,
+# limit), where angle is the normal's atan2 in [-pi, pi], index the row's
+# (X1_NONNEG and X2_NONNEG for x >= 0), and limit tol * row.scale(); and on
+# corners as (x1, x2) float pairs.  Each expression keeps the order of
 # operations of the ConstraintRow and Vec2 methods it stands for, and a
 # corner that overflows raises NonFiniteEntry as Vec2 would.
 
@@ -138,47 +142,34 @@ def _pair(x1: float, x2: float) -> tuple[float, float]:
     return x1, x2
 
 
-def _parallel(ri, rj) -> bool:
-    """The rows' normals point the same way, to within _DET_TOL."""
-    det = ri[0] * rj[1] - ri[1] * rj[0]
-    return (
-        abs(det) <= _DET_TOL * (ri[3] * rj[3])
-        and ri[0] * rj[0] + ri[1] * rj[1] > 0.0
-    )
-
-
 def _turns_left(ri, rj) -> bool:
     """rj's normal lies counterclockwise of ri's by strictly less than a
     half turn, so the two boundary lines cross."""
-    return ri[0] * rj[1] - ri[1] * rj[0] > _DET_TOL * ri[3] * rj[3]
+    return ri[2] * rj[3] - ri[3] * rj[2] > _DET_TOL * ri[5] * rj[5]
 
 
 def _crossing(ri, rj) -> tuple[float, float]:
     """Where the boundary lines of two crossing rows meet."""
-    a1, a2, b, _, _ = ri
-    c1, c2, d, _, _ = rj
+    _, _, a1, a2, b, _, _ = ri
+    _, _, c1, c2, d, _, _ = rj
     det = a1 * c2 - a2 * c1
-    x1 = (b * c2 - d * a2) / det
-    x2 = (a1 * d - c1 * b) / det
-    if math.isfinite(x1) and math.isfinite(x2):
-        return x1, x2
-    raise _non_finite(x1, x2)
+    return _pair((b * c2 - d * a2) / det, (a1 * d - c1 * b) / det)
 
 
 def _outside(row, p) -> bool:
     """The row rejects p, by the scaled test of is_feasible."""
-    return row[0] * p[0] + row[1] * p[1] - row[2] > row[4]
+    return row[2] * p[0] + row[3] * p[1] - row[4] > row[6]
 
 
 def _advance(row, p, corner) -> float:
     """Signed distance from corner to p, the crossing of row and another
     row, along row's boundary line walked with the region on its left."""
-    return ((p[1] - corner[1]) * row[0] - (p[0] - corner[0]) * row[1]) / row[3]
+    return ((p[1] - corner[1]) * row[2] - (p[0] - corner[0]) * row[3]) / row[5]
 
 
 def _foot(row) -> tuple[float, float]:
     """A point on the row's boundary line."""
-    a1, a2, b, norm, _ = row
+    _, _, a1, a2, b, norm, _ = row
     s = b / norm / norm
     return _pair(s * a1, s * a2)
 
@@ -189,10 +180,10 @@ def _distance(p, q) -> float:
 
 
 def _sweep(lines, closed: bool):
-    """Intersect half-planes given in increasing normal angle.
+    """Intersect the half-planes of records given counterclockwise by
+    normal angle, from any start.
 
-    lines holds (angle, record) pairs, angles unwrapped so they increase.
-    Returns the pairs that bound the intersection, counterclockwise, with
+    Returns the records that bound the intersection, counterclockwise, with
     the corners between consecutive ones, or None when it is empty.  When
     closed, the normals go round the full circle and the boundary is a
     cycle; otherwise they span at most a half turn and the boundary is an
@@ -200,65 +191,69 @@ def _sweep(lines, closed: bool):
     """
     dq = deque()
     corners = deque()  # corners[k] is where dq[k] and dq[k + 1] cross
-
-    def cuts_back(h):
+    isfinite = math.isfinite
+    for h in lines:
+        _, _, c1, c2, d, h_norm, h_limit = h
         # h drops dq[-1] if it rejects the last corner, or if the tolerance
         # let that corner stand but h crosses dq[-1] more than MERGE_TOL
-        # before it: the corners along dq[-1] would run backwards.  True
-        # when h drops dq[-1]; otherwise their crossing, for the caller to
-        # keep as a corner, or None when they do not cross.  This runs once
-        # or more per line, so _outside, _turns_left and _advance are
-        # written out.
-        a1, a2, _, norm, _ = last = dq[-1][1]
-        x, y = corners[-1]
-        if h[0] * x + h[1] * y - h[2] > h[4]:
-            return True
-        if not a1 * h[1] - a2 * h[0] > _DET_TOL * norm * h[3]:
-            return None
-        p = _crossing(last, h)
-        return True if ((p[1] - y) * a1 - (p[0] - x) * a2) / norm < -MERGE_TOL else p
-
-    def cuts_front(h) -> bool:
-        # The same test at the front, where h closes the cycle.
-        first = dq[0][1]
-        return _outside(h, corners[0]) or (
-            _turns_left(h, first)
-            and _advance(first, _crossing(first, h), corners[0]) > MERGE_TOL
-        )
-
-    for line in lines:
-        h = line[1]
+        # before it: the corners along dq[-1] would run backwards.  Else
+        # their crossing p, if they cross, is the next corner.  This runs
+        # once or more per line, so _outside, _turns_left, _crossing and
+        # _advance are written out.
         p = None
-        while corners and (p := cuts_back(h)) is True:
+        while corners:
+            _, _, a1, a2, b, norm, _ = dq[-1]
+            x, y = corners[-1]
+            if not c1 * x + c2 * y - d > h_limit:
+                det = a1 * c2 - a2 * c1
+                if not det > _DET_TOL * norm * h_norm:
+                    break
+                x1 = (b * c2 - d * a2) / det
+                x2 = (a1 * d - c1 * b) / det
+                if not (isfinite(x1) and isfinite(x2)):
+                    raise _non_finite(x1, x2)
+                if not ((x2 - y) * a1 - (x1 - x) * a2) / norm < -MERGE_TOL:
+                    p = x1, x2
+                    break
             dq.pop()
             corners.pop()
-        while corners and _outside(h, corners[0]):
+        while corners and c1 * corners[0][0] + c2 * corners[0][1] - d > h_limit:
             dq.popleft()
             corners.popleft()
-        # p is the crossing of dq[-1] and h if cuts_back kept dq[-1] and
-        # found one; popping the front never removes dq[-1].
-        if dq and not isinstance(p, tuple):
-            if not _turns_left(dq[-1][1], h):
+        # p is the crossing of dq[-1] and h if the loop above kept dq[-1]
+        # and found one; popping the front never removes dq[-1].
+        if dq and p is None:
+            if not _turns_left(dq[-1], h):
                 # h faces dq[-1]: a cycle cannot continue, and an open chain
                 # has reached its far end, where the strip between the two
                 # rows is all that can still be empty.
-                if closed or _outside(h, _foot(dq[-1][1])):
+                if closed or _outside(h, _foot(dq[-1])):
                     return None
                 return list(dq), list(corners)
-            p = _crossing(dq[-1][1], h)
+            p = _crossing(dq[-1], h)
         if dq:
             corners.append(p)
-        dq.append(line)
+        dq.append(h)
     if closed:
-        while len(corners) >= 2 and cuts_back(dq[0][1]) is True:
+        # The same tests where the cycle closes: dq[0] cutting back dq[-1],
+        # then dq[-1] cutting dq[0] at the front.
+        while len(corners) >= 2 and (
+            _outside(dq[0], corners[-1])
+            or _turns_left(dq[-1], dq[0])
+            and _advance(dq[-1], _crossing(dq[-1], dq[0]), corners[-1]) < -MERGE_TOL
+        ):
             dq.pop()
             corners.pop()
-        while len(corners) >= 2 and cuts_front(dq[-1][1]):
+        while len(corners) >= 2 and (
+            _outside(dq[-1], corners[0])
+            or _turns_left(dq[-1], dq[0])
+            and _advance(dq[0], _crossing(dq[0], dq[-1]), corners[0]) > MERGE_TOL
+        ):
             dq.popleft()
             corners.popleft()
-        if len(dq) < 3 or not _turns_left(dq[-1][1], dq[0][1]):
+        if len(dq) < 3 or not _turns_left(dq[-1], dq[0]):
             return None
-        corners.append(_crossing(dq[-1][1], dq[0][1]))
+        corners.append(_crossing(dq[-1], dq[0]))
     return list(dq), list(corners)
 
 
@@ -283,34 +278,32 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
 
 def _polygon(lp: LinearProgram2D, tol: float):
     """enumerate_vertices' cycle, checked as FeasibleRegion checks it, as
-    (xs, ys, rows): vertex k is (xs[k], ys[k]); rows holds (owner, index,
-    a1, a2, b, |a|, limit) per row, x >= 0 rows included, by normal angle.
-    A row is tight at a vertex x where |a1 x1 + a2 x2 - b| <= limit."""
+    (xs, ys, rows, owners): vertex k is (xs[k], ys[k]); rows holds the
+    records of _sorted_normals, x >= 0 rows included, by normal angle; and
+    owners[i] is the vertex that owns rows[i]'s normal angle.  A row can be
+    tight only at its owner or a neighbour of it, and it is tight at a
+    vertex x where |a1 x1 + a2 x2 - b| <= limit."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
     validate(lp)
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
-    rows, start, bounded = _sorted_normals(lp)
-    # row.scale(), written out: one record is built per row.
-    records = [
-        (a1, a2, b, math.hypot(a1, a2), tol * max(1.0, abs(a1), abs(a2), abs(b)))
-        for _, _, row in rows
-        for a1, a2, b in ((row.a1, row.a2, row.b),)
-    ]
-    n_rows = len(rows)
-    lines: list[tuple[float, tuple]] = []
-    for i in chain(range(start, n_rows), range(start)):
-        ang, rec = rows[i][0], records[i]
-        if i < start:
-            ang += TAU
-        if lines and _parallel(lines[-1][1], rec):
-            # Of rows facing the same way only the tightest bounds.
-            kept = lines[-1][1]
-            if rec[2] / rec[3] < kept[2] / kept[3]:
-                lines[-1] = (ang, rec)
-            continue
-        lines.append((ang, rec))
+    rows, start, bounded = _sorted_normals(lp, tol)
+    # Of rows whose normals point the same way, to within _DET_TOL, only the
+    # tightest bounds.  lines[-1] is (.., k1, k2, kb, kn, ..).
+    lines = []
+    for rec in chain(rows[start:], rows[:start]):
+        _, _, a1, a2, b, norm, _ = rec
+        if (
+            lines
+            and abs(k1 * a2 - k2 * a1) <= _DET_TOL * (kn * norm)
+            and k1 * a1 + k2 * a2 > 0.0
+        ):
+            if not b / norm < kb / kn:
+                continue
+            lines.pop()
+        lines.append(rec)
+        k1, k2, kb, kn = a1, a2, b, norm
 
     swept = _sweep(lines, closed=bounded)
     if swept is None:
@@ -366,29 +359,39 @@ def _polygon(lp: LinearProgram2D, tol: float):
     bearing = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
     s = bearing.index(min(bearing))
     xs, ys = px[s:] + px[:s], py[s:] + py[:s]
-    try:
-        _check_cycle(xs, ys)
-    except ValueError as exc:
+    if n == n_corners:
+        # No corners merged, so the merge and the search for `first` have
+        # measured every edge of the cycle: each is finite and longer than
+        # MERGE_TOL, and only _check_cycle's convexity test is left.
+        fault = _cycle_fault(xs, ys)
+    else:
+        try:
+            _check_cycle(xs, ys)
+            fault = None
+        except ValueError as exc:
+            fault = exc
+    if fault is not None:
         # The tolerance let through a sliver, or rounding bent the cycle:
         # the corners bound no proper polygon.
-        raise DegenerateRegion(f"the corners make no convex polygon: {exc}") from None
+        raise DegenerateRegion(f"the corners make no convex polygon: {fault}")
 
-    # Corner k owns the normal angles from lines[k] to lines[k + 1], and a
-    # row can be tight only at the vertex owning its angle or a neighbour.
-    phis = [ang for ang, _ in lines]
+    # Corner k owns the normal angles from lines[k] to lines[k + 1], which
+    # increase from lines[0] once the rows before `start` count a turn on.
+    lo = rows[start][0]
+    phis = [ang if ang >= lo else ang + TAU for ang in map(itemgetter(0), lines)]
     phi0 = phis[0]
-    return xs, ys, [
-        ((run_of[bisect_right(phis, phi0 + (ang - phi0) % TAU) - 1] - s) % n, idx, *rec)
-        for (ang, idx, _), rec in zip(rows, records)
+    owner = [(k - s) % n for k in run_of]
+    return xs, ys, rows, [
+        owner[bisect_right(phis, phi0 + (rec[0] - phi0) % TAU) - 1] for rec in rows
     ]
 
 
 def _region(poly) -> FeasibleRegion:
     """The FeasibleRegion of a _polygon result, not checked a second time."""
-    xs, ys, rows = poly
+    xs, ys, rows, owners = poly
     last = len(xs) - 1
     active: list[set[int]] = [set() for _ in xs]
-    for j, idx, a1, a2, b, _, limit in rows:
+    for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
         for i in (j - 1, j, j + 1 if j < last else 0):  # -1 is the last vertex
             if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
                 active[i].add(idx)
@@ -398,11 +401,11 @@ def _region(poly) -> FeasibleRegion:
 
 def _vertices(poly, ks) -> list[Vertex]:
     """Vertices ks (distinct) of a _polygon result, active rows as _region finds them."""
-    xs, ys, rows = poly
+    xs, ys, rows, owners = poly
     n = len(xs)
     active: dict[int, set[int]] = {k: set() for k in ks}
     near = {(k + d) % n for k in ks for d in (-1, 0, 1)}  # owners worth testing
-    for j, idx, a1, a2, b, _, limit in rows:
+    for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
         if j in near:
             for i in ((j - 1) % n, j, (j + 1) % n):
                 if i in active and abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:

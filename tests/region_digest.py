@@ -1,4 +1,5 @@
-"""Print a SHA-256 digest of enumerate_vertices and analyze on fixed LPs.
+"""Print a SHA-256 digest of enumerate_vertices, analyze and solve_enumeration
+on fixed LPs.
 
     PYTHONPATH=src python tests/region_digest.py [--entries]
 
@@ -10,11 +11,12 @@ m * 10**e with e in [-300, 300], the scales that
 test_enumerate_extreme_scales_fail_cleanly draws.  Each LP runs at every
 tolerance of TOLS.
 
-Each entry is one call of enumerate_vertices or analyze and hashes either
-its result or the type and message of the error it raised: a region as its
-vertices, each the float.hex of both coordinates and the sorted active rows;
-a report as its optimal vertex and the float.hex of its interval's ends;
-DegenerateOptimum also by its tie angle.  The digest takes the entries in
+Each entry is one call of enumerate_vertices, analyze or solve_enumeration
+and hashes either its result or the type and message of the error it
+raised: a region as its vertices, each the float.hex of both coordinates and
+the sorted active rows; a report as its optimal vertex and the float.hex of
+its interval's ends; a solution as its vertex, the float.hex of its value
+and whether it is unique; DegenerateOptimum also by its tie angle.  The digest takes the entries in
 order.  It prints the number of LPs and the hex digest; with --entries it
 prints one line per entry instead, so that two trees can be diffed.  A
 change that keeps the builder's output must leave the digest as it is on the
@@ -99,6 +101,8 @@ def _outcome(call) -> str:
         return f"{type(exc).__name__}: {exc}{tail}"
     if isinstance(res, pl.FeasibleRegion):
         return repr([_vertex(v) for v in res.vertices])
+    if isinstance(res, pl.Solution):
+        return repr((_vertex(res.vertex), res.value.hex(), res.unique))
     iv = res.interval
     return repr((_vertex(res.optimal_vertex), iv.lo.hex(), iv.hi.hex()))
 
@@ -107,6 +111,7 @@ def entries(lp: pl.LinearProgram2D):
     for tol in TOLS:
         yield f"tol={tol} enumerate", _outcome(lambda: pl.enumerate_vertices(lp, tol=tol))
         yield f"tol={tol} analyze", _outcome(lambda: pl.analyze(lp, tol=tol))
+        yield f"tol={tol} solve", _outcome(lambda: pl.solve_enumeration(lp, tol=tol))
 
 
 def main() -> None:

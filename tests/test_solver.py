@@ -13,7 +13,7 @@ from planarlp.errors import (
     ZeroObjective,
     ZeroRow,
 )
-from planarlp import cli
+from planarlp import cli, solver
 from planarlp.solver import _RECESSION_TOL, argmax_with_ties
 from exact_reference import exact_bounded, exact_region
 from conftest import (
@@ -211,6 +211,111 @@ def test_enumerate_crossing_beyond_the_float_range():
     )
     with pytest.raises(pl.errors.NonFiniteEntry, match=r"non-finite coordinates \(inf, 1e\+300\)"):
         pl.enumerate_vertices(lp)
+
+
+def test_enumerate_crossing_beyond_the_float_range_after_a_corner():
+    # The same turn after the corner (1e300, 1e300), which the third row
+    # keeps: its crossing with x2 <= 1e300 lies at x1 = -1e309
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(1.0, 0.0, 1e300),
+            pl.ConstraintRow(0.0, 1.0, 1e300),
+            pl.ConstraintRow(-2e-12, 1.0, 1.002e300),
+        ),
+    )
+    with pytest.raises(pl.errors.NonFiniteEntry, match=r"non-finite coordinates \(-inf, 1e\+300\)"):
+        pl.enumerate_vertices(lp)
+
+
+def test_enumerate_strip_within_the_tolerance_is_empty():
+    # x2 <= 1 and x2 >= 1.0005 leave no point.  At tol = 1e-3 the corners
+    # on x2 <= 1 lie within the second row's tolerance, so it drops only
+    # x1 >= 0; then it faces x2 <= 1 and does not cross it.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(0.0, 1.0, 1.0),
+            pl.ConstraintRow(0.0, -1.0, -1.0005),
+            pl.ConstraintRow(1.0, 0.0, 1.0),
+        ),
+    )
+    with pytest.raises(Infeasible):
+        pl.enumerate_vertices(lp, tol=1e-3)
+
+
+def _counting_check_cycle(monkeypatch) -> list:
+    """A list that gains one entry for each _check_cycle call the builder
+    makes from now on."""
+    calls = []
+    check = solver._check_cycle
+
+    def counting(xs, ys):
+        calls.append(len(xs))
+        check(xs, ys)
+
+    monkeypatch.setattr(solver, "_check_cycle", counting)
+    return calls
+
+
+def test_polygon_checks_edges_only_after_a_merge(monkeypatch):
+    # Where no corners merge, the merge has measured every edge, and only
+    # the convexity test runs; the result passes the full check all the same
+    calls = _counting_check_cycle(monkeypatch)
+    region = pl.enumerate_vertices(tangent_circle_lp(rng_for(64), 64))
+    assert calls == [] and len(region) == 64
+    assert pl.FeasibleRegion(region.vertices) == region
+    # Three rows through (1, 1) give three corners there, which merge
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(1.0, 0.0, 1.0),
+            pl.ConstraintRow(0.0, 1.0, 1.0),
+            pl.ConstraintRow(1.0, 1.0, 2.0),
+        ),
+    )
+    region = pl.enumerate_vertices(lp)
+    assert calls == [4]
+    assert [((v.point.x1, v.point.x2), v.active_rows) for v in region] == [
+        ((0.0, 0.0), {-2, -1}),
+        ((1.0, 0.0), {-2, 0}),
+        ((1.0, 1.0), {0, 1, 2}),
+        ((0.0, 1.0), {-1, 1}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, n_checks, index",
+    [
+        # the sliver of test_enumerate_sliver_makes_no_polygon: its corners
+        # merge, and the full check refuses the cycle
+        (
+            (
+                (0.0, 0.10352011439222264, 562341325.1903491),
+                (0.0, -1.0, 0.0),
+                (1.0, 0.0, 0.0),
+                (1.0, 0.0, 0.0),
+                (0.1171875, 0.0, -1e-10),
+            ),
+            1,
+            1,
+        ),
+        # rows 1 and 2 both meet x2 >= 0 at x1 = 1e5, but their own
+        # crossing rounds to 6.6e-7 short of that, too far to merge, so the
+        # cycle runs back along x2 = 0 at vertex 1
+        (((1.0, 1.00001, 100001.0), (1.0, 1.0, 100000.0), (1.00001, 1.0, 100001.0)), 0, 1),
+    ],
+)
+def test_polygon_refuses_a_bent_cycle_with_or_without_a_merge(monkeypatch, rows, n_checks, index):
+    calls = _counting_check_cycle(monkeypatch)
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(pl.ConstraintRow(*r) for r in rows))
+    with pytest.raises(
+        DegenerateRegion,
+        match=rf"^the corners make no convex polygon: vertex cycle is not convex "
+        rf"counterclockwise at index {index}$",
+    ):
+        pl.enumerate_vertices(lp)
+    assert len(calls) == n_checks
 
 
 def test_enumerate_open_chain_ends_at_a_facing_row():
