@@ -102,9 +102,14 @@ class FeasibleRegion(Frozen):
     def index_of(self, v) -> int:
         """Index of the vertex within MERGE_TOL of v (a Vertex or bare Vec2)."""
         p = v.point if isinstance(v, Vertex) else v
+        x, y = p.x1, p.x2
+        isfinite, hypot = math.isfinite, math.hypot
         best, best_d = -1, math.inf
         for i, w in enumerate(self.vertices):
-            d = (w.point - p).norm()
+            dx, dy = w.point.x1 - x, w.point.x2 - y
+            if not (isfinite(dx) and isfinite(dy)):
+                raise _non_finite(dx, dy)
+            d = hypot(dx, dy)
             if d < best_d:
                 best, best_d = i, d
         if best_d > MERGE_TOL:

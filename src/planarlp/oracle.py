@@ -3,20 +3,22 @@
 Independent of the analytic path: the argmax vertex is sampled at every
 angle of a grid, runs of a fixed winner are located, and the run boundaries
 are sharpened by bisection.  The point kernel is a full scan of the vertices
-in plain Python over float lists; the bisection calls it.  The grid kernel
-walks a nondecreasing grid run by run and returns the runs, not one winner
-per angle: it looks a run's first angle up in the normal fan of the vertex
-cycle and certifies the vertex it finds against its two neighbours at both
-ends of the run, which certifies every angle between.  Where that check
-fails it takes the full scan, so its runs equal the full scan at every
-angle (see _walk); so does every angle of a cycle that FeasibleRegion's
-exact convexity check (geometry._cycle_fault) rejects.  The sweeps walk
-an arithmetic grid that computes each angle when asked (_Grid), so no
-array is built while they run; a SweepResult builds its phis and argmax
-arrays, with numpy, when they are first read.  The fan's edge-normal
-angles come from analyze's formula (sensitivity._normal_angle), but they
-are only the kernel's guess: every result is certified against _scan, so a
-fault in that formula cannot make the oracle agree with the analytic cone.
+in plain Python over float lists.  The grid kernel walks a nondecreasing
+grid run by run and returns the runs, not one winner per angle: it looks a
+run's first angle up in the normal fan of the vertex cycle and certifies
+the vertex it finds against its two neighbours at both ends of the run,
+which certifies every angle between.  The bisection asks only whether x0
+wins at one angle, and decides that from x0 and its two neighbours by the
+same test (see _wins).  Where either test cannot decide, it takes the full
+scan, so both equal the full scan at every angle (see _walk); so does every
+angle of a cycle that FeasibleRegion's exact convexity check
+(geometry._cycle_fault) rejects.  The sweeps walk an arithmetic grid that
+computes each angle when asked (_Grid), so no array is built while they
+run; a SweepResult builds its phis and argmax arrays, with numpy, when they
+are first read.  The fan's edge-normal angles come from analyze's formula
+(sensitivity._normal_angle), but they are only the kernel's guess: every
+result is certified against _scan, so a fault in that formula cannot make
+the oracle agree with the analytic cone.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class _Grid:
     def array(self) -> np.ndarray:
         import numpy as np
 
-        return self.first + self.step * np.arange(
-            self.start, self.start + self.count, dtype=float
-        )
+        a = np.arange(self.start, self.start + self.count, dtype=float)
+        a *= self.step  # fl(j * step) == fl(step * j)
+        a += self.first
+        return a
 
 
 def _winners(runs: list[tuple[int, int, int]], count: int) -> np.ndarray:
@@ -183,14 +186,38 @@ def _scan(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
     return best_j
 
 
-def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[int, int, int]]:
+def _limits(vx: list[float], vy: list[float], rel_tol: float) -> list[float]:
+    """limit[p] for each vertex p, the margin by which _walk and _wins need
+    p to beat both its neighbours (see _walk).  It is [], and every angle
+    takes the full scan, unless the cycle is certified strictly convex and
+    counterclockwise (exactly, by geometry._cycle_fault, the check
+    FeasibleRegion makes), rel_tol >= 0 and all |x_j| + |y_j| < 2**1000."""
+    scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
+    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _cycle_fault(vx, vy) is None):
+        return []
+    band = 2.0**-48 * scale + _UNDERFLOW
+    return [rel_tol * (1.0 + 2.0**-49) * max(1.0, abs(x) + abs(y)) + band for x, y in zip(vx, vy)]
+
+
+def _margin(p: int, c: float, s: float, vx: list[float], vy: list[float]) -> float:
+    """fl(f_p - max(f_(p-1), f_(p+1))) for _scan's values f_j = vx[j] * c +
+    vy[j] * s on a cycle of three or more vertices."""
+    n = len(vx)
+    fq = max(vx[p - 1] * c + vy[p - 1] * s, vx[p + 1 - n] * c + vy[p + 1 - n] * s)
+    return vx[p] * c + vy[p] * s - fq
+
+
+def _walk(
+    grid, vx: list[float], vy: list[float], rel_tol: float, limit: list[float] | None = None
+) -> list[tuple[int, int, int]]:
     """_scan at every angle of a nondecreasing grid, as maximal runs.
 
     grid is indexable, has a length, and has searchsorted(x), the least k
     with grid[k] >= x (len(grid) if none): a sorted numpy array or a _Grid.
-    The result is a list of (start, end, winner) in grid order that covers
-    0, ..., len(grid) - 1, with _scan(grid[k]) == winner for start <= k <=
-    end and a different winner in each neighbouring run.
+    limit is _limits(vx, vy, rel_tol), computed here unless given.  The
+    result is a list of (start, end, winner) in grid order that covers 0,
+    ..., len(grid) - 1, with _scan(grid[k]) == winner for start <= k <= end
+    and a different winner in each neighbouring run.
 
     On a convex counterclockwise cycle the exact values g_j = x_j c + y_j s
     rise and then fall once around the cycle, for any (c, s) != 0, so if
@@ -214,19 +241,27 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
     shorter than pi with both ends in that arc lies in it, so h > K >= 0 at
     a and b gives h > K on [a, b].  A libm cos or sin within 1 ulp errs by
     at most 2**-52, so g_p - g_q misses h by at most 2**-51 M, M = max_j
-    (|x_j| + |y_j|).  The test at a and b, fl(f_p - max(f_(p-1),
-    f_(p+1))) > fl(T_p + S) with S = 2**-48 M + 2**-1060 >= 4E + 2**-50 M,
-    gives h > T_p + S - 2E - 2**-51 M >= 0 there, so on [a, b] g_p - g_q >
-    T_p + S - 2E - 2**-50 M >= T_p + 2E.  The grid is nondecreasing (a
-    _Grid is, as step > 0 and rounding is monotone), so every angle between
-    a and b in grid order lies in [a, b]: the run from a to b is
-    certified.  A failed test at a makes a run of the one angle a with the
-    full scan's winner; at b it moves b back by 1, 2, 4, ... angles.  A
-    wrong guess only fails a test.  A run whose winner is the previous
-    run's extends it, so the runs are maximal.  Unless the cycle is
-    certified strictly convex and counterclockwise (once, exactly, by
-    geometry._cycle_fault, the check FeasibleRegion makes), rel_tol >= 0
-    and all |x_j| + |y_j| < 2**1000, every angle takes the full scan.
+    (|x_j| + |y_j|).  The test at a and b, _margin(p) = fl(f_p -
+    max(f_(p-1), f_(p+1))) > limit[p] = fl(T_p + S) with S = 2**-48 M +
+    2**-1060 >= 4E + 2**-50 M, gives h > T_p + S - 2E - 2**-51 M >= 0
+    there, so on [a, b] g_p - g_q > T_p + S - 2E - 2**-50 M >= T_p + 2E.
+    The grid is nondecreasing (a _Grid is, as step > 0 and rounding is
+    monotone), so every angle between a and b in grid order lies in [a,
+    b]: the run from a to b is certified.  A failed test at a makes a run
+    of the one angle a with the full scan's winner; at b it moves b back by
+    1, 2, 4, ... angles.  A wrong guess only fails a test.  A run whose
+    winner is the previous run's extends it, so the runs are maximal.
+
+    One angle phi needs no sinusoid: the exact g_j at the scan's own c and
+    s, a direction != 0, are the unimodal values above.  So _margin(p) >
+    limit[p] there gives g_p - g_q > T_p + S - 2E >= T_p + 2E for both
+    neighbours, and the scan gives p.  _margin(p) <= 0 means a neighbour q
+    has f_q >= f_p, and the scan does not give p: it keeps the first
+    strict maximum, so f_q > f_p or an equal q before p keeps p from the
+    lead, and an equal q after p leaves best - second = 0 <= t, a tie.
+    _wins makes these two tests.
+
+    Where limit is [], every angle takes the full scan.
     """
     runs: list[tuple[int, int, int]] = []
 
@@ -236,8 +271,9 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
         runs.append((start, end, p))
 
     n, count = len(vx), len(grid)
-    scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
-    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _cycle_fault(vx, vy) is None):
+    if limit is None:
+        limit = _limits(vx, vy, rel_tol)
+    if not limit:
         for k in range(count):
             emit(k, k, _scan(float(grid[k]), vx, vy, rel_tol))
         return runs
@@ -245,12 +281,6 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
     k0 = normals.index(min(normals))
     # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
     fan = normals[k0:] + normals[:k0] + [normals[k0] + TAU]
-    band = 2.0**-48 * scale + _UNDERFLOW
-    limit = [rel_tol * (1.0 + 2.0**-49) * max(1.0, abs(x) + abs(y)) + band for x, y in zip(vx, vy)]
-
-    def holds(p: int, c: float, s: float) -> bool:
-        fq = max(vx[p - 1] * c + vy[p - 1] * s, vx[p + 1 - n] * c + vy[p + 1 - n] * s)
-        return vx[p] * c + vy[p] * s - fq > limit[p]
 
     k = 0
     while k < count:
@@ -259,19 +289,35 @@ def _walk(grid, vx: list[float], vy: list[float], rel_tol: float) -> list[tuple[
         theta = math.atan2(s, c)
         i = bisect_left(fan, theta)
         p = (k0 + i) % n
-        if not holds(p, c, s):
+        if not _margin(p, c, s, vx, vy) > limit[p]:
             emit(k, k, _scan(a, vx, vy, rel_tol))
             k += 1
             continue
         b, drop = max(k, int(grid.searchsorted(a + (fan[i] - theta))) - 1), 1
         while b > k:
             e = float(grid[b])
-            if e - a <= 3.0 and holds(p, math.cos(e), math.sin(e)):
+            if e - a <= 3.0 and _margin(p, math.cos(e), math.sin(e), vx, vy) > limit[p]:
                 break
             b, drop = max(k, b - drop), 2 * drop
         emit(k, b, p)
         k = b + 1
     return runs
+
+
+def _wins(
+    phi: float, p: int, vx: list[float], vy: list[float], rel_tol: float, limit: list[float]
+) -> bool:
+    """_scan(phi, vx, vy, rel_tol) == p, with limit = _limits(vx, vy,
+    rel_tol): decided from p and its two neighbours when _margin(p) <= 0
+    (False) or > limit[p] (True), as _walk shows, and by the full scan
+    otherwise or when limit is []."""
+    if limit:
+        d = _margin(p, math.cos(phi), math.sin(phi), vx, vy)
+        if not d > 0.0:
+            return False
+        if d > limit[p]:
+            return True
+    return _scan(phi, vx, vy, rel_tol) == p
 
 
 def sweep_argmax(
@@ -346,10 +392,11 @@ def stable_interval_by_sweep(
         grid = _Grid(-math.pi, step, 1, n)
 
     vx, vy = _coords(region)
-    runs = _walk(grid, vx, vy, VALUE_TIE_REL)
+    limit = _limits(vx, vy, VALUE_TIE_REL)
+    runs = _walk(grid, vx, vy, VALUE_TIE_REL, limit)
 
     def wins(phi: float) -> bool:
-        return _scan(phi, vx, vy, VALUE_TIE_REL) == x0_idx
+        return _wins(phi, x0_idx, vx, vy, VALUE_TIE_REL, limit)
 
     own = _cyclic_runs(runs, x0_idx, n)
     if not own:

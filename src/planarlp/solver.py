@@ -236,21 +236,26 @@ def _sweep(lines, closed: bool):
         dq.append(h)
     if closed:
         # The same tests where the cycle closes: dq[0] cutting back dq[-1],
-        # then dq[-1] cutting dq[0] at the front.
-        while len(corners) >= 2 and (
-            _outside(dq[0], corners[-1])
-            or _turns_left(dq[-1], dq[0])
-            and _advance(dq[-1], _crossing(dq[-1], dq[0]), corners[-1]) < -MERGE_TOL
-        ):
-            dq.pop()
-            corners.pop()
-        while len(corners) >= 2 and (
-            _outside(dq[-1], corners[0])
-            or _turns_left(dq[-1], dq[0])
-            and _advance(dq[0], _crossing(dq[0], dq[-1]), corners[0]) > MERGE_TOL
-        ):
-            dq.popleft()
-            corners.popleft()
+        # then dq[-1] cutting dq[0] at the front, until neither pops: a new
+        # dq[0] can cut back dq[-1] again.
+        front_popped = True
+        while front_popped:
+            while len(corners) >= 2 and (
+                _outside(dq[0], corners[-1])
+                or _turns_left(dq[-1], dq[0])
+                and _advance(dq[-1], _crossing(dq[-1], dq[0]), corners[-1]) < -MERGE_TOL
+            ):
+                dq.pop()
+                corners.pop()
+            front_popped = False
+            while len(corners) >= 2 and (
+                _outside(dq[-1], corners[0])
+                or _turns_left(dq[-1], dq[0])
+                and _advance(dq[0], _crossing(dq[0], dq[-1]), corners[0]) > MERGE_TOL
+            ):
+                dq.popleft()
+                corners.popleft()
+                front_popped = True
         if len(dq) < 3 or not _turns_left(dq[-1], dq[0]):
             return None
         corners.append(_crossing(dq[-1], dq[0]))

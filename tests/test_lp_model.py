@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import planarlp as pl
 from planarlp.errors import (
@@ -167,6 +167,60 @@ def test_region_index_of(ref_region):
     assert ref_region.vertices[i].active_rows == frozenset({0, 1})
     with pytest.raises(VertexNotInRegion):
         ref_region.index_of(pl.Vec2(50.0, 50.0))
+
+
+def _index_by_vec2(region, p):
+    # the Vec2 loop that index_of replaced, kept as its reference
+    best, best_d = -1, math.inf
+    for i, w in enumerate(region.vertices):
+        d = (w.point - p).norm()
+        if d < best_d:
+            best, best_d = i, d
+    if best_d > pl.MERGE_TOL:
+        raise VertexNotInRegion("no match")
+    return best
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NonFiniteEntry, VertexNotInRegion) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    corner=st.sampled_from([(0.0, 0.0), (1.5e-7, 0.0), (0.0, 1.0)]),
+    exponent=st.sampled_from([0, 1, 300, 1023]),
+    dx=st.sampled_from([0.0, 7.5e-8, -1e-7, 1e-7, 2e-7, math.nextafter(1e-7, 1.0), -1.5e308]),
+    dy=st.sampled_from([0.0, 1e-8, 0.5, -1e308, 1.7e308, -1.7e308]),
+    as_vertex=st.booleans(),
+)
+def test_region_index_of_equals_vec2_loop(corner, exponent, dx, dy, as_vertex):
+    # the float loop gives what the Vec2 loop gave: the first vertex at the
+    # least distance, NonFiniteEntry where a difference overflows, and
+    # VertexNotInRegion past MERGE_TOL, also where hypot overflows
+    f = 2.0**exponent
+    region = region_of_points([(0.0, 0.0), (1.5e-7 * f, 0.0), (0.0, f)])
+    x, y = corner[0] * f + dx, corner[1] * f + dy
+    assume(math.isfinite(y))
+    p = pl.Vec2(x, y)
+    query = pl.Vertex(p) if as_vertex else p
+    assert _outcome(region.index_of, query) == _outcome(_index_by_vec2, region, p)
+
+
+def test_region_index_of_edge_cases():
+    # vertices 0 and 1 lie 1.5e-7 apart, so their midpoint is 7.5e-8 from
+    # both: the first wins
+    region = region_of_points([(0.0, 0.0), (1.5e-7, 0.0), (0.0, 1.0)])
+    assert region.index_of(pl.Vec2(7.5e-8, 0.0)) == 0
+    assert region.index_of(pl.Vec2(1.5e-7 + pl.MERGE_TOL, 0.0)) == 1
+    with pytest.raises(VertexNotInRegion):
+        region.index_of(pl.Vec2(0.0, 1.0 + math.nextafter(pl.MERGE_TOL, 1.0)))
+    # 1e308 - (-1e308) overflows
+    far = region_of_points([(0.0, 0.0), (1e308, 0.0), (0.0, 1.0)])
+    with pytest.raises(NonFiniteEntry):
+        far.index_of(pl.Vec2(-1e308, 0.0))
 
 
 def test_vertex_active_rows_coerced_to_frozenset():

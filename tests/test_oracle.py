@@ -1,8 +1,11 @@
 import copy
+import importlib.util
 import itertools
 import math
 import pickle
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ import planarlp as pl
 from planarlp import oracle
 from planarlp.errors import GridTooCoarse, PlanarLPError, VertexNeverOptimal, VertexNotInRegion
 from planarlp.geometry import _cycle_fault
+from planarlp.lp_model import _unchecked_region
+from planarlp.sensitivity import _normal_angle
 from planarlp.solver import VALUE_TIE_REL
 from conftest import (
     FIXTURES,
@@ -24,6 +29,7 @@ from conftest import (
 )
 
 STEP = math.radians(0.01)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def vertex_at(region, x, y):
@@ -375,6 +381,183 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
         runs = oracle._walk(grid, vx, vy, 1e-9)
         assert len(scans) <= 1 + 2 * n
         assert (oracle._winners(runs, len(grid)) == argmax).all()
+
+
+def _tangent_pool(seed, m, count):
+    # the benchmark's tangent-circle pool, which the sweep digest also runs
+    name = "perfbench_instances"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "instances.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].tangent_pool(seed, m, count)
+
+
+def _counting_scans(monkeypatch):
+    # the angle of every later _scan call
+    scans, scan = [], oracle._scan
+
+    def counting_scan(*args):
+        scans.append(args[0])
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "_scan", counting_scan)
+    return scans
+
+
+def test_sweep_bisection_scans_are_few(ref_region, monkeypatch):
+    # at 0.01 degrees the bisection decides its midpoints from x0 and its
+    # two neighbours, and needs the full scan only within a rounding error
+    # of the cone edge; a full scan per midpoint is 20-22 per sweep
+    cases = [(ref_region, vertex_at(ref_region, 80, 40))]
+    for t in _tangent_pool(1, 16, 16):
+        region = pl.enumerate_vertices(t.lp)
+        cases.append((region, pl.analyze(t.lp).optimal_vertex))
+    scans = _counting_scans(monkeypatch)
+    walk = oracle._walk
+    walked = []
+
+    def counting_walk(*args):
+        runs = walk(*args)
+        walked.append(len(scans))
+        return runs
+
+    monkeypatch.setattr(oracle, "_walk", counting_walk)
+    for region, x0 in cases:
+        scans.clear()
+        pl.stable_interval_by_sweep(region, x0, STEP)
+        assert len(scans) - walked[-1] <= 4
+
+
+def _scaled(points, exponent):
+    return [(math.ldexp(x, exponent), math.ldexp(y, exponent)) for x, y in points]
+
+
+def _edge_angles(vx, vy, p, ulps):
+    # the normal angles of p's two edges and floats up to ulps either side
+    n = len(vx)
+    out = []
+    for k in (p - 1, p):
+        a = _normal_angle(vx[(k + 1) % n] - vx[k % n], vy[(k + 1) % n] - vy[k % n])
+        out.append(a)
+        lo = hi = a
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return out
+
+
+# 2**500 and 2**-500 stay under the walk's 2**1000 gate, 2**1003 is past it
+EXPONENTS = [-500, 0, 500, 1003]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(
+        ["lp", "tangent", "sliver", "near-straight", "straight", "dart", "pentagram"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from(EXPONENTS),
+    rel_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    probes=st.lists(st.floats(-4.0, 4.0), max_size=4),
+)
+def test_wins_equals_full_scan(kind, seed, exponent, rel_tol, probes):
+    # the bisection's predicate is the full scan's verdict at every angle,
+    # within a few ulps of each cone edge included
+    vx, vy = _cycle(kind, rng_for(seed))
+    vx, vy = _xy(_scaled(zip(vx, vy), exponent))
+    limit = oracle._limits(vx, vy, rel_tol)
+    assert bool(limit) == (exponent < 1000 and _cycle_fault(vx, vy) is None)
+    for p in range(len(vx)):
+        for phi in _edge_angles(vx, vy, p, 4) + probes:
+            want = oracle._scan(phi, vx, vy, rel_tol) == p
+            assert oracle._wins(phi, p, vx, vy, rel_tol, limit) == want
+
+
+def _scan_bisect(inside, outside, p, vx, vy, tol):
+    # the bisection on the full scan, the predicate's reference
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if oracle._scan(mid, vx, vy, VALUE_TIE_REL) == p:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["lp", "tangent", "sliver"]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from(EXPONENTS),
+    degrees=st.sampled_from([0.25, 1.0, 3.0]),
+    picks=st.lists(st.integers(0, 63), min_size=1, max_size=3),
+)
+def test_sweep_interval_equals_scan_bisection(kind, seed, exponent, degrees, picks):
+    # every cone edge the sweep bisects lands on the bit where the full
+    # scan's bisection lands, and so does the interval
+    vx, vy = _cycle(kind, rng_for(seed))
+    # unchecked, as at 2**-500 the edges are shorter than MERGE_TOL
+    region = _unchecked_region(
+        tuple(pl.Vertex(pl.Vec2(x, y)) for x, y in _scaled(zip(vx, vy), exponent))
+    )
+    vx, vy = oracle._coords(region)
+    bisect = oracle._bisect
+    for p in sorted({k % len(vx) for k in picks}):
+        calls = []
+
+        def recording(inside, outside, wins, tol):
+            got = bisect(inside, outside, wins, tol)
+            calls.append((got, _scan_bisect(inside, outside, p, vx, vy, tol)))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_bisect", recording)
+            try:
+                res = pl.stable_interval_by_sweep(region, region.vertices[p], math.radians(degrees))
+            except (VertexNeverOptimal, GridTooCoarse):
+                continue
+        (lo, lo_ref), (hi, hi_ref) = calls
+        assert (lo.hex(), hi.hex()) == (lo_ref.hex(), hi_ref.hex())
+        shift = pl.wrap_angle(lo_ref) - lo_ref
+        assert res.estimated_interval == pl.AngleInterval(lo_ref + shift, hi_ref + shift)
+
+
+def test_wins_falls_back_to_the_full_scan(ref_region, monkeypatch):
+    # next to a cone edge x0 beats its neighbour by less than limit, and the
+    # predicate asks the full scan; past the edge the neighbour wins and it
+    # does not; a cycle past the 2**1000 gate always takes the full scan
+    vx, vy = oracle._coords(ref_region)
+    p = ref_region.index_of(pl.Vec2(80.0, 40.0))
+    scan = oracle._scan
+    scans = _counting_scans(monkeypatch)
+    for rel_tol in (0.0, VALUE_TIE_REL):
+        limit = oracle._limits(vx, vy, rel_tol)
+        close = [
+            phi
+            for phi in _edge_angles(vx, vy, p, 8)
+            if 0.0 < oracle._margin(p, math.cos(phi), math.sin(phi), vx, vy) <= limit[p]
+        ]
+        assert close
+        for phi in close:
+            scans.clear()
+            assert oracle._wins(phi, p, vx, vy, rel_tol, limit) == (scan(phi, vx, vy, rel_tol) == p)
+            assert scans == [phi]
+    limit = oracle._limits(vx, vy, VALUE_TIE_REL)
+    outside = _edge_angles(vx, vy, p, 0)[1] + 0.01
+    scans.clear()
+    assert not oracle._wins(outside, p, vx, vy, VALUE_TIE_REL, limit)
+    assert oracle._wins(outside - 0.02, p, vx, vy, VALUE_TIE_REL, limit)
+    assert scans == []
+    big = region_of_points(_scaled(zip(vx, vy), 1003))
+    bx, by = oracle._coords(big)
+    assert oracle._limits(bx, by, VALUE_TIE_REL) == []
+    step = math.radians(1.0)
+    res = pl.stable_interval_by_sweep(big, big.vertices[p], step)
+    ref = pl.stable_interval_by_sweep(ref_region, ref_region.vertices[p], step)
+    assert res.estimated_interval == ref.estimated_interval  # exact scaling
+    assert oracle._wins(outside - 0.02, p, bx, by, VALUE_TIE_REL, [])
+    assert scans[-1] == outside - 0.02
 
 
 def _runs_by_loop(mask):

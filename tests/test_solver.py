@@ -351,6 +351,28 @@ def test_enumerate_closing_drops_the_first_row():
     assert [v.active_rows for v in region] == [{1, -1, -2}, {0, 1}, {0, 1, -1}]
 
 
+def test_enumerate_closing_retests_the_back_after_a_front_drop():
+    # Closing first finds that row 0 (x2 <= 250) cuts back nothing, then
+    # drops row 0 from the front.  Row 2 is the new front, and it cuts back
+    # x1 <= 2e-6 (row 1), whose corners would otherwise run backwards along
+    # it, at x2 = 6.67 and then 2.57: the back test must run again.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(0.0, 0.2, 50.0),
+            pl.ConstraintRow(1.0, 0.0, 2e-6),
+            pl.ConstraintRow(0.04, -6e-9, 4e-8),
+            pl.ConstraintRow(-1.0, 7e-7, -2e-7),
+        ),
+    )
+    region = pl.enumerate_vertices(lp, tol=1e-3)
+    expected = region_of_points([(2e-7, 0.0), (1e-6, 0.0), (1.2181818181818e-6, 1.4545454545454)])
+    assert same_cycle(region, expected, tol=1e-12)
+    enum = pl.solve_enumeration(lp, tol=1e-3).vertex.point
+    simplex = pl.solve_simplex(lp, tol=1e-3).vertex.point
+    assert (enum - simplex).norm() <= 1e-12
+
+
 def test_enumerate_merge_measures_past_hypot_overflow():
     # The corners (1.3e308, 2e307) and (0, 1.5e308) are farther apart than
     # the largest float, so hypot overflows and the merge measures them again
