@@ -15,10 +15,12 @@ angle of a cycle that FeasibleRegion's exact convexity check
 (geometry._cycle_fault) rejects.  The sweeps walk an arithmetic grid that
 computes each angle when asked (_Grid), so no array is built while they
 run; a SweepResult builds its phis and argmax arrays, with numpy, when they
-are first read.  The fan's edge-normal angles come from analyze's formula
-(sensitivity._normal_angle), but they are only the kernel's guess: every
-result is certified against _scan, so a fault in that formula cannot make
-the oracle agree with the analytic cone.
+are first read.  The fan's edge-normal angles come from vertex differences
+by stable_angle_interval's formula (sensitivity._normal_angle), while
+analyze reads its cone from the constraint rows, so --check-sweep compares
+two independent derivations.  The angles are only the kernel's guess:
+every result is certified against _scan, so a fault in that formula cannot
+make the oracle agree with the analytic cone.
 """
 
 from __future__ import annotations

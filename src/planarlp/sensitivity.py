@@ -5,7 +5,7 @@ directions keeping x0 optimal is the open cone between the outward normals
 of the two incident edges.  analyze() reports that cone as an open angle
 interval positioned to contain the current gradient angle phi_f, together
 with the admissible gradient rotations nu and the value reached after such
-a rotation.
+a rotation.  It reads the normals off the rows along those edges.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .geometry import (
     TAU,
     Frozen,
     PolarVector,
+    Vec2,
     _atan2,
     _set,
     _turns_left,
@@ -120,11 +121,6 @@ def edge_angles(pred: Vertex, x0: Vertex, succ: Vertex) -> tuple[float, float]:
     toward the successor.
     """
     _check_distinct((pred, x0), (x0, succ), (pred, succ))
-    return _edge_angles(pred, x0, succ)
-
-
-def _edge_angles(pred: Vertex, x0: Vertex, succ: Vertex) -> tuple[float, float]:
-    """edge_angles of a corner whose three vertices are known to be distinct."""
     theta1 = line_direction_angle(pred.point - x0.point)
     theta2 = line_direction_angle(x0.point - succ.point)
     return theta1, theta2
@@ -146,15 +142,10 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
     the test FeasibleRegion makes, so the width lies in (0, pi);
     ReflexVertex is raised for a corner that is exactly straight or reflex.
     A cone narrower than the rounding of its ends, which then come out
-    equal or swapped, is given one ulp wide.
+    equal or swapped, is given one ulp wide.  analyze reads the same cone
+    off the rows along the two edges instead.
     """
     _check_distinct((pred, x0), (x0, succ), (pred, succ))
-    return _stable_interval(pred, x0, succ)
-
-
-def _stable_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterval:
-    """stable_angle_interval of a corner whose three vertices are known to
-    be distinct."""
     p, x, q = pred.point, x0.point, succ.point
     if not _turns_left(p.x1, p.x2, x.x1, x.x2, q.x1, q.x2):
         raise ReflexVertex("corner is not strictly convex counterclockwise")
@@ -172,9 +163,10 @@ def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
 
     Ranks the vertices of enumerate_vertices' polygon and builds a Vertex
     only for those it returns: x0 and its two neighbours, or the tied ones.
+    The cone's ends are the normal angles of the rows along x0's two edges.
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
-    gradient angle at which the tie occurs.
+    gradient angle at which the tie occurs, that of the row they share.
     """
     _check_arguments(lp, tol)
     return _report(lp, _polygon(lp, tol))
@@ -184,7 +176,7 @@ def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
     """analyze() on the polygon that solver._polygon built for lp, whose
     objective is nonzero."""
     c = lp.objective
-    xs, ys = poly[0], poly[1]
+    xs, ys, edges = poly[0], poly[1], poly[4]
     best, tied = _ranked(c, xs, ys)
     n = len(xs)
     if tied:
@@ -193,34 +185,32 @@ def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
         if len(tied) == 1:
             i = tied[0]
             for a, b in ((best, i), (i, best)):
-                if (b - a) % n == 1:  # the edge a -> b is level; it is finite
-                    angle = _normal_angle(xs[b] - xs[a], ys[b] - ys[a])
+                if (b - a) % n == 1:  # the edge a -> b, along edges[b], is level
+                    angle = edges[b][0]
                     break
         raise DegenerateOptimum("optimal value is tied between vertices", verts, angle)
 
     pred, x0, succ = _vertices(poly, ((best - 1) % n, best, (best + 1) % n))
-    # The builder has shown every edge, pred -> x0 and x0 -> succ among
-    # them, finite and longer than MERGE_TOL; pred -> succ is one only for
-    # a triangle.
-    if n > 3:
-        _check_distinct((pred, succ))
-    theta1, theta2 = _edge_angles(pred, x0, succ)
-
-    # The cone turns with the polygon, so it needs no rotated copy; theta0
-    # only reports the rotation that would normalize the objective.
-    interval = _stable_interval(pred, x0, succ)
+    into, out = edges[best], edges[(best + 1) % n]
+    theta1, theta2 = (line_direction_angle(Vec2(-r[3], r[2])) for r in (into, out))
+    # The cone runs from the normal of the row along pred -> x0 to that of
+    # the row along x0 -> succ, each moved by a turn at most to its side of
+    # phi_f, with one rounding; they span less than a turn exactly when
+    # phi_f lies inside.  The cone turns with the polygon, so it needs no
+    # rotated copy; theta0 only reports the rotation that would normalize c.
     theta0 = normalizing_rotation(c) if c.x1 < 0.0 or c.x2 < 0.0 else 0.0
-
     pv = polar_of(c)
-    d = (pv.phi - interval.lo) % TAU
-    if not 0.0 < d < interval.width:
+    phi = pv.phi
+    lo = into[0] if into[0] < phi else into[0] - TAU
+    hi = out[0] if out[0] > phi else out[0] + TAU
+    if not hi - lo < TAU:
         # The gradient sits on the cone boundary yet no value tie fired;
-        # only reachable at the numerical knife edge.
-        partner = succ if d >= interval.width else pred
+        # only reachable at the numerical knife edge.  Blame the nearer end.
+        partner = succ if phi - lo < hi - phi else pred
         raise DegenerateOptimum(
-            "gradient lies on the stable-cone boundary", (x0, partner), pv.phi
+            "gradient lies on the stable-cone boundary", (x0, partner), phi
         )
-    interval = AngleInterval(pv.phi - d, pv.phi - d + interval.width)
+    interval = AngleInterval(lo, hi)
 
     return SensitivityReport(
         optimal_vertex=x0,
@@ -231,8 +221,8 @@ def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
         theta2=theta2,
         interval=interval,
         objective_polar=pv,
-        phi_inside=interval.contains(pv.phi),
-        nu_interval=interval.shifted(-pv.phi),
+        phi_inside=interval.contains(phi),
+        nu_interval=interval.shifted(-phi),
         theta0=theta0,
         endpoint_ties=(pred, succ),
     )

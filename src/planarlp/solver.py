@@ -283,11 +283,12 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
 
 def _polygon(lp: LinearProgram2D, tol: float):
     """enumerate_vertices' cycle, checked as FeasibleRegion checks it, as
-    (xs, ys, rows, owners): vertex k is (xs[k], ys[k]); rows holds the
-    records of _sorted_normals, x >= 0 rows included, by normal angle; and
-    owners[i] is the vertex that owns rows[i]'s normal angle.  A row can be
-    tight only at its owner or a neighbour of it, and it is tight at a
-    vertex x where |a1 x1 + a2 x2 - b| <= limit."""
+    (xs, ys, rows, owners, edges): vertex k is (xs[k], ys[k]), entered
+    along the row of record edges[k]; rows holds the records of
+    _sorted_normals, x >= 0 rows included, by normal angle; and owners[i]
+    is the vertex that owns rows[i]'s normal angle.  A row can be tight only
+    at its owner or a neighbour of it, and it is tight at a vertex x where
+    |a1 x1 + a2 x2 - b| <= limit."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
     validate(lp)
@@ -328,8 +329,11 @@ def _polygon(lp: LinearProgram2D, tol: float):
         ),
         0,
     )
+    # A run that starts at corner k, where lines[k] meets lines[k + 1], is
+    # entered along lines[k].
     runs = [[corners[first]]]
     run_of = [0] * n_corners
+    edges = [lines[first]]
     for k in chain(range(first + 1, n_corners), range(first)):
         p, q = corners[k], runs[-1][0]
         # _distance, which checks the difference, only where hypot overflowed.
@@ -340,6 +344,7 @@ def _polygon(lp: LinearProgram2D, tol: float):
             runs[-1].append(p)
         else:
             runs.append([p])
+            edges.append(lines[k])
         run_of[k] = len(runs) - 1
     # A run's mean is sum(xs) / len(run).  sum() starts from 0, so a mean of
     # -0.0 is 0.0; for one corner, x + 0.0 gives the same.
@@ -386,14 +391,13 @@ def _polygon(lp: LinearProgram2D, tol: float):
     phis = [ang if ang >= lo else ang + TAU for ang in map(itemgetter(0), lines)]
     phi0 = phis[0]
     owner = [(k - s) % n for k in run_of]
-    return xs, ys, rows, [
-        owner[bisect_right(phis, phi0 + (rec[0] - phi0) % TAU) - 1] for rec in rows
-    ]
+    owners = [owner[bisect_right(phis, phi0 + (rec[0] - phi0) % TAU) - 1] for rec in rows]
+    return xs, ys, rows, owners, edges[s:] + edges[:s]
 
 
 def _region(poly) -> FeasibleRegion:
     """The FeasibleRegion of a _polygon result, not checked a second time."""
-    xs, ys, rows, owners = poly
+    xs, ys, rows, owners, _ = poly
     last = len(xs) - 1
     active: list[set[int]] = [set() for _ in xs]
     for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
@@ -406,7 +410,7 @@ def _region(poly) -> FeasibleRegion:
 
 def _vertices(poly, ks) -> list[Vertex]:
     """Vertices ks (distinct) of a _polygon result, active rows as _region finds them."""
-    xs, ys, rows, owners = poly
+    xs, ys, rows, owners, _ = poly
     n = len(xs)
     active: dict[int, set[int]] = {k: set() for k in ks}
     near = {(k + d) % n for k in ks for d in (-1, 0, 1)}  # owners worth testing

@@ -1,6 +1,6 @@
 """Print a SHA-256 digest of the CLI's output on fixed LPs.
 
-    PYTHONPATH=src python tests/cli_digest.py
+    PYTHONPATH=src python tests/cli_digest.py [--entries]
 
 The LPs are fixtures/paper.lp, fixtures/tie.lp and tangent_pool(seed, m, 4)
 of perfbench seeds 1 and 2 for m in 3, 8 and 16.  They are written to a
@@ -14,8 +14,10 @@ takes the exit code, stdout and stderr of cli.main for
 
 Every JSON document printed must come back unchanged through
 ReportDocument.from_json and to_json.  It prints the number of LPs and the
-hex digest.  A change that keeps the CLI's output must leave the digest as
-it is on the same machine.  This is a script rather than a test because
+hex digest; with --entries it prints instead one line per run, its argv and
+the SHA-256 of what that run adds to the digest (the SVG run's with the
+file's bytes), so that two trees can be diffed.  A change that keeps the
+CLI's output must leave the digest as it is on the same machine.  This is a script rather than a test because
 math.atan2, cos and sin, and so the printed angles, may differ between C
 libraries.
 """
@@ -67,6 +69,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> None:
+    listing = sys.argv[1:] == ["--entries"]
     h = hashlib.sha256()
     count = 0
     cwd = os.getcwd()
@@ -80,18 +83,24 @@ def main() -> None:
                 runs.append(["sensitivity", name, "--svg", "out.svg"])
                 for argv in runs:
                     code, out, err = run(argv)
-                    h.update(repr((argv, code, out, err)).encode())
+                    parts = [repr((argv, code, out, err)).encode()]
                     if "--json" in argv and out:
                         doc = cli.ReportDocument.from_json(out)
                         if doc.to_json() != out.strip():
                             raise SystemExit(f"JSON round trip changed {argv}")
-                svg = Path("out.svg")
-                h.update(svg.read_bytes() if svg.exists() else b"no svg")
-                svg.unlink(missing_ok=True)
+                    if "--svg" in argv:
+                        svg = Path("out.svg")
+                        parts.append(svg.read_bytes() if svg.exists() else b"no svg")
+                        svg.unlink(missing_ok=True)
+                    for part in parts:
+                        h.update(part)
+                    if listing:
+                        print(" ".join(argv), hashlib.sha256(b"".join(parts)).hexdigest())
                 count += 1
         finally:
             os.chdir(cwd)
-    print(count, h.hexdigest())
+    if not listing:
+        print(count, h.hexdigest())
 
 
 if __name__ == "__main__":

@@ -282,11 +282,12 @@ def test_cli_sensitivity_cone_narrower_than_sweep_step(tmp_path, json_mode, caps
 
 def test_cli_sensitivity_grid_too_coarse(capsys):
     # both angles of a 162 degree grid fall in the optimal cone: the report
-    # prints, and the sweep's message goes to stderr with exit code 4
+    # prints, and the sweep's message goes to stderr with exit code 4; the
+    # cone's upper end is the normal angle of row 1, which is 151.5 degrees
     sharp = str(FIXTURES / "sharp.lp")
     assert cli.main(["sensitivity", sharp, "--check-sweep", "162"]) == 4
     out, err = capsys.readouterr()
-    assert "stable cone (open): (-25.5000°, 151.4999°)" in out
+    assert "stable cone (open): (-25.5000°, 151.5000°)" in out
     assert "sweep check" not in out
     assert err.startswith("error: sweep oracle: vertex 2 wins at all 2 angles")
     assert "too coarse to bracket its cone" in err

@@ -366,6 +366,20 @@ def test_analyze_gradient_on_the_boundary_without_a_value_tie():
     assert ei.value.stable_angle == math.atan2(-1.0, 7.0)
 
 
+def test_analyze_adjacent_tie_at_extreme_scale():
+    # random-2474 of tests/region_digest.py: c = (1, 1) ties (8.4e20, 1.4e54)
+    # and (0, 1.4e54), which share row 1, a line level to within 1e-108.
+    # The tie angle is that row's normal, pi / 2; the difference of the two
+    # rounded vertices points the other way and once gave pi.
+    rows = (
+        pl.ConstraintRow(3.77418122517511e50, -2.3074718558761005e17, 0.0),
+        pl.ConstraintRow(-2.9277247247533158e-236, 1.6305980960214217e-128, 2.2436588080520896e-74),
+    )
+    with pytest.raises(DegenerateOptimum, match="tied between vertices") as ei:
+        pl.analyze(pl.LinearProgram2D(pl.Vec2(1.0, 1.0), rows))
+    assert ei.value.stable_angle == math.atan2(rows[1].a2, rows[1].a1) == math.pi / 2
+
+
 def test_analyze_sliver_tip():
     # random-1604 of tests/region_digest.py: the region is a sliver triangle
     # along x2 ~ 0 whose corners are all exactly convex.  The far tip turns

@@ -953,11 +953,20 @@ def test_check_recession_matches_candidate_search(case):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(small_row, min_size=1, max_size=6), st.builds(pl.Vec2, small_int, small_int))
+@example(  # cone ends 2.2e-15 off when re-anchored on phi_f by a rounded difference
+    [
+        pl.ConstraintRow(*map(float, r))
+        for r in ((1, 4, 4), (-9, -10, -7), (3, -3, -2), (4, 4, 3), (-1, -6, -2), (-5, -9, 4))
+    ],
+    pl.Vec2(7.0, -10.0),
+)
 def test_solvers_and_analyze_give_the_exact_answer(rows, c):
     # On small integers distinct vertices and values lie far apart, so each
     # float answer must match the exact one: the same error, the exact
     # optimum, uniqueness, a tie, and cone ends at the normals of the rows
-    # along x0's two edges.
+    # along x0's two edges, lo on the edge from pred and hi on the edge to
+    # succ.  Each end is atan2 of its row, moved by a turn at most to
+    # enclose phi_f; that rounding and the comparison's are an ulp of pi each.
     assume(not c.is_zero())
     lp = pl.LinearProgram2D(c, tuple(rows))
     try:
@@ -986,12 +995,9 @@ def test_solvers_and_analyze_give_the_exact_answer(rows, c):
     by_index = dict(enumerate(rows))
     by_index[pl.X1_NONNEG] = pl.ConstraintRow(-1.0, 0.0, 0.0)
     by_index[pl.X2_NONNEG] = pl.ConstraintRow(0.0, -1.0, 0.0)
-    normals = [
-        math.atan2(by_index[i].a2, by_index[i].a1)
-        for i in (at_x0 & at_pred) | (at_x0 & at_succ)
-    ]
-    for end in (rep.interval.lo, rep.interval.hi):
-        assert any(circ_close(end, normal, 1e-12) for normal in normals)
+    for end, edge in ((rep.interval.lo, at_x0 & at_pred), (rep.interval.hi, at_x0 & at_succ)):
+        normals = [math.atan2(by_index[i].a2, by_index[i].a1) for i in edge]
+        assert any(circ_close(end, normal, 2 * math.ulp(math.pi)) for normal in normals)
 
 
 def _solve_outcome(solve, lp):
