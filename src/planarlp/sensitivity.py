@@ -5,7 +5,8 @@ directions keeping x0 optimal is the open cone between the outward normals
 of the two incident edges.  analyze() reports that cone as an open angle
 interval positioned to contain the current gradient angle phi_f, together
 with the admissible gradient rotations nu and the value reached after such
-a rotation.  It reads the normals off the rows along those edges.
+a rotation.  It reads the normals off the rows along those edges, and finds
+x0 from the rows in O(m) where it can certify it, else from the polygon.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .geometry import (
 )
 from .lp_model import FEAS_TOL, MERGE_TOL, LinearProgram2D, Vertex, evaluate
 from .normalization import normalizing_rotation
-from .solver import VALUE_TIE_REL, _check_arguments, _polygon, _ranked, _vertices
+from .solver import VALUE_TIE_REL, _check_arguments, _optimal_corner, _polygon, _ranked, _vertices
 
 
 class AngleInterval(Frozen):
@@ -161,15 +162,18 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
 def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
     """Full sensitivity report for the optimal vertex of lp.
 
-    Ranks the vertices of enumerate_vertices' polygon and builds a Vertex
-    only for those it returns: x0 and its two neighbours, or the tied ones.
-    The cone's ends are the normal angles of the rows along x0's two edges.
+    Finds x0 and its neighbours from the rows in O(m) expected where a pass
+    over them certifies the answer (solver._optimal_corner), else ranks the
+    vertices of enumerate_vertices' polygon, to the same bits; it builds a
+    Vertex only for x0 and its neighbours, or the tied ones.  The cone's
+    ends are the normal angles of the rows along x0's two edges.
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs, that of the row they share.
     """
     _check_arguments(lp, tol)
-    return _report(lp, _polygon(lp, tol))
+    corner = _optimal_corner(lp, tol)
+    return _report(lp, _polygon(lp, tol)) if corner is None else _cone_report(lp, *corner)
 
 
 def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
@@ -191,7 +195,13 @@ def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
         raise DegenerateOptimum("optimal value is tied between vertices", verts, angle)
 
     pred, x0, succ = _vertices(poly, ((best - 1) % n, best, (best + 1) % n))
-    into, out = edges[best], edges[(best + 1) % n]
+    return _cone_report(lp, pred, x0, succ, edges[best], edges[(best + 1) % n])
+
+
+def _cone_report(lp: LinearProgram2D, pred: Vertex, x0: Vertex, succ: Vertex, into, out):
+    """The report on either of analyze's routes: x0 lies between pred and
+    succ, entered along the row of record into and left along that of out."""
+    c = lp.objective
     theta1, theta2 = (line_direction_angle(Vec2(-r[3], r[2])) for r in (into, out))
     # The cone runs from the normal of the row along pred -> x0 to that of
     # the row along x0 -> succ, each moved by a turn at most to its side of

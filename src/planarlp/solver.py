@@ -1,14 +1,14 @@
 """Two independent solvers for the planar LP, plus region construction.
 
 solve_enumeration builds the feasible polygon by sorted half-plane
-intersection and picks the best vertex; the same sort of the row normals
-decides boundedness, by a gap of a half turn.  solve_enumeration and
-analyze rank the builder's float lists and build a Vertex only for the
-vertices they return.  solve_simplex is a two-phase revised simplex with
-Bland's rule whose basis is the pair of tight constraints, in both phases,
-so a pivot is a 2 x 2 solve and one O(m) pass over the rows.  Neither
-needs numpy.  They share no code on the solve path, which is what makes
-cross-checking one against the other meaningful.
+intersection and picks the best vertex, building a Vertex for it alone; the
+same sort of the row normals decides boundedness, by a gap of a half turn.
+analyze finds and certifies x0 from the sorted rows in O(m) instead, and
+ranks the polygon only where that is in doubt.  solve_simplex is a
+two-phase revised simplex with Bland's rule whose basis is the pair of tight
+constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m) pass
+over the rows.  Neither needs numpy.  They share no code on the solve path,
+which is what makes cross-checking one against the other meaningful.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from operator import itemgetter
 from .errors import (
     DegenerateRegion,
     Infeasible,
+    NonFiniteEntry,
     Unbounded,
     UnboundedRegion,
     ZeroObjective,
@@ -87,9 +88,9 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> froze
 def _sorted_normals(lp: LinearProgram2D, tol: float):
     """One record per row, the two x >= 0 rows included, sorted by normal
     angle (see the sweep below); the position just after the widest
-    counterclockwise gap between consecutive normals; and whether that gap
+    counterclockwise gap between consecutive normals; whether that gap
     leaves the region bounded, that is, falls short of pi - _RECESSION_TOL
-    (see check_recession)."""
+    (see check_recession); and the narrowest gap."""
     # _atan2 and row.scale(), written out: this runs once per row.
     atan2, hypot = math.atan2, math.hypot
     rows = [
@@ -106,7 +107,7 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + TAU - angles[-1])
     widest = gaps.index(max(gaps))
-    return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL
+    return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL, min(gaps)
 
 
 def check_recession(lp: LinearProgram2D) -> Recession:
@@ -294,7 +295,7 @@ def _polygon(lp: LinearProgram2D, tol: float):
     validate(lp)
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
-    rows, start, bounded = _sorted_normals(lp, tol)
+    rows, start, bounded, _ = _sorted_normals(lp, tol)
     # Of rows whose normals point the same way, to within _DET_TOL, only the
     # tightest bounds.  lines[-1] is (.., k1, k2, kb, kn, ..).
     lines = []
@@ -420,6 +421,125 @@ def _vertices(poly, ks) -> list[Vertex]:
                 if i in active and abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
                     active[i].add(idx)
     return [Vertex(Vec2(xs[k], ys[k]), active[k]) for k in ks]
+
+
+# --- x0 from the rows, in O(m) -----------------------------------------------
+
+
+def _corner_of(ri, rj):
+    """_crossing(ri, rj) + 0.0, or None where the rows meet at no finite
+    point: a vertex as _polygon makes it where no other corner merges."""
+    if _turns_left(ri, rj):
+        try:
+            x, y = _crossing(ri, rj)
+            return x + 0.0, y + 0.0
+        except NonFiniteEntry:
+            pass
+    return None
+
+
+def _on_line(h, seen, c1: float, c2: float):
+    """(into, out, corner) where the records seen first stop a walk along
+    h's line the way c grows; the corner is None where c is level with the
+    line, nothing stops the walk, or _corner_of finds none.  Seidel's test
+    for an empty interval is left out: where the LP is infeasible, the point
+    left fails _optimal_corner's certificate instead."""
+    _, _, h1, h2, hb, hn, _ = h
+    forward = c2 * h1 - c1 * h2
+    d1, d2 = (-h2, h1) if forward > 0.0 else (h2, -h1)
+    s = hb / hn / hn
+    q1, q2 = s * h1, s * h2  # a point on the line
+    hi, block = math.inf, None
+    for g in seen:
+        _, _, g1, g2, gb, _, _ = g
+        den = g1 * d1 + g2 * d2
+        t = (gb - g1 * q1 - g2 * q2) / den if den > 0.0 else math.inf
+        if t < hi:
+            hi, block = t, g
+    if forward == 0.0 or block is None:
+        return h, h, None
+    into, out = (h, block) if forward > 0.0 else (block, h)
+    return into, out, _corner_of(into, out)
+
+
+def _optimal_edges(rows, c1: float, c2: float):
+    """x0's two edge records, counterclockwise, for max c . x over the
+    records of _sorted_normals of a bounded region, or None where in doubt:
+    Seidel's incremental LP (Seidel 1991; de Berg et al., Computational
+    Geometry, 3rd ed., 4.3-4.4).  It starts where the two rows whose normals
+    bracket c meet, so every LP is bounded without a box, then visits the
+    rows in a fixed order, strides of isqrt(len(rows)) through the angle
+    order; a row that rejects the point moves it along the row's line."""
+    k = bisect_right(rows, math.atan2(c2 + 0.0, c1), key=itemgetter(0))
+    first = into, out = rows[k - 1], rows[k % len(rows)]
+    x = _corner_of(into, out)
+    step = math.isqrt(len(rows))
+    order = list(chain.from_iterable(rows[j::step] for j in range(step)))
+    for h in order:
+        if x is None:
+            return None
+        if h[2] * x[0] + h[3] * x[1] - h[4] > 0.0 and h is not into and h is not out:
+            into, out, x = _on_line(h, chain(first, order[: order.index(h)]), c1, c2)
+    return None if x is None else (into, out)
+
+
+def _optimal_corner(lp: LinearProgram2D, tol: float):
+    """(pred, x0, succ, into, out) in O(m), as _vertices and _polygon give
+    them, or None where in doubt; lp's objective is nonzero, tol good.  Each
+    row but a vertex's two holds there by twice its limit and 2 MERGE_TOL in
+    distance: no other is tight, no corner merges.  Ratio tests along x0's
+    rows find pred's and succ's other rows.  x0 beats both by twice _ranked's
+    tie threshold, so c lies in the normal cone of x0's rows: LP duality."""
+    validate(lp)
+    rows, _, bounded, narrowest = _sorted_normals(lp, tol)
+    c1, c2 = lp.objective.x1, lp.objective.x2
+    # Of rows whose normals are this close, _polygon may keep only one.
+    edges = bounded and narrowest > 4.0 * _DET_TOL and _optimal_edges(rows, c1, c2)
+    if not edges:
+        return None
+    into, out = edges
+    x, y = _corner_of(into, out)
+    p1, p2, s1, s2 = into[3], -into[2], -out[3], out[2]  # towards pred, succ
+    tp = tp2 = ts = ts2 = math.inf
+    before = after = None
+    for rec in rows:
+        _, _, a1, a2, b, norm, limit = rec
+        slack = b - a1 * x - a2 * y
+        if not (slack > 2.0 * limit and slack > 2.0 * MERGE_TOL * norm):
+            if rec is not into and rec is not out:  # their d is never > 0
+                return None
+        d = a1 * p1 + a2 * p2
+        if d > 0.0 and slack / d < tp2:
+            t = slack / d
+            tp, tp2, before = (t, tp, rec) if t < tp else (tp, t, before)
+        d = a1 * s1 + a2 * s2
+        if d > 0.0 and slack / d < ts2:
+            t = slack / d
+            ts, ts2, after = (t, ts, rec) if t < ts else (ts, t, after)
+    # Near-tie: two rows cross an edge at nearly one point, or none does.
+    if tp2 <= tp * (1.0 + VALUE_TIE_REL) or ts2 <= ts * (1.0 + VALUE_TIE_REL):
+        return None
+    pred, succ = _corner_of(before, into), _corner_of(out, after)
+    if pred is None or succ is None:
+        return None
+    (px, py), (sx, sy) = pred, succ
+    for rec in rows:
+        _, _, a1, a2, b, norm, limit = rec
+        need = 2.0 * max(limit, MERGE_TOL * norm)
+        if not b - a1 * px - a2 * py > need and rec is not before and rec is not into:
+            return None
+        if not b - a1 * sx - a2 * sy > need and rec is not out and rec is not after:
+            return None
+    # pred, x0, succ must also turn left, as _polygon's convexity test asks.
+    v0, vp, vs = c1 * x + c2 * y, c1 * px + c2 * py, c1 * sx + c2 * sy
+    thr = 2.0 * VALUE_TIE_REL * max(1.0, abs(v0))
+    if not (v0 - vp > thr and v0 - vs > thr and _cycle_fault([px, x, sx], [py, y, sy]) is None):
+        return None
+    corners = []
+    for u, v, pair in ((px, py, (before, into)), (x, y, edges), (sx, sy, (out, after))):
+        tight = {r[1] for r in pair if abs(r[2] * u + r[3] * v - r[4]) <= r[6]}
+        corners.append(Vertex(Vec2(u, v), tight))
+    return (*corners, into, out)
 
 
 def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:

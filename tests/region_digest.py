@@ -1,7 +1,7 @@
 """Print a SHA-256 digest of enumerate_vertices, analyze and solve_enumeration
 on fixed LPs.
 
-    PYTHONPATH=src python tests/region_digest.py [--entries]
+    PYTHONPATH=src python tests/region_digest.py [--entries | --fast-share]
 
 The LPs are tangent_pool(seed, m, 16) of perfbench seeds 1, 2 and 3 for m in
 3, 4, 8, 16, 64 and 256; every LP of batch_pool(seed, 50, 16) for the same
@@ -20,9 +20,13 @@ and whether it is unique; DegenerateOptimum also by its tie angle.  The digest t
 order.  It prints the number of LPs and the hex digest; with --entries it
 prints one line per entry instead, so that two trees can be diffed.  A
 change that keeps the builder's output must leave the digest as it is on the
-same machine.  This is a script rather than a test because math.atan2, and
-so the order of the sort and the cone angles, may differ between C
-libraries.
+same machine.  With --fast-share it prints, for each family of LPs
+(tangent, batch, and the random integer, mixed and extreme ones), how many
+analyze entries returned without building the polygon ("rows"), how many
+built it, and how many raised without building it ("refused", mostly a
+rejected argument).  This is a script rather than a test because
+math.atan2, and so the order of the sort and the cone angles, may differ
+between C libraries.
 """
 
 from __future__ import annotations
@@ -114,7 +118,44 @@ def entries(lp: pl.LinearProgram2D):
         yield f"tol={tol} solve", _outcome(lambda: pl.solve_enumeration(lp, tol=tol))
 
 
+_FAMILIES = ("tangent", "batch", "integer", "mixed", "extreme")
+
+
+def _family(name: str) -> str:
+    kind, i = name.split("-")[:2]
+    return _FAMILIES[2 + int(i) % 3] if kind == "random" else kind
+
+
+def fast_share() -> None:
+    """Count analyze's routes per family by watching its polygon builds."""
+    from planarlp import sensitivity, solver
+
+    built = []
+
+    def counting(lp, tol):
+        built.append(lp)
+        return solver._polygon(lp, tol)
+
+    sensitivity._polygon = counting
+    counts = {f: [0, 0, 0] for f in _FAMILIES}  # rows, polygon, refused
+    for name, lp in lps():
+        for tol in TOLS:
+            built.clear()
+            try:
+                pl.analyze(lp, tol=tol)
+                refused = False
+            except pl.errors.PlanarLPError:
+                refused = True
+            counts[_family(name)][1 if built else 2 if refused else 0] += 1
+    print(f"{'family':8} {'rows':>6} {'polygon':>8} {'refused':>8}")
+    for f, (rows, poly, refused) in counts.items():
+        print(f"{f:8} {rows:6} {poly:8} {refused:8}")
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--fast-share"]:
+        fast_share()
+        return
     listing = sys.argv[1:] == ["--entries"]
     h = hashlib.sha256()
     count = 0

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import planarlp as pl
+from planarlp import sensitivity, solver
 from planarlp.errors import (
     CoincidentVertices,
     DegenerateOptimum,
@@ -11,6 +13,7 @@ from planarlp.errors import (
     ZeroObjective,
 )
 from conftest import (
+    FIXTURES,
     REF_CONE_HI,
     REF_CONE_LO,
     REF_PHI,
@@ -22,6 +25,7 @@ from conftest import (
     region_of_points,
     rng_for,
     square_lp,
+    tangent_circle_lp,
 )
 
 
@@ -401,3 +405,193 @@ def test_analyze_sliver_tip():
         assert math.isclose(tip.x1, 1.1275e104, rel_tol=1e-4)
         assert math.isclose(tip.x2, 7.9e-37, rel_tol=1e-2)
         assert rep.interval.contains(math.pi / 4)
+
+
+# --- analyze's O(m) route ----------------------------------------------------
+
+def _answer(call, row=lambda i: i):
+    """What analyze gives, bit for bit: the three vertices, the cone and the
+    edge angles of a report, or the class, message, tie angle and vertices
+    of an error.  Each active row index i reads as row(i)."""
+
+    def bits(v):
+        return v.point.x1.hex(), v.point.x2.hex(), sorted({row(i) for i in v.active_rows})
+
+    try:
+        r = call()
+    except pl.errors.PlanarLPError as exc:
+        angle = getattr(exc, "stable_angle", None)
+        tied = getattr(exc, "tied_vertices", ())
+        angle = None if angle is None else angle.hex()
+        return type(exc), str(exc), angle, [bits(v) for v in tied]
+    return (
+        [bits(v) for v in (r.pred, r.optimal_vertex, r.succ)],
+        [a.hex() for a in (r.interval.lo, r.interval.hi, r.theta1, r.theta2)],
+    )
+
+
+def _builder_route(lp, tol):
+    solver._check_arguments(lp, tol)
+    return sensitivity._report(lp, solver._polygon(lp, tol))
+
+
+def _answered_fast(lp, tol):
+    try:
+        solver._check_arguments(lp, tol)
+        return solver._optimal_corner(lp, tol) is not None
+    except pl.errors.PlanarLPError:
+        return False
+
+
+def _tangent_lp(seed, m, phi, b_exp, c_exp):
+    """conftest's tangent-circle LP with objective angle phi, its b scaled by
+    2**b_exp and its objective by 2**c_exp: powers of two scale each vertex
+    exactly."""
+    lp = tangent_circle_lp(rng_for(seed), m)
+    rows = tuple(pl.ConstraintRow(r.a1, r.a2, math.ldexp(r.b, b_exp)) for r in lp.constraints)
+    c = pl.Vec2(math.ldexp(math.cos(phi), c_exp), math.ldexp(math.sin(phi), c_exp))
+    return pl.LinearProgram2D(c, rows)
+
+
+_small = st.integers(-10, 10).map(float)
+_lps = (
+    st.integers(0, 2**32 - 1).map(lambda seed: random_bounded_lp(rng_for(seed)))
+    | st.builds(
+        lambda rows, c: pl.LinearProgram2D(c, tuple(rows)),
+        st.lists(st.builds(pl.ConstraintRow, _small, _small, _small), min_size=1, max_size=6),
+        st.builds(pl.Vec2, _small, _small).filter(lambda c: not c.is_zero()),
+    )
+    | st.builds(
+        _tangent_lp,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([3, 4, 8, 16, 64]),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([-500, 0, 500]),
+        st.sampled_from([-500, 0, 500]),
+    )
+)
+
+
+def test_analyze_equals_the_builder_route():
+    # analyze answers from the rows where it can certify x0 and builds the
+    # polygon otherwise; either way it must give what the polygon gives.
+    # The rows answer in 26-36 % of 500 draws (24 seeds), and must in 15 %,
+    # so that the property tests them.
+    fast = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(_lps, st.sampled_from([1e-9, 0.0, 1e-3]))
+    def check(lp, tol):
+        assert _answer(lambda: pl.analyze(lp, tol=tol)) == _answer(lambda: _builder_route(lp, tol))
+        fast.append(_answered_fast(lp, tol))
+
+    check()
+    assert sum(fast) >= 0.15 * len(fast)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lps, st.sampled_from([1e-9, 0.0, 1e-3]), st.data())
+def test_analyze_ignores_row_order_and_duplicate_rows(lp, tol, data):
+    # The rows answer by visiting them in an order, so permuting them, or
+    # repeating one, must change no bit of the answer; active rows are
+    # compared by the row they name, and an error by all but its message,
+    # which may name a row by its place.
+    def answer(lp, row=lambda i: i):
+        out = _answer(lambda: pl.analyze(lp, tol=tol), row)
+        return out[:1] + out[2:] if isinstance(out[0], type) else out
+
+    rows = lp.constraints
+    m = len(rows)
+    perm = data.draw(st.permutations(range(m)))
+    shuffled = pl.LinearProgram2D(lp.objective, tuple(rows[i] for i in perm))
+    assert answer(shuffled, lambda i: perm[i] if i >= 0 else i) == answer(lp)
+    j = data.draw(st.integers(0, m - 1))
+    doubled = pl.LinearProgram2D(lp.objective, rows + (rows[j],))
+    assert answer(doubled, lambda i: j if i == m else i) == answer(lp)
+
+
+def _counting_polygon(monkeypatch) -> list:
+    """A list that gains one entry for each polygon analyze builds from now on."""
+    calls = []
+    build = solver._polygon
+
+    def counting(lp, tol):
+        calls.append(lp)
+        return build(lp, tol)
+
+    monkeypatch.setattr(sensitivity, "_polygon", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [16, 64, 1024])
+def test_analyze_builds_no_polygon_for_a_tangent_lp(monkeypatch, m):
+    lp = tangent_circle_lp(rng_for(m), m)
+    expected = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
+    calls = _counting_polygon(monkeypatch)
+    assert _answer(lambda: pl.analyze(lp)) == expected
+    assert calls == []
+
+
+_R = pl.ConstraintRow
+_PAPER_ROWS = pl.load_lp(FIXTURES / "paper.lp").constraints
+_SQUARE = (_R(1.0, 0.0, 1.0), _R(0.0, 1.0, 1.0))
+# One LP for each way the rows can leave x0 in doubt, with its objective.
+_DOUBTS = {
+    "three rows through x0": ((2.0, 3.0), _PAPER_ROWS + (_R(1.0, 1.0, 120.0),)),
+    "adjacent value tie": ((1.0, 1e-10), _SQUARE),
+    "gradient on a cone end": ((1.0, 0.0), _SQUARE),
+    "unbounded region": ((1.0, 1.0), (_R(1.0, -1.0, 0.0),)),
+    "infeasible": ((1.0, 1.0), (_R(1.0, 1.0, -1.0),)),
+    "ratio near-tie at pred": ((1.0, 1.0), _SQUARE + (_R(1.0, -1.0, 1.0 - 1e-10),)),
+    # a row nearly parallel to an edge passes 1.5e-7 from pred, or succ
+    "a row near pred": ((1.0, 1.0), _SQUARE + (_R(1.0, -1.5e-7, 1.0 + 1.5e-7),)),
+    "a row near succ": ((1.0, 1.0), _SQUARE + (_R(-1.5e-7, 1.0, 1.0 + 1.5e-7),)),
+    # the rows around x0 = (0, 1e300) meet at x1 = 1e310, past the floats
+    "pred overflows": ((-1.0, 1.0), (_R(1e-8, 100.0, 1e302),)),
+    "start overflows": ((1.0, 1.0), (_R(1e-300, 1e-300, 1e300),)),
+    # the region digest's random-110: the starting rows do not cross
+    "start rows parallel": (
+        (1.0, 1.0),
+        (
+            _R(-2.3432939612836643e226, 2.43598769702417e229, 4.118471259113212e272),
+            _R(4.64142460081629e129, -2.566230074981186e-92, 35577008945049.83),
+        ),
+    ),
+    "a row level with c": ((1.0, 1.0), _SQUARE + (_R(-1.0, -1.0, -5.0),)),
+    "a row parallel to a bound": ((1.0, 2.0), (_R(1.0, 1.0, 2.0), _R(-1.0, -1.0, -3.0))),
+}
+
+
+@pytest.mark.parametrize("c, rows", _DOUBTS.values(), ids=_DOUBTS)
+def test_analyze_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, rows):
+    lp = pl.LinearProgram2D(pl.Vec2(*c), rows)
+    expected = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
+    calls = _counting_polygon(monkeypatch)
+    assert _answer(lambda: pl.analyze(lp)) == expected
+    assert calls == [lp]
+
+
+def test_analyze_doubts_give_the_builder_errors():
+    # the gate's examples answer as the polygon does, tie angle included
+    def outcome(name):
+        c, rows = _DOUBTS[name]
+        return _answer(lambda: pl.analyze(pl.LinearProgram2D(pl.Vec2(*c), rows)))
+
+    tie = outcome("adjacent value tie")
+    assert tie[:3] == (DegenerateOptimum, "optimal value is tied between vertices", "0x0.0p+0")
+    assert outcome("unbounded region")[0] is pl.errors.UnboundedRegion
+    assert outcome("infeasible")[0] is pl.errors.Infeasible
+    assert outcome("pred overflows")[0] is pl.errors.NonFiniteEntry
+    assert outcome("three rows through x0")[0][1][:2] == ((80.0).hex(), (40.0).hex())
+
+
+@pytest.mark.parametrize("row, x0", [((1.0, 2.0, 2.5), (1.0, 0.75)), ((2.0, 1.0, 2.5), (0.75, 1.0))])
+def test_analyze_moves_x0_onto_a_row_that_cuts_it_off(monkeypatch, row, x0):
+    # the rows x1 <= 1 and x2 <= 1 bracket c = (1, 1) and meet at (1, 1); a
+    # third row cuts that corner off, and x0 moves along it either way
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), _SQUARE + (_R(*row),))
+    calls = _counting_polygon(monkeypatch)
+    rep = pl.analyze(lp)
+    assert calls == []
+    assert (rep.optimal_vertex.point.x1, rep.optimal_vertex.point.x2) == x0
+    assert _answer(lambda: rep) == _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
