@@ -31,8 +31,8 @@ from .geometry import Frozen, PolarVector, Vec2, circular_delta
 from .lp_io import load_lp
 from .lp_model import FEAS_TOL, Vertex
 from .oracle import _MAX_SWEEP_ANGLES, stable_interval_by_sweep
-from .sensitivity import AngleInterval, SensitivityReport, _report
-from .solver import _check_arguments, _polygon, _region, solve_enumeration
+from .sensitivity import AngleInterval, SensitivityReport, analyze
+from .solver import enumerate_vertices, solve_enumeration
 from .svg import emit_svg
 
 SCHEMA_VERSION = 1
@@ -249,11 +249,11 @@ def run_sensitivity(
     tol: float = FEAS_TOL,
 ) -> int:
     lp = load_lp(path)
-    _check_arguments(lp, tol)
-    poly = _polygon(lp, tol)
-    report = _report(lp, poly)
+    report = analyze(lp, tol=tol)
     # The report reads three vertices; --svg and the sweep read them all.
-    region = None if svg_path is None and check_sweep_deg is None else _region(poly)
+    region = None
+    if svg_path is not None or check_sweep_deg is not None:
+        region = enumerate_vertices(lp, tol=tol)
 
     oracle_check = None
     sweep_error = None

@@ -33,7 +33,15 @@ from .geometry import (
 )
 from .lp_model import FEAS_TOL, MERGE_TOL, LinearProgram2D, Vertex, evaluate
 from .normalization import normalizing_rotation
-from .solver import VALUE_TIE_REL, _check_arguments, _optimal_corner, _polygon, _ranked, _vertices
+from .solver import (
+    VALUE_TIE_REL,
+    _check_arguments,
+    _corner_vertex,
+    _optimal_corner,
+    _polygon,
+    _ranked,
+    _vertices,
+)
 
 
 class AngleInterval(Frozen):
@@ -173,7 +181,10 @@ def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
     """
     _check_arguments(lp, tol)
     corner = _optimal_corner(lp, tol)
-    return _report(lp, _polygon(lp, tol)) if corner is None else _cone_report(lp, *corner)
+    if corner is None:
+        return _report(lp, _polygon(lp, tol))
+    pred, x0, succ = (_corner_vertex(*c) for c in corner)
+    return _cone_report(lp, pred, x0, succ, *corner[1][1])
 
 
 def _report(lp: LinearProgram2D, poly) -> SensitivityReport:

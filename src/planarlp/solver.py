@@ -1,10 +1,11 @@
 """Two independent solvers for the planar LP, plus region construction.
 
-solve_enumeration builds the feasible polygon by sorted half-plane
-intersection and picks the best vertex, building a Vertex for it alone; the
-same sort of the row normals decides boundedness, by a gap of a half turn.
-analyze finds and certifies x0 from the sorted rows in O(m) instead, and
-ranks the polygon only where that is in doubt.  solve_simplex is a
+solve_enumeration and analyze sort the row normals, find x0 from the sorted
+rows in O(m) with Seidel's incremental LP and certify it with one more pass;
+only where that is in doubt do they build the feasible polygon by sorted
+half-plane intersection and rank its vertices, building a Vertex for the
+returned ones alone.  The same sort decides boundedness, by a gap of a half
+turn; enumerate_vertices always builds the polygon.  solve_simplex is a
 two-phase revised simplex with Bland's rule whose basis is the pair of tight
 constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m) pass
 over the rows.  Neither needs numpy.  They share no code on the solve path,
@@ -90,7 +91,8 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
     angle (see the sweep below); the position just after the widest
     counterclockwise gap between consecutive normals; whether that gap
     leaves the region bounded, that is, falls short of pi - _RECESSION_TOL
-    (see check_recession); and the narrowest gap."""
+    (see check_recession); and the gaps, gaps[k] the one from rows[k] to the
+    next record round the circle."""
     # _atan2 and row.scale(), written out: this runs once per row.
     atan2, hypot = math.atan2, math.hypot
     rows = [
@@ -107,7 +109,7 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + TAU - angles[-1])
     widest = gaps.index(max(gaps))
-    return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL, min(gaps)
+    return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL, gaps
 
 
 def check_recession(lp: LinearProgram2D) -> Recession:
@@ -279,7 +281,16 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     cycle, FeasibleRegion's exact test: rounded crossings can make a corner
     straight or reflex.
     """
-    return _region(_polygon(lp, tol))
+    xs, ys, rows, owners, _ = _polygon(lp, tol)
+    last = len(xs) - 1
+    active: list[set[int]] = [set() for _ in xs]
+    for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
+        for i in (j - 1, j, j + 1 if j < last else 0):  # -1 is the last vertex
+            if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
+                active[i].add(idx)
+    vertices = [Vertex(Vec2(x, y), a) for x, y, a in zip(xs, ys, active)]
+    # _polygon has checked the cycle as FeasibleRegion would.
+    return _unchecked_region(tuple(vertices))
 
 
 def _polygon(lp: LinearProgram2D, tol: float):
@@ -396,21 +407,9 @@ def _polygon(lp: LinearProgram2D, tol: float):
     return xs, ys, rows, owners, edges[s:] + edges[:s]
 
 
-def _region(poly) -> FeasibleRegion:
-    """The FeasibleRegion of a _polygon result, not checked a second time."""
-    xs, ys, rows, owners, _ = poly
-    last = len(xs) - 1
-    active: list[set[int]] = [set() for _ in xs]
-    for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
-        for i in (j - 1, j, j + 1 if j < last else 0):  # -1 is the last vertex
-            if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
-                active[i].add(idx)
-    vertices = [Vertex(Vec2(x, y), a) for x, y, a in zip(xs, ys, active)]
-    return _unchecked_region(tuple(vertices))
-
-
 def _vertices(poly, ks) -> list[Vertex]:
-    """Vertices ks (distinct) of a _polygon result, active rows as _region finds them."""
+    """Vertices ks (distinct) of a _polygon result, active rows as
+    enumerate_vertices finds them."""
     xs, ys, rows, owners, _ = poly
     n = len(xs)
     active: dict[int, set[int]] = {k: set() for k in ks}
@@ -483,18 +482,33 @@ def _optimal_edges(rows, c1: float, c2: float):
     return None if x is None else (into, out)
 
 
+def _near_parallel(rows, gaps) -> bool:
+    """Two consecutive normals of _sorted_normals' records lie within
+    4 _DET_TOL of each other and are not exactly parallel: _polygon may keep
+    one row of the two where the rows hold both.  Of exactly parallel rows,
+    whose cross product computes to 0, it keeps the tightest; where
+    _optimal_corner's certificate holds, each of the others holds at the
+    corners with room, so the two routes agree."""
+    return min(gaps) <= 4.0 * _DET_TOL and any(
+        gap <= 4.0 * _DET_TOL and r[2] * s[3] - r[3] * s[2] != 0.0
+        for r, s, gap in zip(rows, rows[1:] + rows[:1], gaps)
+    )
+
+
 def _optimal_corner(lp: LinearProgram2D, tol: float):
-    """(pred, x0, succ, into, out) in O(m), as _vertices and _polygon give
-    them, or None where in doubt; lp's objective is nonzero, tol good.  Each
-    row but a vertex's two holds there by twice its limit and 2 MERGE_TOL in
-    distance: no other is tight, no corner merges.  Ratio tests along x0's
-    rows find pred's and succ's other rows.  x0 beats both by twice _ranked's
-    tie threshold, so c lies in the normal cone of x0's rows: LP duality."""
+    """pred, x0 and succ in O(m), each as its point and the pair of records
+    that meet there, the one into it first, or None where in doubt; lp's
+    objective is nonzero, tol good.  Each row but a vertex's two holds there
+    by twice its limit and 2 MERGE_TOL in distance: no other is tight, no
+    corner merges, so the points are _polygon's and the pairs hold every
+    row tight at them.  Ratio tests along x0's rows find pred's and succ's
+    other rows.  x0 beats both by twice _ranked's tie threshold, so c lies
+    in the normal cone of x0's rows (LP duality), and _ranked would find no
+    tie."""
     validate(lp)
-    rows, _, bounded, narrowest = _sorted_normals(lp, tol)
+    rows, _, bounded, gaps = _sorted_normals(lp, tol)
     c1, c2 = lp.objective.x1, lp.objective.x2
-    # Of rows whose normals are this close, _polygon may keep only one.
-    edges = bounded and narrowest > 4.0 * _DET_TOL and _optimal_edges(rows, c1, c2)
+    edges = bounded and not _near_parallel(rows, gaps) and _optimal_edges(rows, c1, c2)
     if not edges:
         return None
     into, out = edges
@@ -535,11 +549,14 @@ def _optimal_corner(lp: LinearProgram2D, tol: float):
     thr = 2.0 * VALUE_TIE_REL * max(1.0, abs(v0))
     if not (v0 - vp > thr and v0 - vs > thr and _cycle_fault([px, x, sx], [py, y, sy]) is None):
         return None
-    corners = []
-    for u, v, pair in ((px, py, (before, into)), (x, y, edges), (sx, sy, (out, after))):
-        tight = {r[1] for r in pair if abs(r[2] * u + r[3] * v - r[4]) <= r[6]}
-        corners.append(Vertex(Vec2(u, v), tight))
-    return (*corners, into, out)
+    return (pred, (before, into)), ((x, y), edges), (succ, (out, after))
+
+
+def _corner_vertex(point, pair) -> Vertex:
+    """The Vertex of one corner of _optimal_corner: its rows of the pair,
+    those within their limit, are all the rows tight there."""
+    u, v = point
+    return Vertex(Vec2(u, v), {r[1] for r in pair if abs(r[2] * u + r[3] * v - r[4]) <= r[6]})
 
 
 def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
@@ -581,12 +598,24 @@ def _check_arguments(lp: LinearProgram2D, tol: float) -> None:
 
 
 def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
-    """Maximize by brute force over the polygon's vertices, building only the best."""
+    """Maximize over the vertices of enumerate_vertices' polygon.
+
+    Finds x0 from the rows in O(m) expected where one more pass certifies
+    it (_optimal_corner); x0 then beats both neighbours by twice the tie
+    threshold, so the solution is unique.  Elsewhere it builds the polygon
+    and ranks its vertices, to the same bits; every tie (unique=False) comes
+    from there.  Either way it builds a Vertex for x0 alone.
+    """
     _check_arguments(lp, tol)
-    poly = _polygon(lp, tol)
-    best, tied = _ranked(lp.objective, poly[0], poly[1])
-    (x,) = _vertices(poly, (best,))
-    return Solution(x, evaluate(lp, x.point), not tied)
+    corner = _optimal_corner(lp, tol)
+    if corner is not None:
+        x, unique = _corner_vertex(*corner[1]), True
+    else:
+        poly = _polygon(lp, tol)
+        best, tied = _ranked(lp.objective, poly[0], poly[1])
+        (x,) = _vertices(poly, (best,))
+        unique = not tied
+    return Solution(x, evaluate(lp, x.point), unique)
 
 
 # --- two-phase simplex -------------------------------------------------------

@@ -20,11 +20,11 @@ and whether it is unique; DegenerateOptimum also by its tie angle.  The digest t
 order.  It prints the number of LPs and the hex digest; with --entries it
 prints one line per entry instead, so that two trees can be diffed.  A
 change that keeps the builder's output must leave the digest as it is on the
-same machine.  With --fast-share it prints, for each family of LPs
-(tangent, batch, and the random integer, mixed and extreme ones), how many
-analyze entries returned without building the polygon ("rows"), how many
-built it, and how many raised without building it ("refused", mostly a
-rejected argument).  This is a script rather than a test because
+same machine.  With --fast-share it prints, for analyze and for
+solve_enumeration and each family of LPs (tangent, batch, and the random
+integer, mixed and extreme ones), how many entries returned without
+building the polygon ("rows"), how many built it, and how many raised
+without building it ("refused", mostly a rejected argument).  This is a script rather than a test because
 math.atan2, and so the order of the sort and the cone angles, may differ
 between C libraries.
 """
@@ -127,29 +127,34 @@ def _family(name: str) -> str:
 
 
 def fast_share() -> None:
-    """Count analyze's routes per family by watching its polygon builds."""
+    """Count the routes of analyze and solve_enumeration per family by
+    watching their polygon builds."""
     from planarlp import sensitivity, solver
 
     built = []
+    build = solver._polygon
 
     def counting(lp, tol):
         built.append(lp)
-        return solver._polygon(lp, tol)
+        return build(lp, tol)
 
-    sensitivity._polygon = counting
-    counts = {f: [0, 0, 0] for f in _FAMILIES}  # rows, polygon, refused
+    # analyze builds through sensitivity's name, solve_enumeration through solver's.
+    sensitivity._polygon = solver._polygon = counting
+    calls = (("analyze", pl.analyze), ("solve", pl.solve_enumeration))
+    counts = {(e, f): [0, 0, 0] for e, _ in calls for f in _FAMILIES}  # rows, polygon, refused
     for name, lp in lps():
         for tol in TOLS:
-            built.clear()
-            try:
-                pl.analyze(lp, tol=tol)
-                refused = False
-            except pl.errors.PlanarLPError:
-                refused = True
-            counts[_family(name)][1 if built else 2 if refused else 0] += 1
-    print(f"{'family':8} {'rows':>6} {'polygon':>8} {'refused':>8}")
-    for f, (rows, poly, refused) in counts.items():
-        print(f"{f:8} {rows:6} {poly:8} {refused:8}")
+            for entry, call in calls:
+                built.clear()
+                try:
+                    call(lp, tol=tol)
+                    refused = False
+                except pl.errors.PlanarLPError:
+                    refused = True
+                counts[entry, _family(name)][1 if built else 2 if refused else 0] += 1
+    print(f"{'entry':8} {'family':8} {'rows':>6} {'polygon':>8} {'refused':>8}")
+    for (entry, f), (rows, poly, refused) in counts.items():
+        print(f"{entry:8} {f:8} {rows:6} {poly:8} {refused:8}")
 
 
 def main() -> None:

@@ -407,7 +407,7 @@ def test_analyze_sliver_tip():
         assert rep.interval.contains(math.pi / 4)
 
 
-# --- analyze's O(m) route ----------------------------------------------------
+# --- the O(m) route of analyze and solve_enumeration -------------------------
 
 def _answer(call, row=lambda i: i):
     """What analyze gives, bit for bit: the three vertices, the cone and the
@@ -510,8 +510,10 @@ def test_analyze_ignores_row_order_and_duplicate_rows(lp, tol, data):
     assert answer(doubled, lambda i: j if i == m else i) == answer(lp)
 
 
-def _counting_polygon(monkeypatch) -> list:
-    """A list that gains one entry for each polygon analyze builds from now on."""
+def _counting_polygon(monkeypatch, module=sensitivity) -> list:
+    """A list that gains one entry for each polygon that module's entry
+    point builds from now on: analyze's for sensitivity, solve_enumeration's
+    for solver."""
     calls = []
     build = solver._polygon
 
@@ -519,7 +521,7 @@ def _counting_polygon(monkeypatch) -> list:
         calls.append(lp)
         return build(lp, tol)
 
-    monkeypatch.setattr(sensitivity, "_polygon", counting)
+    monkeypatch.setattr(module, "_polygon", counting)
     return calls
 
 
@@ -559,6 +561,8 @@ _DOUBTS = {
     ),
     "a row level with c": ((1.0, 1.0), _SQUARE + (_R(-1.0, -1.0, -5.0),)),
     "a row parallel to a bound": ((1.0, 2.0), (_R(1.0, 1.0, 2.0), _R(-1.0, -1.0, -3.0))),
+    # within _DET_TOL of parallel to x1 <= 1, not exactly: _polygon keeps one
+    "a row nearly parallel to an edge": ((1.0, 1.0), _SQUARE + (_R(1.0, 1e-13, 1.5),)),
 }
 
 
@@ -569,6 +573,20 @@ def test_analyze_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, ro
     calls = _counting_polygon(monkeypatch)
     assert _answer(lambda: pl.analyze(lp)) == expected
     assert calls == [lp]
+
+
+def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch):
+    # x1 <= 1.5, x2 <= 2 and x1 >= -0.5 are exactly parallel to rows of the
+    # square and looser: _polygon drops them, and the rows hold them slack
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0), _SQUARE + (_R(2.0, 0.0, 3.0), _R(0.0, 3.0, 6.0), _R(-2.0, 0.0, 1.0))
+    )
+    report = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
+    solution = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
+    calls = _counting_polygon(monkeypatch), _counting_polygon(monkeypatch, solver)
+    assert _answer(lambda: pl.analyze(lp)) == report
+    assert _solution(lambda: pl.solve_enumeration(lp)) == solution
+    assert calls == ([], [])
 
 
 def test_analyze_doubts_give_the_builder_errors():
@@ -595,3 +613,59 @@ def test_analyze_moves_x0_onto_a_row_that_cuts_it_off(monkeypatch, row, x0):
     assert calls == []
     assert (rep.optimal_vertex.point.x1, rep.optimal_vertex.point.x2) == x0
     assert _answer(lambda: rep) == _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
+
+
+def _solution(call):
+    """What solve_enumeration gives, bit for bit: the vertex, its sorted
+    active rows, the value and whether it is unique, or the class and
+    message of an error."""
+    try:
+        sol = call()
+    except pl.errors.PlanarLPError as exc:
+        return type(exc), str(exc)
+    v = sol.vertex
+    return v.point.x1.hex(), v.point.x2.hex(), sorted(v.active_rows), sol.value.hex(), sol.unique
+
+
+def _builder_solve(lp, tol):
+    solver._check_arguments(lp, tol)
+    poly = solver._polygon(lp, tol)
+    best, tied = solver._ranked(lp.objective, poly[0], poly[1])
+    (x,) = solver._vertices(poly, (best,))
+    return solver.Solution(x, pl.evaluate(lp, x.point), not tied)
+
+
+def test_solve_enumeration_equals_the_builder_route():
+    # solve_enumeration answers from the rows where they certify x0, with
+    # the rows' margin that rules out a tie, and ranks the polygon
+    # otherwise; either way it must give what the polygon gives.  The rows
+    # answer in at least 15 % of the draws, so that the property tests them.
+    fast = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(_lps, st.sampled_from([1e-9, 0.0, 1e-3]))
+    def check(lp, tol):
+        expected = _solution(lambda: _builder_solve(lp, tol))
+        assert _solution(lambda: pl.solve_enumeration(lp, tol=tol)) == expected
+        fast.append(_answered_fast(lp, tol))
+
+    check()
+    assert sum(fast) >= 0.15 * len(fast)
+
+
+@pytest.mark.parametrize("m", [16, 64, 1024])
+def test_solve_enumeration_builds_no_polygon_for_a_tangent_lp(monkeypatch, m):
+    lp = tangent_circle_lp(rng_for(m), m)
+    expected = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
+    calls = _counting_polygon(monkeypatch, solver)
+    assert _solution(lambda: pl.solve_enumeration(lp)) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("c, rows", _DOUBTS.values(), ids=_DOUBTS)
+def test_solve_enumeration_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, rows):
+    lp = pl.LinearProgram2D(pl.Vec2(*c), rows)
+    expected = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
+    calls = _counting_polygon(monkeypatch, solver)
+    assert _solution(lambda: pl.solve_enumeration(lp)) == expected
+    assert calls == [lp]
