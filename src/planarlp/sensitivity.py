@@ -6,7 +6,8 @@ of the two incident edges.  analyze() reports that cone as an open angle
 interval positioned to contain the current gradient angle phi_f, together
 with the admissible gradient rotations nu and the value reached after such
 a rotation.  It reads the normals off the rows along those edges, and finds
-x0 from the rows in O(m) where it can certify it, else from the polygon.
+x0 and the two rows through solver._optimum, the one route it shares with
+solve_enumeration.
 """
 
 from __future__ import annotations
@@ -33,15 +34,7 @@ from .geometry import (
 )
 from .lp_model import FEAS_TOL, MERGE_TOL, LinearProgram2D, Vertex, evaluate
 from .normalization import normalizing_rotation
-from .solver import (
-    VALUE_TIE_REL,
-    _check_arguments,
-    _corner_vertex,
-    _optimal_corner,
-    _polygon,
-    _ranked,
-    _vertices,
-)
+from .solver import VALUE_TIE_REL, _optimum
 
 
 class AngleInterval(Frozen):
@@ -170,48 +163,18 @@ def stable_angle_interval(pred: Vertex, x0: Vertex, succ: Vertex) -> AngleInterv
 def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
     """Full sensitivity report for the optimal vertex of lp.
 
-    Finds x0 and its neighbours from the rows in O(m) expected where a pass
-    over them certifies the answer (solver._optimal_corner), else ranks the
-    vertices of enumerate_vertices' polygon, to the same bits; it builds a
-    Vertex only for x0 and its neighbours, or the tied ones.  The cone's
-    ends are the normal angles of the rows along x0's two edges.
+    Finds x0, its neighbours and the rows along its two edges by
+    solver._optimum: from the rows in O(m) expected where they certify x0,
+    else from enumerate_vertices' polygon, to the same bits.  The cone's
+    ends are the normal angles of those two rows.
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs, that of the row they share.
     """
-    _check_arguments(lp, tol)
-    corner = _optimal_corner(lp, tol)
-    if corner is None:
-        return _report(lp, _polygon(lp, tol))
-    pred, x0, succ = (_corner_vertex(*c) for c in corner)
-    return _cone_report(lp, pred, x0, succ, *corner[1][1])
-
-
-def _report(lp: LinearProgram2D, poly) -> SensitivityReport:
-    """analyze() on the polygon that solver._polygon built for lp, whose
-    objective is nonzero."""
-    c = lp.objective
-    xs, ys, edges = poly[0], poly[1], poly[4]
-    best, tied = _ranked(c, xs, ys)
-    n = len(xs)
+    vertices, into, out, tied, angle = _optimum(lp, tol, (-1, 0, 1))
     if tied:
-        verts = _vertices(poly, (best, *tied))
-        angle = None
-        if len(tied) == 1:
-            i = tied[0]
-            for a, b in ((best, i), (i, best)):
-                if (b - a) % n == 1:  # the edge a -> b, along edges[b], is level
-                    angle = edges[b][0]
-                    break
-        raise DegenerateOptimum("optimal value is tied between vertices", verts, angle)
-
-    pred, x0, succ = _vertices(poly, ((best - 1) % n, best, (best + 1) % n))
-    return _cone_report(lp, pred, x0, succ, edges[best], edges[(best + 1) % n])
-
-
-def _cone_report(lp: LinearProgram2D, pred: Vertex, x0: Vertex, succ: Vertex, into, out):
-    """The report on either of analyze's routes: x0 lies between pred and
-    succ, entered along the row of record into and left along that of out."""
+        raise DegenerateOptimum("optimal value is tied between vertices", vertices, angle)
+    pred, x0, succ = vertices
     c = lp.objective
     theta1, theta2 = (line_direction_angle(Vec2(-r[3], r[2])) for r in (into, out))
     # The cone runs from the normal of the row along pred -> x0 to that of

@@ -1,15 +1,16 @@
 """Two independent solvers for the planar LP, plus region construction.
 
-solve_enumeration and analyze sort the row normals, find x0 from the sorted
-rows in O(m) with Seidel's incremental LP and certify it with one more pass;
-only where that is in doubt do they build the feasible polygon by sorted
-half-plane intersection and rank its vertices, building a Vertex for the
-returned ones alone.  The same sort decides boundedness, by a gap of a half
-turn; enumerate_vertices always builds the polygon.  solve_simplex is a
-two-phase revised simplex with Bland's rule whose basis is the pair of tight
-constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m) pass
-over the rows.  Neither needs numpy.  They share no code on the solve path,
-which is what makes cross-checking one against the other meaningful.
+solve_enumeration and analyze find x0 through _optimum, which checks the
+arguments and sorts the row normals once, finds x0 from the sorted rows in
+O(m) with Seidel's incremental LP and certifies it with one more pass; only
+where that is in doubt does it build the feasible polygon from the same
+sort, by half-plane intersection, and rank its vertices.  The sort also
+decides boundedness, by a gap of a half turn; enumerate_vertices always
+builds the polygon.  solve_simplex is a two-phase revised simplex with
+Bland's rule whose basis is the pair of tight constraints, in both phases,
+so a pivot is a 2 x 2 solve and one O(m) pass over the rows.  Neither needs
+numpy.  They share no code on the solve path, which is what makes
+cross-checking one against the other meaningful.
 """
 
 from __future__ import annotations
@@ -274,39 +275,33 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     tol * row.scale(), as in is_feasible; corners within MERGE_TOL of each
     other merge into one vertex, which carries the rows active at it.
 
-    Raises ValueError for a negative or non-finite tol, Infeasible when the
-    rows leave no feasible point, UnboundedRegion when the recession cone is
-    nonzero, and DegenerateRegion when fewer than three distinct vertices
-    remain or the corners do not make a strictly convex counterclockwise
-    cycle, FeasibleRegion's exact test: rounded crossings can make a corner
+    Raises a structural error (validate) first, then ValueError for a
+    negative or non-finite tol, Infeasible when the rows leave no feasible
+    point, UnboundedRegion when the recession cone is nonzero, and
+    DegenerateRegion when fewer than three distinct vertices remain or the
+    corners do not make a strictly convex counterclockwise cycle,
+    FeasibleRegion's exact test: rounded crossings can make a corner
     straight or reflex.
     """
-    xs, ys, rows, owners, _ = _polygon(lp, tol)
-    last = len(xs) - 1
-    active: list[set[int]] = [set() for _ in xs]
-    for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
-        for i in (j - 1, j, j + 1 if j < last else 0):  # -1 is the last vertex
-            if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
-                active[i].add(idx)
-    vertices = [Vertex(Vec2(x, y), a) for x, y, a in zip(xs, ys, active)]
-    # _polygon has checked the cycle as FeasibleRegion would.
-    return _unchecked_region(tuple(vertices))
-
-
-def _polygon(lp: LinearProgram2D, tol: float):
-    """enumerate_vertices' cycle, checked as FeasibleRegion checks it, as
-    (xs, ys, rows, owners, edges): vertex k is (xs[k], ys[k]), entered
-    along the row of record edges[k]; rows holds the records of
-    _sorted_normals, x >= 0 rows included, by normal angle; and owners[i]
-    is the vertex that owns rows[i]'s normal angle.  A row can be tight only
-    at its owner or a neighbour of it, and it is tight at a vertex x where
-    |a1 x1 + a2 x2 - b| <= limit."""
+    validate(lp)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
-    validate(lp)
+    poly = _polygon(_sorted_normals(lp, tol))
+    # _polygon has checked the cycle as FeasibleRegion would.
+    return _unchecked_region(tuple(_vertices(poly, range(len(poly[0])))))
+
+
+def _polygon(normals):
+    """enumerate_vertices' cycle from the _sorted_normals result normals,
+    checked as FeasibleRegion checks it, as (xs, ys, rows, owners, edges):
+    vertex k is (xs[k], ys[k]), entered along the row of record edges[k];
+    rows holds the records of _sorted_normals, x >= 0 rows included, by
+    normal angle; and owners[i] is the vertex that owns rows[i]'s normal
+    angle.  A row can be tight only at its owner or a neighbour of it, and
+    it is tight at a vertex x where |a1 x1 + a2 x2 - b| <= limit."""
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
-    rows, start, bounded, _ = _sorted_normals(lp, tol)
+    rows, start, bounded, _ = normals
     # Of rows whose normals point the same way, to within _DET_TOL, only the
     # tightest bounds.  lines[-1] is (.., k1, k2, kb, kn, ..).
     lines = []
@@ -408,17 +403,14 @@ def _polygon(lp: LinearProgram2D, tol: float):
 
 
 def _vertices(poly, ks) -> list[Vertex]:
-    """Vertices ks (distinct) of a _polygon result, active rows as
-    enumerate_vertices finds them."""
+    """Vertices ks of a _polygon result, each with the rows tight at it."""
     xs, ys, rows, owners, _ = poly
     n = len(xs)
-    active: dict[int, set[int]] = {k: set() for k in ks}
-    near = {(k + d) % n for k in ks for d in (-1, 0, 1)}  # owners worth testing
+    active: list[set[int]] = [set() for _ in xs]
     for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
-        if j in near:
-            for i in ((j - 1) % n, j, (j + 1) % n):
-                if i in active and abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
-                    active[i].add(idx)
+        for i in (j - 1, j, j + 1 - n):  # -1 is the last vertex, 0 the first
+            if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
+                active[i].add(idx)
     return [Vertex(Vec2(xs[k], ys[k]), active[k]) for k in ks]
 
 
@@ -495,18 +487,17 @@ def _near_parallel(rows, gaps) -> bool:
     )
 
 
-def _optimal_corner(lp: LinearProgram2D, tol: float):
+def _optimal_corner(lp: LinearProgram2D, normals):
     """pred, x0 and succ in O(m), each as its point and the pair of records
     that meet there, the one into it first, or None where in doubt; lp's
-    objective is nonzero, tol good.  Each row but a vertex's two holds there
-    by twice its limit and 2 MERGE_TOL in distance: no other is tight, no
-    corner merges, so the points are _polygon's and the pairs hold every
-    row tight at them.  Ratio tests along x0's rows find pred's and succ's
-    other rows.  x0 beats both by twice _ranked's tie threshold, so c lies
-    in the normal cone of x0's rows (LP duality), and _ranked would find no
-    tie."""
-    validate(lp)
-    rows, _, bounded, gaps = _sorted_normals(lp, tol)
+    objective is nonzero, normals _sorted_normals(lp, tol) for a good tol.
+    Each row but a vertex's two holds there by twice its limit and
+    2 MERGE_TOL in distance: no other is tight, no corner merges, so the
+    points are _polygon's and the pairs hold every row tight at them.  Ratio
+    tests along x0's rows find pred's and succ's other rows.  x0 beats both
+    by twice _ranked's tie threshold, so c lies in the normal cone of x0's
+    rows (LP duality), and _ranked would find no tie."""
+    rows, _, bounded, gaps = normals
     c1, c2 = lp.objective.x1, lp.objective.x2
     edges = bounded and not _near_parallel(rows, gaps) and _optimal_edges(rows, c1, c2)
     if not edges:
@@ -582,40 +573,58 @@ def _ranked(c: Vec2, xs: list[float], ys: list[float]) -> tuple[int, list[int]]:
 
 
 def _check_arguments(lp: LinearProgram2D, tol: float) -> None:
-    """Raise what a solve entry point raises for a zero objective or a bad
-    tol, in the order they all keep: a structural error (validate), then
-    ZeroObjective, then ValueError for a negative or non-finite tol.
-
-    With a nonzero objective and a good tol it checks nothing, as the
-    entry points that build the region leave validation to
-    enumerate_vertices.
-    """
-    if lp.objective.is_zero() or not 0.0 <= tol < math.inf:
-        validate(lp)
-        if lp.objective.is_zero():
-            raise ZeroObjective("objective is (0, 0)")
+    """Raise what a solve entry point raises for a bad LP, a zero objective
+    or a bad tol, in the order they all keep: a structural error
+    (validate), then ZeroObjective, then ValueError for a negative or
+    non-finite tol."""
+    validate(lp)
+    if lp.objective.is_zero():
+        raise ZeroObjective("objective is (0, 0)")
+    if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
 
 
-def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
-    """Maximize over the vertices of enumerate_vertices' polygon.
-
-    Finds x0 from the rows in O(m) expected where one more pass certifies
-    it (_optimal_corner); x0 then beats both neighbours by twice the tie
-    threshold, so the solution is unique.  Elsewhere it builds the polygon
-    and ranks its vertices, to the same bits; every tie (unique=False) comes
-    from there.  Either way it builds a Vertex for x0 alone.
+def _optimum(lp: LinearProgram2D, tol: float, around):
+    """x0 of max c . x over enumerate_vertices' polygon, for analyze and
+    solve_enumeration, as (vertices, into, out, tied, angle), after one
+    argument check and one sort: from the rows in O(m) expected where
+    _optimal_corner certifies x0, else from the polygon, to the same bits.
+    Without a tie, vertices are those at each offset in around from x0
+    (-1 pred, 1 succ), into and out the records of the rows along x0's two
+    edges.  With a tie, which only the polygon finds, vertices are x0 and
+    those that tie it, and angle is, for an adjacent pair, the normal angle
+    of the row they share.  It builds a Vertex for the returned ones alone.
     """
     _check_arguments(lp, tol)
-    corner = _optimal_corner(lp, tol)
+    normals = _sorted_normals(lp, tol)
+    corner = _optimal_corner(lp, normals)
     if corner is not None:
-        x, unique = _corner_vertex(*corner[1]), True
-    else:
-        poly = _polygon(lp, tol)
-        best, tied = _ranked(lp.objective, poly[0], poly[1])
-        (x,) = _vertices(poly, (best,))
-        unique = not tied
-    return Solution(x, evaluate(lp, x.point), unique)
+        vertices = []
+        for d in around:  # a loop, not a comprehension: this is the hot route
+            vertices.append(_corner_vertex(*corner[1 + d]))
+        into, out = corner[1][1]
+        return vertices, into, out, False, None
+    poly = _polygon(normals)
+    xs, edges = poly[0], poly[4]
+    best, tied = _ranked(lp.objective, xs, poly[1])
+    n = len(xs)
+    if not tied:
+        vertices = _vertices(poly, [(best + d) % n for d in around])
+        return vertices, edges[best], edges[(best + 1) % n], False, None
+    angle = None
+    if len(tied) == 1:
+        for a, b in ((best, tied[0]), (tied[0], best)):
+            if (b - a) % n == 1:  # the edge a -> b, along edges[b], is level
+                angle = edges[b][0]
+    return _vertices(poly, (best, *tied)), None, None, True, angle
+
+
+def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
+    """Maximize over the vertices of enumerate_vertices' polygon, by
+    _optimum: from the rows in O(m) expected where they certify x0, which is
+    then unique, else by ranking the polygon's vertices, to the same bits."""
+    vertices, _, _, tied, _ = _optimum(lp, tol, (0,))
+    return Solution(vertices[0], evaluate(lp, vertices[0].point), not tied)
 
 
 # --- two-phase simplex -------------------------------------------------------
@@ -757,7 +766,6 @@ def solve_simplex(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
     an edge with zero unit dual leads to a second vertex of the same value,
     or is a ray of optimal points.
     """
-    validate(lp)
     _check_arguments(lp, tol)
     cols = _unit_columns(lp)
     big = max(abs(lp.objective.x1), abs(lp.objective.x2))

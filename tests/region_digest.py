@@ -129,17 +129,16 @@ def _family(name: str) -> str:
 def fast_share() -> None:
     """Count the routes of analyze and solve_enumeration per family by
     watching their polygon builds."""
-    from planarlp import sensitivity, solver
+    from planarlp import solver
 
     built = []
     build = solver._polygon
 
-    def counting(lp, tol):
-        built.append(lp)
-        return build(lp, tol)
+    def counting(normals):
+        built.append(normals)
+        return build(normals)
 
-    # analyze builds through sensitivity's name, solve_enumeration through solver's.
-    sensitivity._polygon = solver._polygon = counting
+    solver._polygon = counting
     calls = (("analyze", pl.analyze), ("solve", pl.solve_enumeration))
     counts = {(e, f): [0, 0, 0] for e, _ in calls for f in _FAMILIES}  # rows, polygon, refused
     for name, lp in lps():

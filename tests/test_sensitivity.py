@@ -1,10 +1,11 @@
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import planarlp as pl
-from planarlp import sensitivity, solver
+from planarlp import solver
 from planarlp.errors import (
     CoincidentVertices,
     DegenerateOptimum,
@@ -431,14 +432,15 @@ def _answer(call, row=lambda i: i):
 
 
 def _builder_route(lp, tol):
-    solver._check_arguments(lp, tol)
-    return sensitivity._report(lp, solver._polygon(lp, tol))
+    # analyze with the rows route in doubt everywhere: x0 from the polygon
+    with patch.object(solver, "_optimal_corner", return_value=None):
+        return pl.analyze(lp, tol=tol)
 
 
 def _answered_fast(lp, tol):
     try:
         solver._check_arguments(lp, tol)
-        return solver._optimal_corner(lp, tol) is not None
+        return solver._optimal_corner(lp, solver._sorted_normals(lp, tol)) is not None
     except pl.errors.PlanarLPError:
         return False
 
@@ -510,18 +512,16 @@ def test_analyze_ignores_row_order_and_duplicate_rows(lp, tol, data):
     assert answer(doubled, lambda i: j if i == m else i) == answer(lp)
 
 
-def _counting_polygon(monkeypatch, module=sensitivity) -> list:
-    """A list that gains one entry for each polygon that module's entry
-    point builds from now on: analyze's for sensitivity, solve_enumeration's
-    for solver."""
+def _counting_polygon(monkeypatch) -> list:
+    """A list that gains one entry for each polygon built from now on."""
     calls = []
     build = solver._polygon
 
-    def counting(lp, tol):
-        calls.append(lp)
-        return build(lp, tol)
+    def counting(normals):
+        calls.append(normals)
+        return build(normals)
 
-    monkeypatch.setattr(module, "_polygon", counting)
+    monkeypatch.setattr(solver, "_polygon", counting)
     return calls
 
 
@@ -572,7 +572,7 @@ def test_analyze_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, ro
     expected = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
     calls = _counting_polygon(monkeypatch)
     assert _answer(lambda: pl.analyze(lp)) == expected
-    assert calls == [lp]
+    assert len(calls) == 1
 
 
 def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch):
@@ -583,10 +583,10 @@ def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch):
     )
     report = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
     solution = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
-    calls = _counting_polygon(monkeypatch), _counting_polygon(monkeypatch, solver)
+    calls = _counting_polygon(monkeypatch)
     assert _answer(lambda: pl.analyze(lp)) == report
     assert _solution(lambda: pl.solve_enumeration(lp)) == solution
-    assert calls == ([], [])
+    assert calls == []
 
 
 def test_analyze_doubts_give_the_builder_errors():
@@ -628,11 +628,8 @@ def _solution(call):
 
 
 def _builder_solve(lp, tol):
-    solver._check_arguments(lp, tol)
-    poly = solver._polygon(lp, tol)
-    best, tied = solver._ranked(lp.objective, poly[0], poly[1])
-    (x,) = solver._vertices(poly, (best,))
-    return solver.Solution(x, pl.evaluate(lp, x.point), not tied)
+    with patch.object(solver, "_optimal_corner", return_value=None):
+        return pl.solve_enumeration(lp, tol=tol)
 
 
 def test_solve_enumeration_equals_the_builder_route():
@@ -657,7 +654,7 @@ def test_solve_enumeration_equals_the_builder_route():
 def test_solve_enumeration_builds_no_polygon_for_a_tangent_lp(monkeypatch, m):
     lp = tangent_circle_lp(rng_for(m), m)
     expected = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
-    calls = _counting_polygon(monkeypatch, solver)
+    calls = _counting_polygon(monkeypatch)
     assert _solution(lambda: pl.solve_enumeration(lp)) == expected
     assert calls == []
 
@@ -666,6 +663,6 @@ def test_solve_enumeration_builds_no_polygon_for_a_tangent_lp(monkeypatch, m):
 def test_solve_enumeration_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, rows):
     lp = pl.LinearProgram2D(pl.Vec2(*c), rows)
     expected = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
-    calls = _counting_polygon(monkeypatch, solver)
+    calls = _counting_polygon(monkeypatch)
     assert _solution(lambda: pl.solve_enumeration(lp)) == expected
-    assert calls == [lp]
+    assert len(calls) == 1

@@ -151,6 +151,13 @@ def test_enumerate_rejects_bad_tolerance(ref_lp, tol):
         pl.enumerate_vertices(ref_lp, tol=tol)
 
 
+def test_enumerate_checks_the_rows_before_tolerance():
+    # the order of the solve entry points: a structural error comes first
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), (pl.ConstraintRow(0.0, 0.0, 1.0),))
+    with pytest.raises(ZeroRow):
+        pl.enumerate_vertices(lp, tol=-1.0)
+
+
 def test_enumerate_degenerate_region():
     # x1 <= 0 and x2 <= 0 leave only the origin
     lp = pl.LinearProgram2D(
@@ -467,6 +474,26 @@ def test_analyze_tie_builds_only_the_tied_vertices(ref_lp, monkeypatch):
     with pytest.raises(pl.errors.DegenerateOptimum) as ei:
         pl.analyze(lp)
     assert built == list(ei.value.tied_vertices) and len(built) == 2
+
+
+@pytest.mark.parametrize("entry", [pl.analyze, pl.solve_enumeration, pl.enumerate_vertices])
+@pytest.mark.parametrize("c", [(2.0, 3.0), (2.0, 1.0)])  # x0 from the rows; a tie
+def test_entry_points_validate_and_sort_once(ref_lp, monkeypatch, entry, c):
+    # the polygon, where an entry point builds it, reuses the one sort
+    counts = dict.fromkeys(("validate", "_sorted_normals", "_polygon"), 0)
+    for name in counts:
+
+        def counting(*args, name=name, call=getattr(solver, name)):
+            counts[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    try:
+        entry(pl.LinearProgram2D(pl.Vec2(*c), ref_lp.constraints))
+    except pl.errors.DegenerateOptimum:
+        assert entry is pl.analyze and c == (2.0, 1.0)
+    polygon = entry is pl.enumerate_vertices or c == (2.0, 1.0)
+    assert counts == {"validate": 1, "_sorted_normals": 1, "_polygon": int(polygon)}
 
 
 def test_argmax_with_ties():
