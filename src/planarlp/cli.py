@@ -379,6 +379,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -65,9 +65,9 @@ class LinearProgram2D(Frozen):
 class Vertex(Frozen):
     """A corner of the feasible region.
 
-    active_rows holds the indices of the constraints tight at the point
-    (0-based; X1_NONNEG / X2_NONNEG for the implicit bounds).  Degenerate
-    vertices simply carry three or more indices.
+    active_rows holds the indices of the rows within tol * row.scale() of
+    the point, as active_rows_at finds them (0-based; X1_NONNEG / X2_NONNEG
+    for the implicit bounds).  Degenerate vertices carry three or more.
     """
 
     __slots__ = ("point", "active_rows")

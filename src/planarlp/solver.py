@@ -273,7 +273,9 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     and swept once with a deque (Preparata & Shamos 1985; de Berg et al.,
     ch. 4).  A point is outside a row when its residual exceeds
     tol * row.scale(), as in is_feasible; corners within MERGE_TOL of each
-    other merge into one vertex, which carries the rows active at it.
+    other merge into one vertex, which carries every row within
+    tol * row.scale() of it, as active_rows_at finds them.  Vertex 0 is the
+    one whose edge to vertex 1 has the least outward normal angle.
 
     Raises a structural error (validate) first, then ValueError for a
     negative or non-finite tol, Infeasible when the rows leave no feasible
@@ -297,8 +299,8 @@ def _polygon(normals):
     vertex k is (xs[k], ys[k]), entered along the row of record edges[k];
     rows holds the records of _sorted_normals, x >= 0 rows included, by
     normal angle; and owners[i] is the vertex that owns rows[i]'s normal
-    angle.  A row can be tight only at its owner or a neighbour of it, and
-    it is tight at a vertex x where |a1 x1 + a2 x2 - b| <= limit."""
+    angle: its cone in the normal fan, whose order the cycle keeps from the
+    vertex whose out-edge row, edges[1], has the least normal angle."""
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
     rows, start, bounded, _ = normals
@@ -339,7 +341,6 @@ def _polygon(normals):
     # A run that starts at corner k, where lines[k] meets lines[k + 1], is
     # entered along lines[k].
     runs = [[corners[first]]]
-    run_of = [0] * n_corners
     edges = [lines[first]]
     for k in chain(range(first + 1, n_corners), range(first)):
         p, q = corners[k], runs[-1][0]
@@ -352,7 +353,6 @@ def _polygon(normals):
         else:
             runs.append([p])
             edges.append(lines[k])
-        run_of[k] = len(runs) - 1
     # A run's mean is sum(xs) / len(run).  sum() starts from 0, so a mean of
     # -0.0 is 0.0; for one corner, x + 0.0 gives the same.
     px: list[float] = []
@@ -370,12 +370,11 @@ def _polygon(normals):
     if n < 3:
         raise DegenerateRegion(f"feasible set has only {n} distinct corner(s)")
 
-    # Begin the cycle where sorting by angle about the centroid begins it.
-    cx = sum(px) / n
-    cy = sum(py) / n
-    bearing = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
-    s = bearing.index(min(bearing))
-    xs, ys = px[s:] + px[:s], py[s:] + py[:s]
+    # Begin the cycle at the vertex whose out-edge row has the least normal
+    # angle: edges[1], ..., edges[n - 1], edges[0] ascend, and vertex k owns
+    # the angles from edges[k]'s to edges[k + 1]'s, round the turn for k = 0.
+    s = (min(range(n), key=lambda r: edges[r][0]) - 1) % n
+    xs, ys, edges = px[s:] + px[:s], py[s:] + py[:s], edges[s:] + edges[:s]
     if n == n_corners:
         # No corners merged, so the merge and the search for `first` have
         # measured every edge of the cycle: each is finite and longer than
@@ -392,25 +391,28 @@ def _polygon(normals):
         # the corners bound no proper polygon.
         raise DegenerateRegion(f"the corners make no convex polygon: {fault}")
 
-    # Corner k owns the normal angles from lines[k] to lines[k + 1], which
-    # increase from lines[0] once the rows before `start` count a turn on.
-    lo = rows[start][0]
-    phis = [ang if ang >= lo else ang + TAU for ang in map(itemgetter(0), lines)]
-    phi0 = phis[0]
-    owner = [(k - s) % n for k in run_of]
-    owners = [owner[bisect_right(phis, phi0 + (rec[0] - phi0) % TAU) - 1] for rec in rows]
-    return xs, ys, rows, owners, edges[s:] + edges[:s]
+    ends = [e[0] for e in edges[1:] + edges[:1]]
+    owners = [bisect_right(ends, rec[0]) % n for rec in rows]
+    return xs, ys, rows, owners, edges
 
 
 def _vertices(poly, ks) -> list[Vertex]:
-    """Vertices ks of a _polygon result, each with the rows tight at it."""
+    """Vertices ks of a _polygon result, each with the rows within their limit
+    there, as active_rows_at finds them: a . x is unimodal round the convex
+    cycle, so a row is tested at its owner and on each side while it holds."""
     xs, ys, rows, owners, _ = poly
     n = len(xs)
     active: list[set[int]] = [set() for _ in xs]
     for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
-        for i in (j - 1, j, j + 1 - n):  # -1 is the last vertex, 0 the first
-            if abs(a1 * xs[i] + a2 * ys[i] - b) <= limit:
-                active[i].add(idx)
+        if abs(a1 * xs[j] + a2 * ys[j] - b) <= limit:
+            active[j].add(idx)
+        lo, hi = j - 1, j + 1  # down to j + 1 - n, then up to where that stopped
+        while lo > j - n and abs(a1 * xs[lo] + a2 * ys[lo] - b) <= limit:
+            active[lo].add(idx)
+            lo -= 1
+        while hi < lo + n and abs(a1 * xs[hi % n] + a2 * ys[hi % n] - b) <= limit:
+            active[hi % n].add(idx)
+            hi += 1
     return [Vertex(Vec2(xs[k], ys[k]), active[k]) for k in ks]
 
 
@@ -466,11 +468,11 @@ def _optimal_edges(rows, c1: float, c2: float):
     x = _corner_of(into, out)
     step = math.isqrt(len(rows))
     order = list(chain.from_iterable(rows[j::step] for j in range(step)))
-    for h in order:
+    for i, h in enumerate(order):
         if x is None:
             return None
         if h[2] * x[0] + h[3] * x[1] - h[4] > 0.0 and h is not into and h is not out:
-            into, out, x = _on_line(h, chain(first, order[: order.index(h)]), c1, c2)
+            into, out, x = _on_line(h, chain(first, order[:i]), c1, c2)
     return None if x is None else (into, out)
 
 

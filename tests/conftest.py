@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 import planarlp as pl
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 # The reference program: max 2 x1 + 3 x2 over three capacity rows.
 REF_VERTICES = [(0.0, 0.0), (100.0, 0.0), (80.0, 40.0), (60.0, 50.0), (0.0, 50.0)]
@@ -94,6 +97,17 @@ def tangent_circle_lp(rng, m):
         ca, sa = math.cos(a), math.sin(a)
         rows.append(pl.ConstraintRow(ca, sa, 40.0 * ca + 40.0 * sa + 10.0))
     return pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(rows))
+
+
+def tangent_pool(seed, m, count):
+    """perfbench's pool of tangent-circle LPs, which the benchmark and the
+    digests run, loaded under its own module name."""
+    name = "perfbench_instances"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "instances.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].tangent_pool(seed, m, count)
 
 
 def same_cycle(a, b, tol=pl.MERGE_TOL):

@@ -1,11 +1,8 @@
 import copy
-import importlib.util
 import itertools
 import math
 import pickle
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +23,10 @@ from conftest import (
     rng_for,
     square_lp,
     tangent_circle_lp,
+    tangent_pool,
 )
 
 STEP = math.radians(0.01)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def vertex_at(region, x, y):
@@ -383,16 +380,6 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
         assert (oracle._winners(runs, len(grid)) == argmax).all()
 
 
-def _tangent_pool(seed, m, count):
-    # the benchmark's tangent-circle pool, which the sweep digest also runs
-    name = "perfbench_instances"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "instances.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].tangent_pool(seed, m, count)
-
-
 def _counting_scans(monkeypatch):
     # the angle of every later _scan call
     scans, scan = [], oracle._scan
@@ -410,7 +397,7 @@ def test_sweep_bisection_scans_are_few(ref_region, monkeypatch):
     # two neighbours, and needs the full scan only within a rounding error
     # of the cone edge; a full scan per midpoint is 20-22 per sweep
     cases = [(ref_region, vertex_at(ref_region, 80, 40))]
-    for t in _tangent_pool(1, 16, 16):
+    for t in tangent_pool(1, 16, 16):
         region = pl.enumerate_vertices(t.lp)
         cases.append((region, pl.analyze(t.lp).optimal_vertex))
     scans = _counting_scans(monkeypatch)

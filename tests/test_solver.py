@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from planarlp.errors import (
     ZeroObjective,
     ZeroRow,
 )
-from planarlp import cli, solver
+from planarlp import cli, oracle, solver
+from planarlp.sensitivity import _normal_angle
 from planarlp.solver import _RECESSION_TOL, argmax_with_ties
 from exact_reference import exact_bounded, exact_region
+from region_digest import _integer_lp, _mixed_lp
 from conftest import (
     FIXTURES,
     REF_OPTIMUM,
@@ -27,6 +30,7 @@ from conftest import (
     same_cycle,
     square_lp,
     tangent_circle_lp,
+    tangent_pool,
     triangle_lp,
 )
 
@@ -69,6 +73,58 @@ def test_enumerate_is_ccw(ref_region):
         e1 = vs[(i + 1) % n] - vs[i]
         e2 = vs[(i + 2) % n] - vs[(i + 1) % n]
         assert pl.cross(e1, e2) > 0.0
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 16, 64, 256])
+def test_enumerate_starts_the_cycle_at_the_least_normal_angle(m):
+    # The cycle runs in the normal fan's order: the edge from vertex 0 to
+    # vertex 1 lies along the row of least normal angle, so the sweep
+    # oracle's fan, which starts at the least edge normal, starts at vertex 0.
+    for seed in (1, 2, 3):
+        for t in tangent_pool(seed, m, 16):
+            try:
+                edges = solver._polygon(solver._sorted_normals(t.lp, pl.FEAS_TOL))[4]
+            except UnboundedRegion:  # some of the three-row LPs
+                continue
+            assert edges[1][0] == min(e[0] for e in edges)
+            vx, vy = oracle._coords(pl.enumerate_vertices(t.lp))
+            n = len(vx)
+            normals = [
+                _normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)
+            ]
+            assert normals.index(min(normals)) == 0  # oracle._walk's k0
+
+
+def _assert_active_rows_at(lp, region, tol):
+    """Every vertex of region carries exactly the rows within tol * scale of
+    it, as active_rows_at finds them."""
+    for v in region.vertices:
+        assert v.active_rows == solver.active_rows_at(lp, v.point, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_enumerate_active_rows_are_active_rows_at(m, tol):
+    # At tol = 1e-3 a row tangent to the circle stays within its limit for
+    # several vertices on each side of the one that owns its normal angle.
+    for t in tangent_pool(1, m, 4):
+        _assert_active_rows_at(t.lp, pl.enumerate_vertices(t.lp, tol=tol), tol)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([_integer_lp, _mixed_lp]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+def test_enumerate_active_rows_are_active_rows_at_on_random_lps(make, seed, tol):
+    # the region digest's small integer and mixed LPs
+    lp = make(random.Random(seed))
+    try:
+        region = pl.enumerate_vertices(lp, tol=tol)
+    except pl.errors.PlanarLPError:
+        return
+    _assert_active_rows_at(lp, region, tol)
 
 
 def test_enumerate_unit_triangle():
