@@ -86,5 +86,15 @@ def serialize_lp(lp: LinearProgram2D) -> str:
 
 
 def load_lp(path) -> LinearProgram2D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lp(fh.read())
+    """Read and parse the UTF-8 file at path.  Raises LPSyntaxError naming
+    the line, as parse_lp numbers lines, of the first byte that is not
+    UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode, and "x" stands for it.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise LPSyntaxError(lineno, f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    return parse_lp(text)

@@ -31,6 +31,7 @@ from .errors import (
     ZeroObjective,
 )
 from .geometry import TAU, Frozen, Vec2, _cycle_fault, _non_finite, _pow2_scaled, _set
+from .geometry import _turns_left as _left_turn
 from .lp_model import (
     FEAS_TOL,
     MERGE_TOL,
@@ -78,8 +79,8 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> froze
         for i, row in enumerate(lp.constraints)
         if abs(row.residual(p)) <= tol * row.scale()
     }
-    # The synthetic rows -x1 <= 0 and -x2 <= 0 have residuals -x1, -x2 and
-    # scale 1, so the same test reads |x1| <= tol and |x2| <= tol.
+    # The rows -x1 <= 0 and -x2 <= 0, written out (as ConstraintRows they
+    # cost 20 % or more on small LPs): residuals -x1, -x2 and scale 1.
     if abs(p.x1) <= tol:
         out.add(X1_NONNEG)
     if abs(p.x2) <= tol:
@@ -102,15 +103,14 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
         for idx, row in enumerate(lp.constraints)
         for a1, a2, b in ((row.a1, row.a2, row.b),)
     ]
+    # x >= 0 written out: from ConstraintRows, small LPs cost 20 % or more.
     rows.append((math.pi, X1_NONNEG, -1.0, 0.0, 0.0, 1.0, tol))
     rows.append((-0.5 * math.pi, X2_NONNEG, 0.0, -1.0, 0.0, 1.0, tol))
     rows.sort(key=itemgetter(0))
-    n_rows = len(rows)
-    angles = [rec[0] for rec in rows]
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(angles[0] + TAU - angles[-1])
+    gaps = [s[0] - r[0] for r, s in zip(rows, rows[1:])]
+    gaps.append(rows[0][0] + TAU - rows[-1][0])
     widest = gaps.index(max(gaps))
-    return rows, (widest + 1) % n_rows, gaps[widest] < math.pi - _RECESSION_TOL, gaps
+    return rows, (widest + 1) % len(rows), gaps[widest] < math.pi - _RECESSION_TOL, gaps
 
 
 def check_recession(lp: LinearProgram2D) -> Recession:
@@ -439,29 +439,29 @@ def _on_line(h, seen, c1: float, c2: float):
     left fails _optimal_corner's certificate instead."""
     _, _, h1, h2, hb, hn, _ = h
     forward = c2 * h1 - c1 * h2
+    if forward == 0.0:
+        return h, h, None
     d1, d2 = (-h2, h1) if forward > 0.0 else (h2, -h1)
     s = hb / hn / hn
     q1, q2 = s * h1, s * h2  # a point on the line
-    hi, block = math.inf, None
+    hi, block = math.inf, h  # h where nothing stops it: _corner_of(h, h) is None
     for g in seen:
         _, _, g1, g2, gb, _, _ = g
         den = g1 * d1 + g2 * d2
         t = (gb - g1 * q1 - g2 * q2) / den if den > 0.0 else math.inf
         if t < hi:
             hi, block = t, g
-    if forward == 0.0 or block is None:
-        return h, h, None
     into, out = (h, block) if forward > 0.0 else (block, h)
     return into, out, _corner_of(into, out)
 
 
 def _optimal_edges(rows, c1: float, c2: float):
-    """x0's two edge records, counterclockwise, for max c . x over the
-    records of _sorted_normals of a bounded region, or None where in doubt:
-    Seidel's incremental LP (Seidel 1991; de Berg et al., Computational
-    Geometry, 3rd ed., 4.3-4.4).  It starts where the two rows whose normals
-    bracket c meet, so every LP is bounded without a box, then visits the
-    rows in a fixed order, strides of isqrt(len(rows)) through the angle
+    """(into, out, x0), x0's two edge records, counterclockwise, and their
+    _corner_of, for max c . x over _sorted_normals' records of a bounded
+    region, or None where in doubt: Seidel's incremental LP (Seidel 1991; de
+    Berg et al., Computational Geometry, 3rd ed., 4.3-4.4).  It starts where
+    the two rows whose normals bracket c meet, so it needs no bounding box,
+    then visits the rows in strides of isqrt(len(rows)) through the angle
     order; a row that rejects the point moves it along the row's line."""
     k = bisect_right(rows, math.atan2(c2 + 0.0, c1), key=itemgetter(0))
     first = into, out = rows[k - 1], rows[k % len(rows)]
@@ -473,7 +473,7 @@ def _optimal_edges(rows, c1: float, c2: float):
             return None
         if h[2] * x[0] + h[3] * x[1] - h[4] > 0.0 and h is not into and h is not out:
             into, out, x = _on_line(h, chain(first, order[:i]), c1, c2)
-    return None if x is None else (into, out)
+    return None if x is None else (into, out, x)
 
 
 def _near_parallel(rows, gaps) -> bool:
@@ -493,19 +493,19 @@ def _optimal_corner(lp: LinearProgram2D, normals):
     """pred, x0 and succ in O(m), each as its point and the pair of records
     that meet there, the one into it first, or None where in doubt; lp's
     objective is nonzero, normals _sorted_normals(lp, tol) for a good tol.
-    Each row but a vertex's two holds there by twice its limit and
-    2 MERGE_TOL in distance: no other is tight, no corner merges, so the
-    points are _polygon's and the pairs hold every row tight at them.  Ratio
-    tests along x0's rows find pred's and succ's other rows.  x0 beats both
-    by twice _ranked's tie threshold, so c lies in the normal cone of x0's
-    rows (LP duality), and _ranked would find no tie."""
+    x0 is _optimal_edges' corner.  Each row but a vertex's two holds there by
+    twice its limit and 2 MERGE_TOL in distance: no other is tight, no corner
+    merges, so the points are _polygon's and the pairs hold every row tight at
+    them.  Ratio tests along x0's rows find pred's and succ's other rows.  x0
+    beats both by twice _ranked's tie threshold, so c lies in the normal cone
+    of x0's rows (LP duality), and _ranked would find no tie; pred, x0, succ
+    turn left by one exact orientation test, _cycle_fault's for 3 points."""
     rows, _, bounded, gaps = normals
     c1, c2 = lp.objective.x1, lp.objective.x2
     edges = bounded and not _near_parallel(rows, gaps) and _optimal_edges(rows, c1, c2)
     if not edges:
         return None
-    into, out = edges
-    x, y = _corner_of(into, out)
+    into, out, (x, y) = edges
     p1, p2, s1, s2 = into[3], -into[2], -out[3], out[2]  # towards pred, succ
     tp = tp2 = ts = ts2 = math.inf
     before = after = None
@@ -540,9 +540,9 @@ def _optimal_corner(lp: LinearProgram2D, normals):
     # pred, x0, succ must also turn left, as _polygon's convexity test asks.
     v0, vp, vs = c1 * x + c2 * y, c1 * px + c2 * py, c1 * sx + c2 * sy
     thr = 2.0 * VALUE_TIE_REL * max(1.0, abs(v0))
-    if not (v0 - vp > thr and v0 - vs > thr and _cycle_fault([px, x, sx], [py, y, sy]) is None):
+    if not (v0 - vp > thr and v0 - vs > thr and _left_turn(px, py, x, y, sx, sy)):
         return None
-    return (pred, (before, into)), ((x, y), edges), (succ, (out, after))
+    return (pred, (before, into)), ((x, y), (into, out)), (succ, (out, after))
 
 
 def _corner_vertex(point, pair) -> Vertex:
@@ -655,6 +655,7 @@ _INFEAS_REL = 1e-9
 
 def _unit_columns(lp: LinearProgram2D) -> list[tuple[int, float, float, float]]:
     """(j, a1, a2, b) for each column j, its row scaled to a unit normal."""
+    # x >= 0 written out: from ConstraintRows, small LPs cost 20 % or more.
     out = [(0, -1.0, 0.0, 0.0), (1, 0.0, -1.0, 0.0)]
     for j, row in enumerate(lp.constraints, 2):
         h = math.hypot(row.a1, row.a2)

@@ -83,6 +83,23 @@ def test_parse_syntax_errors_carry_line_numbers():
     assert ei.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"maximize: 1 1\nconstraints:\n\xff 1 2\n", 3),
+        (b"maximize: 1 1\r\nconstraints:\r\n1 1 2\r\n\xe9\n", 4),
+        (b"\xff", 1),
+        (b"maximize: 1 1\nconstraints:\n1 1 2 # caf\xc3\xa9 \xc3", 3),
+    ],
+)
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(data)
+    with pytest.raises(LPSyntaxError, match="not UTF-8") as ei:
+        pl.load_lp(path)
+    assert ei.value.line == line
+
+
 @given(fin, fin, st.lists(st.tuples(fin, fin, fin), min_size=1, max_size=5))
 def test_serialize_round_trip(c1, c2, rows):
     lp = pl.LinearProgram2D(
@@ -174,6 +191,13 @@ def test_cli_solve_malformed(tmp_path, capsys):
     bad.write_text("maximize: 1\n")
     assert cli.main(["solve", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.lp"
+    bad.write_bytes(b"maximize: 1 1\nconstraints:\n\xff 1 2\n")
+    assert cli.main(["solve", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: not UTF-8")
 
 
 @pytest.mark.parametrize("command", ["solve", "sensitivity"])

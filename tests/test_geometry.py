@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import planarlp as pl
 from planarlp.errors import NonFiniteEntry, ZeroVector
-from planarlp.geometry import TAU
+from planarlp.geometry import TAU, _cycle_fault, _turns_left
 
 finite = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -195,3 +195,36 @@ def test_circular_delta_is_wrapped_difference(a, b):
     d = pl.circular_delta(a, b)
     assert -math.pi < d <= math.pi
     assert abs(math.remainder(a - b - d, TAU)) < 1e-9
+
+
+# --- the exact orientation test ----------------------------------------------
+
+# Six coordinates k * 2**e, one e for the triangle and k a small integer, so
+# that collinear and repeated points are common at every scale from the
+# subnormals (e = -1074) to 2**1000; any finite float may stand in for each.
+_triangle_coordinates = st.sampled_from([-1074, -1072, -1000, -30, 0, 30, 1000]).flatmap(
+    lambda e: st.lists(
+        st.integers(-4, 4).map(lambda k: math.ldexp(k, e))
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=6,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    _triangle_coordinates,
+    st.just((0, 1, 2)) | st.sampled_from([(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]),
+)
+@example([0.0, 0.0, 5e-324, 0.0, 0.0, 5e-324], (0, 1, 2))
+@example([0.0, 0.0, 2.0**1000, 2.0**1000, -(2.0**1000), -(2.0**1000)], (0, 1, 2))
+@example([-1.7e308, 0.0, 1.7e308, 0.0, 0.0, 1.0], (0, 1, 2))
+def test_turns_left_is_the_cycle_test_of_a_triangle(coordinates, repeats):
+    # Every turn of a triangle has the sign of its orientation, and one that
+    # turns left winds once, so the one orientation test decides what
+    # _cycle_fault decides for three points: solver._optimal_corner relies
+    # on this for pred, x0 and succ.  repeats picks which points coincide.
+    xs = [coordinates[2 * k] for k in repeats]
+    ys = [coordinates[2 * k + 1] for k in repeats]
+    assert _turns_left(xs[0], ys[0], xs[1], ys[1], xs[2], ys[2]) == (_cycle_fault(xs, ys) is None)

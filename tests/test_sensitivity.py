@@ -431,10 +431,39 @@ def _answer(call, row=lambda i: i):
     )
 
 
-def _builder_route(lp, tol):
-    # analyze with the rows route in doubt everywhere: x0 from the polygon
+def _solution(call):
+    """What solve_enumeration gives, bit for bit: the vertex, its sorted
+    active rows, the value and whether it is unique, or the class and
+    message of an error."""
+    try:
+        sol = call()
+    except pl.errors.PlanarLPError as exc:
+        return type(exc), str(exc)
+    v = sol.vertex
+    return v.point.x1.hex(), v.point.x2.hex(), sorted(v.active_rows), sol.value.hex(), sol.unique
+
+
+def _analyzed(lp, tol):
+    return _answer(lambda: pl.analyze(lp, tol=tol))
+
+
+def _solved(lp, tol):
+    return _solution(lambda: pl.solve_enumeration(lp, tol=tol))
+
+
+# The two entry points that find x0 by solver._optimum, each as its answer,
+# bit for bit, to (lp, tol): one set of route gates runs on both.
+_ENTRY_POINTS = {"analyze": _analyzed, "solve_enumeration": _solved}
+_each_entry_point = pytest.mark.parametrize(
+    "entry", _ENTRY_POINTS.values(), ids=list(_ENTRY_POINTS)
+)
+
+
+def _builder_route(entry, lp, tol):
+    """entry's answer with the rows route in doubt everywhere: x0 from the
+    polygon."""
     with patch.object(solver, "_optimal_corner", return_value=None):
-        return pl.analyze(lp, tol=tol)
+        return entry(lp, tol)
 
 
 def _answered_fast(lp, tol):
@@ -474,17 +503,19 @@ _lps = (
 )
 
 
-def test_analyze_equals_the_builder_route():
-    # analyze answers from the rows where it can certify x0 and builds the
-    # polygon otherwise; either way it must give what the polygon gives.
-    # The rows answer in 26-36 % of 500 draws (24 seeds), and must in 15 %,
-    # so that the property tests them.
+@_each_entry_point
+def test_equals_the_builder_route(entry):
+    # Each entry point answers from the rows where they certify x0, with the
+    # rows' margin that rules out a tie, and builds the polygon otherwise;
+    # either way it must give what the polygon gives.  The rows answer in
+    # 26-36 % of 500 draws (24 seeds), and must in 15 %, so that the
+    # property tests them.
     fast = []
 
     @settings(max_examples=500, deadline=None)
     @given(_lps, st.sampled_from([1e-9, 0.0, 1e-3]))
     def check(lp, tol):
-        assert _answer(lambda: pl.analyze(lp, tol=tol)) == _answer(lambda: _builder_route(lp, tol))
+        assert entry(lp, tol) == _builder_route(entry, lp, tol)
         fast.append(_answered_fast(lp, tol))
 
     check()
@@ -526,11 +557,12 @@ def _counting_polygon(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("m", [16, 64, 1024])
-def test_analyze_builds_no_polygon_for_a_tangent_lp(monkeypatch, m):
+@_each_entry_point
+def test_builds_no_polygon_for_a_tangent_lp(monkeypatch, entry, m):
     lp = tangent_circle_lp(rng_for(m), m)
-    expected = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
+    expected = _builder_route(entry, lp, pl.FEAS_TOL)
     calls = _counting_polygon(monkeypatch)
-    assert _answer(lambda: pl.analyze(lp)) == expected
+    assert entry(lp, pl.FEAS_TOL) == expected
     assert calls == []
 
 
@@ -567,11 +599,12 @@ _DOUBTS = {
 
 
 @pytest.mark.parametrize("c, rows", _DOUBTS.values(), ids=_DOUBTS)
-def test_analyze_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, rows):
+@_each_entry_point
+def test_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, entry, c, rows):
     lp = pl.LinearProgram2D(pl.Vec2(*c), rows)
-    expected = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
+    expected = _builder_route(entry, lp, pl.FEAS_TOL)
     calls = _counting_polygon(monkeypatch)
-    assert _answer(lambda: pl.analyze(lp)) == expected
+    assert entry(lp, pl.FEAS_TOL) == expected
     assert len(calls) == 1
 
 
@@ -581,11 +614,9 @@ def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch):
     lp = pl.LinearProgram2D(
         pl.Vec2(1.0, 1.0), _SQUARE + (_R(2.0, 0.0, 3.0), _R(0.0, 3.0, 6.0), _R(-2.0, 0.0, 1.0))
     )
-    report = _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
-    solution = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
+    expected = [_builder_route(entry, lp, pl.FEAS_TOL) for entry in _ENTRY_POINTS.values()]
     calls = _counting_polygon(monkeypatch)
-    assert _answer(lambda: pl.analyze(lp)) == report
-    assert _solution(lambda: pl.solve_enumeration(lp)) == solution
+    assert [entry(lp, pl.FEAS_TOL) for entry in _ENTRY_POINTS.values()] == expected
     assert calls == []
 
 
@@ -612,57 +643,4 @@ def test_analyze_moves_x0_onto_a_row_that_cuts_it_off(monkeypatch, row, x0):
     rep = pl.analyze(lp)
     assert calls == []
     assert (rep.optimal_vertex.point.x1, rep.optimal_vertex.point.x2) == x0
-    assert _answer(lambda: rep) == _answer(lambda: _builder_route(lp, pl.FEAS_TOL))
-
-
-def _solution(call):
-    """What solve_enumeration gives, bit for bit: the vertex, its sorted
-    active rows, the value and whether it is unique, or the class and
-    message of an error."""
-    try:
-        sol = call()
-    except pl.errors.PlanarLPError as exc:
-        return type(exc), str(exc)
-    v = sol.vertex
-    return v.point.x1.hex(), v.point.x2.hex(), sorted(v.active_rows), sol.value.hex(), sol.unique
-
-
-def _builder_solve(lp, tol):
-    with patch.object(solver, "_optimal_corner", return_value=None):
-        return pl.solve_enumeration(lp, tol=tol)
-
-
-def test_solve_enumeration_equals_the_builder_route():
-    # solve_enumeration answers from the rows where they certify x0, with
-    # the rows' margin that rules out a tie, and ranks the polygon
-    # otherwise; either way it must give what the polygon gives.  The rows
-    # answer in at least 15 % of the draws, so that the property tests them.
-    fast = []
-
-    @settings(max_examples=500, deadline=None)
-    @given(_lps, st.sampled_from([1e-9, 0.0, 1e-3]))
-    def check(lp, tol):
-        expected = _solution(lambda: _builder_solve(lp, tol))
-        assert _solution(lambda: pl.solve_enumeration(lp, tol=tol)) == expected
-        fast.append(_answered_fast(lp, tol))
-
-    check()
-    assert sum(fast) >= 0.15 * len(fast)
-
-
-@pytest.mark.parametrize("m", [16, 64, 1024])
-def test_solve_enumeration_builds_no_polygon_for_a_tangent_lp(monkeypatch, m):
-    lp = tangent_circle_lp(rng_for(m), m)
-    expected = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
-    calls = _counting_polygon(monkeypatch)
-    assert _solution(lambda: pl.solve_enumeration(lp)) == expected
-    assert calls == []
-
-
-@pytest.mark.parametrize("c, rows", _DOUBTS.values(), ids=_DOUBTS)
-def test_solve_enumeration_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, c, rows):
-    lp = pl.LinearProgram2D(pl.Vec2(*c), rows)
-    expected = _solution(lambda: _builder_solve(lp, pl.FEAS_TOL))
-    calls = _counting_polygon(monkeypatch)
-    assert _solution(lambda: pl.solve_enumeration(lp)) == expected
-    assert len(calls) == 1
+    assert _answer(lambda: rep) == _builder_route(_analyzed, lp, pl.FEAS_TOL)

@@ -612,6 +612,14 @@ def test_solve_simplex_reference(ref_lp):
     assert sol.unique
 
 
+def test_solve_simplex_stops_at_the_pivot_cap(ref_lp, monkeypatch):
+    # paper.lp's origin is feasible, so no phase one runs, and phase two
+    # with a cap of no pivots gives up before it reads a dual.
+    monkeypatch.setattr(solver, "_max_pivots", lambda n_cols: 0)
+    with pytest.raises(RuntimeError, match="^simplex failed to terminate$"):
+        pl.solve_simplex(ref_lp)
+
+
 def test_solve_simplex_tie_flag(ref_lp):
     lp = pl.LinearProgram2D(pl.Vec2(2.0, 1.0), ref_lp.constraints)
     sol = pl.solve_simplex(lp)
@@ -1088,6 +1096,40 @@ def _solve_outcome(solve, lp):
         return solve(lp)
     except pl.errors.PlanarLPError as exc:
         return type(exc)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the parallel filter keeps the near-parallel row that does not bind "
+    "(ROADMAP item 12)",
+)
+def test_rows_within_det_tol_of_parallel_give_the_exact_answer():
+    # The normals of rows 0 and 1 have a cross product of 1e-13, within
+    # _DET_TOL, so _polygon keeps one of the two: row 1, tighter where the
+    # normal through the origin meets it, though row 0 binds along the edge
+    # x2 in [5e6, 1e7].  At tol 0 x0 then lies 9e-7 outside row 0, at
+    # (1000000.0000009, 1e7) with rows {1, 2}; the rows route doubts the
+    # pair (_near_parallel), so analyze and solve_enumeration give the
+    # polygon's x0.  solve_simplex and the exact reference give (1e6, 1e7)
+    # with rows {0, 2}.
+    lp = pl.LinearProgram2D(
+        pl.Vec2(1.0, 1.0),
+        (
+            pl.ConstraintRow(1.0, 0.0, 1e6),
+            pl.ConstraintRow(1.0, -1e-13, 999999.9999999),
+            pl.ConstraintRow(0.0, 1.0, 1e7),
+            pl.ConstraintRow(0.0, -1.0, -5e6),
+        ),
+    )
+    cycle = exact_region(lp)
+
+    def exact(v):
+        return Fraction(v.point.x1), Fraction(v.point.x2), v.active_rows
+
+    assert {exact(v) for v in pl.enumerate_vertices(lp, tol=0.0).vertices} == set(cycle)
+    x0 = max(cycle, key=lambda v: v[0] + v[1])
+    assert exact(pl.analyze(lp, tol=0.0).optimal_vertex) == x0
+    assert exact(pl.solve_enumeration(lp, tol=0.0).vertex) == x0
 
 
 # Floats in [-10, 10] with five decimals.  Nothing smaller than 1e-5: the
