@@ -90,27 +90,43 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> froze
 
 def _sorted_normals(lp: LinearProgram2D, tol: float):
     """One record per row, the two x >= 0 rows included, sorted by normal
-    angle (see the sweep below); the position just after the widest
-    counterclockwise gap between consecutive normals; whether that gap
-    leaves the region bounded, that is, falls short of pi - _RECESSION_TOL
-    (see check_recession); and the gaps, gaps[k] the one from rows[k] to the
-    next record round the circle."""
-    # _atan2 and row.scale(), written out: this runs once per row.
-    atan2, hypot = math.atan2, math.hypot
+    angle: (angle, index, a1, a2, b, room), angle the normal's atan2 in
+    [-pi, pi] and index the row's (X1_NONNEG and X2_NONNEG for x >= 0).
+    Then the position just after the widest counterclockwise gap between
+    consecutive normals; whether that gap leaves the region bounded, that
+    is, falls short of pi - _RECESSION_TOL (see check_recession); the gaps,
+    gaps[k] the one from rows[k] to the next record round the circle; and
+    tol.
+
+    room = 4 max(tol, MERGE_TOL) (1 + a1^2 + a2^2 + b^2) is plain
+    arithmetic, and bounds from above the need of _clears, 2 max(limit,
+    MERGE_TOL |a|) with limit = tol * row.scale(), so a slack above the
+    room clears the row without the hypot and the limit.  With
+    M = max(1, |a1|, |a2|, |b|): 1 + a1^2 + a2^2 + b^2 >= M, since it is
+    at least 1, and at least 1 + M^2 >= 2M when an entry reaches M; and
+    1 + a1^2 + a2^2 >= 2|a|.  So the exact room is at least 4 limit and
+    8 MERGE_TOL |a|, twice the need.  That factor 2 covers the rounding of
+    the few operations on either side, each within 2^-53 relative; a square
+    that underflows loses less than 2^-1074 beside the 1.  A room that
+    overflows is inf, which no slack exceeds, so its row takes _clears.
+    """
+    # _atan2, written out: this runs once per row.
+    atan2 = math.atan2
+    scale = 4.0 * max(tol, MERGE_TOL)
     rows = [
-        (atan2(a2 + 0.0, a1), idx, a1, a2, b, hypot(a1, a2),
-         tol * max(1.0, abs(a1), abs(a2), abs(b)))
+        (atan2(a2 + 0.0, a1), idx, a1, a2, b, scale * (1.0 + a1 * a1 + a2 * a2 + b * b))
         for idx, row in enumerate(lp.constraints)
         for a1, a2, b in ((row.a1, row.a2, row.b),)
     ]
     # x >= 0 written out: from ConstraintRows, small LPs cost 20 % or more.
-    rows.append((math.pi, X1_NONNEG, -1.0, 0.0, 0.0, 1.0, tol))
-    rows.append((-0.5 * math.pi, X2_NONNEG, 0.0, -1.0, 0.0, 1.0, tol))
+    rows.append((math.pi, X1_NONNEG, -1.0, 0.0, 0.0, 2.0 * scale))
+    rows.append((-0.5 * math.pi, X2_NONNEG, 0.0, -1.0, 0.0, 2.0 * scale))
     rows.sort(key=itemgetter(0))
     gaps = [s[0] - r[0] for r, s in zip(rows, rows[1:])]
     gaps.append(rows[0][0] + TAU - rows[-1][0])
     widest = gaps.index(max(gaps))
-    return rows, (widest + 1) % len(rows), gaps[widest] < math.pi - _RECESSION_TOL, gaps
+    bounded = gaps[widest] < math.pi - _RECESSION_TOL
+    return rows, (widest + 1) % len(rows), bounded, gaps, tol
 
 
 def check_recession(lp: LinearProgram2D) -> Recession:
@@ -132,11 +148,13 @@ def check_recession(lp: LinearProgram2D) -> Recession:
 
 
 # The sweep below works on one record per row, (angle, index, a1, a2, b, |a|,
-# limit), where angle is the normal's atan2 in [-pi, pi], index the row's
-# (X1_NONNEG and X2_NONNEG for x >= 0), and limit tol * row.scale(); and on
-# corners as (x1, x2) float pairs.  Each expression keeps the order of
-# operations of the ConstraintRow and Vec2 methods it stands for, and a
-# corner that overflows raises NonFiniteEntry as Vec2 would.
+# limit): _polygon makes it from a record of _sorted_normals, (angle, index,
+# a1, a2, b, room), with |a| = hypot(a1, a2) and limit tol * row.scale().
+# The rows route reads the shorter records and computes |a| and the limit
+# only where it needs them.  Corners are (x1, x2) float pairs.  Each
+# expression keeps the order of operations of the ConstraintRow and Vec2
+# methods it stands for, and a corner that overflows raises NonFiniteEntry
+# as Vec2 would.
 
 
 def _pair(x1: float, x2: float) -> tuple[float, float]:
@@ -146,16 +164,39 @@ def _pair(x1: float, x2: float) -> tuple[float, float]:
     return x1, x2
 
 
+def _limit(a1: float, a2: float, b: float, tol: float) -> float:
+    """tol * row.scale(), tol * max(1, |a1|, |a2|, |b|), to the same bits:
+    the comparisons, written out, cost less than the builtin max's call."""
+    big = abs(a1)
+    t = abs(a2)
+    if t > big:
+        big = t
+    t = abs(b)
+    if t > big:
+        big = t
+    return tol * big if big > 1.0 else tol
+
+
+def _point(x1: float, x2: float) -> Vec2:
+    """Vec2(x1, x2) for coordinates that have passed _pair, without its
+    check again."""
+    p = object.__new__(Vec2)
+    _set(p, "x1", x1)
+    _set(p, "x2", x2)
+    return p
+
+
 def _turns_left(ri, rj) -> bool:
     """rj's normal lies counterclockwise of ri's by strictly less than a
-    half turn, so the two boundary lines cross."""
+    half turn, so the two boundary lines of the sweep records cross."""
     return ri[2] * rj[3] - ri[3] * rj[2] > _DET_TOL * ri[5] * rj[5]
 
 
 def _crossing(ri, rj) -> tuple[float, float]:
-    """Where the boundary lines of two crossing rows meet."""
-    _, _, a1, a2, b, _, _ = ri
-    _, _, c1, c2, d, _, _ = rj
+    """Where the boundary lines of two crossing rows meet, for records of
+    either length."""
+    a1, a2, b = ri[2], ri[3], ri[4]
+    c1, c2, d = rj[2], rj[3], rj[4]
     det = a1 * c2 - a2 * c1
     return _pair((b * c2 - d * a2) / det, (a1 * d - c1 * b) / det)
 
@@ -297,18 +338,24 @@ def _polygon(normals):
     """enumerate_vertices' cycle from the _sorted_normals result normals,
     checked as FeasibleRegion checks it, as (xs, ys, rows, owners, edges):
     vertex k is (xs[k], ys[k]), entered along the row of record edges[k];
-    rows holds the records of _sorted_normals, x >= 0 rows included, by
-    normal angle; and owners[i] is the vertex that owns rows[i]'s normal
+    rows holds a sweep record, with |a| and the limit, for each record of
+    normals, x >= 0 rows included, in normal-angle order from the one after
+    the widest gap; and owners[i] is the vertex that owns rows[i]'s normal
     angle: its cone in the normal fan, whose order the cycle keeps from the
     vertex whose out-edge row, edges[1], has the least normal angle."""
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
-    rows, start, bounded, _ = normals
-    # Of rows whose normals point the same way, to within _DET_TOL, only the
-    # tightest bounds.  lines[-1] is (.., k1, k2, kb, kn, ..).
+    sorted_rows, start, bounded, _, tol = normals
+    hypot = math.hypot
+    # Each record gains |a| and the limit.  Of rows whose normals point the
+    # same way, to within _DET_TOL, only the tightest bounds.  lines[-1] is
+    # (.., k1, k2, kb, kn, ..).
+    rows = []
     lines = []
-    for rec in chain(rows[start:], rows[:start]):
-        _, _, a1, a2, b, norm, _ = rec
+    for angle, idx, a1, a2, b, _ in chain(sorted_rows[start:], sorted_rows[:start]):
+        norm = hypot(a1, a2)
+        rec = angle, idx, a1, a2, b, norm, _limit(a1, a2, b, tol)
+        rows.append(rec)
         if (
             lines
             and abs(k1 * a2 - k2 * a1) <= _DET_TOL * (kn * norm)
@@ -345,7 +392,7 @@ def _polygon(normals):
     for k in chain(range(first + 1, n_corners), range(first)):
         p, q = corners[k], runs[-1][0]
         # _distance, which checks the difference, only where hypot overflowed.
-        d = math.hypot(p[0] - q[0], p[1] - q[1])
+        d = hypot(p[0] - q[0], p[1] - q[1])
         if d == math.inf:
             d = _distance(p, q)
         if d <= MERGE_TOL:
@@ -373,7 +420,8 @@ def _polygon(normals):
     # Begin the cycle at the vertex whose out-edge row has the least normal
     # angle: edges[1], ..., edges[n - 1], edges[0] ascend, and vertex k owns
     # the angles from edges[k]'s to edges[k + 1]'s, round the turn for k = 0.
-    s = (min(range(n), key=lambda r: edges[r][0]) - 1) % n
+    angles = [e[0] for e in edges]
+    s = (angles.index(min(angles)) - 1) % n
     xs, ys, edges = px[s:] + px[:s], py[s:] + py[:s], edges[s:] + edges[:s]
     if n == n_corners:
         # No corners merged, so the merge and the search for `first` have
@@ -398,8 +446,9 @@ def _polygon(normals):
 
 def _vertices(poly, ks) -> list[Vertex]:
     """Vertices ks of a _polygon result, each with the rows within their limit
-    there, as active_rows_at finds them: a . x is unimodal round the convex
-    cycle, so a row is tested at its owner and on each side while it holds."""
+    there, as active_rows_at finds them, by the limits _polygon computed: a . x
+    is unimodal round the convex cycle, so a row is tested at its owner and on
+    each side while it holds."""
     xs, ys, rows, owners, _ = poly
     n = len(xs)
     active: list[set[int]] = [set() for _ in xs]
@@ -413,7 +462,7 @@ def _vertices(poly, ks) -> list[Vertex]:
         while hi < lo + n and abs(a1 * xs[hi % n] + a2 * ys[hi % n] - b) <= limit:
             active[hi % n].add(idx)
             hi += 1
-    return [Vertex(Vec2(xs[k], ys[k]), active[k]) for k in ks]
+    return [Vertex(_point(xs[k], ys[k]), active[k]) for k in ks]
 
 
 # --- x0 from the rows, in O(m) -----------------------------------------------
@@ -421,8 +470,12 @@ def _vertices(poly, ks) -> list[Vertex]:
 
 def _corner_of(ri, rj):
     """_crossing(ri, rj) + 0.0, or None where the rows meet at no finite
-    point: a vertex as _polygon makes it where no other corner merges."""
-    if _turns_left(ri, rj):
+    point: a vertex as _polygon makes it where no other corner merges.  The
+    records are _sorted_normals', so _turns_left's test is written out, with
+    the two |a| it reads."""
+    _, _, a1, a2, _, _ = ri
+    _, _, c1, c2, _, _ = rj
+    if a1 * c2 - a2 * c1 > _DET_TOL * math.hypot(a1, a2) * math.hypot(c1, c2):
         try:
             x, y = _crossing(ri, rj)
             return x + 0.0, y + 0.0
@@ -436,17 +489,19 @@ def _on_line(h, seen, c1: float, c2: float):
     h's line the way c grows; the corner is None where c is level with the
     line, nothing stops the walk, or _corner_of finds none.  Seidel's test
     for an empty interval is left out: where the LP is infeasible, the point
-    left fails _optimal_corner's certificate instead."""
-    _, _, h1, h2, hb, hn, _ = h
+    left fails _optimal_corner's certificate instead.  The records are
+    _sorted_normals'; _foot's point on h's line reads |h|, computed here."""
+    _, _, h1, h2, hb, _ = h
     forward = c2 * h1 - c1 * h2
     if forward == 0.0:
         return h, h, None
     d1, d2 = (-h2, h1) if forward > 0.0 else (h2, -h1)
+    hn = math.hypot(h1, h2)
     s = hb / hn / hn
     q1, q2 = s * h1, s * h2  # a point on the line
     hi, block = math.inf, h  # h where nothing stops it: _corner_of(h, h) is None
     for g in seen:
-        _, _, g1, g2, gb, _, _ = g
+        _, _, g1, g2, gb, _ = g
         den = g1 * d1 + g2 * d2
         t = (gb - g1 * q1 - g2 * q2) / den if den > 0.0 else math.inf
         if t < hi:
@@ -489,6 +544,14 @@ def _near_parallel(rows, gaps) -> bool:
     )
 
 
+def _clears(rec, slack: float, tol: float) -> bool:
+    """The row of rec, a _sorted_normals record, holds with this slack by
+    twice its limit and 2 MERGE_TOL in distance.  _optimal_corner asks this
+    only where the slack does not clear the record's room."""
+    _, _, a1, a2, b, _ = rec
+    return slack > 2.0 * max(_limit(a1, a2, b, tol), MERGE_TOL * math.hypot(a1, a2))
+
+
 def _optimal_corner(lp: LinearProgram2D, normals):
     """pred, x0 and succ in O(m), each as its point and the pair of records
     that meet there, the one into it first, or None where in doubt; lp's
@@ -496,11 +559,15 @@ def _optimal_corner(lp: LinearProgram2D, normals):
     x0 is _optimal_edges' corner.  Each row but a vertex's two holds there by
     twice its limit and 2 MERGE_TOL in distance: no other is tight, no corner
     merges, so the points are _polygon's and the pairs hold every row tight at
-    them.  Ratio tests along x0's rows find pred's and succ's other rows.  x0
-    beats both by twice _ranked's tie threshold, so c lies in the normal cone
-    of x0's rows (LP duality), and _ranked would find no tie; pred, x0, succ
-    turn left by one exact orientation test, _cycle_fault's for 3 points."""
-    rows, _, bounded, gaps = normals
+    them.  A slack above the row's room proves that, the room being an upper
+    bound on what _clears asks; only a row the room leaves in doubt, and not
+    one of the vertex's two, takes _clears, so each answer is the one the
+    exact test alone gives.  Ratio tests along x0's rows find pred's and
+    succ's other rows.  x0 beats both by twice _ranked's tie threshold, so c
+    lies in the normal cone of x0's rows (LP duality), and _ranked would find
+    no tie; pred, x0, succ turn left by one exact orientation test,
+    _cycle_fault's for 3 points."""
+    rows, _, bounded, gaps, tol = normals
     c1, c2 = lp.objective.x1, lp.objective.x2
     edges = bounded and not _near_parallel(rows, gaps) and _optimal_edges(rows, c1, c2)
     if not edges:
@@ -510,10 +577,10 @@ def _optimal_corner(lp: LinearProgram2D, normals):
     tp = tp2 = ts = ts2 = math.inf
     before = after = None
     for rec in rows:
-        _, _, a1, a2, b, norm, limit = rec
+        _, _, a1, a2, b, room = rec
         slack = b - a1 * x - a2 * y
-        if not (slack > 2.0 * limit and slack > 2.0 * MERGE_TOL * norm):
-            if rec is not into and rec is not out:  # their d is never > 0
+        if not slack > room and rec is not into and rec is not out:  # their d is never > 0
+            if not _clears(rec, slack, tol):
                 return None
         d = a1 * p1 + a2 * p2
         if d > 0.0 and slack / d < tp2:
@@ -531,12 +598,15 @@ def _optimal_corner(lp: LinearProgram2D, normals):
         return None
     (px, py), (sx, sy) = pred, succ
     for rec in rows:
-        _, _, a1, a2, b, norm, limit = rec
-        need = 2.0 * max(limit, MERGE_TOL * norm)
-        if not b - a1 * px - a2 * py > need and rec is not before and rec is not into:
-            return None
-        if not b - a1 * sx - a2 * sy > need and rec is not out and rec is not after:
-            return None
+        _, _, a1, a2, b, room = rec
+        slack = b - a1 * px - a2 * py
+        if not slack > room and rec is not before and rec is not into:
+            if not _clears(rec, slack, tol):
+                return None
+        slack = b - a1 * sx - a2 * sy
+        if not slack > room and rec is not out and rec is not after:
+            if not _clears(rec, slack, tol):
+                return None
     # pred, x0, succ must also turn left, as _polygon's convexity test asks.
     v0, vp, vs = c1 * x + c2 * y, c1 * px + c2 * py, c1 * sx + c2 * sy
     thr = 2.0 * VALUE_TIE_REL * max(1.0, abs(v0))
@@ -545,11 +615,19 @@ def _optimal_corner(lp: LinearProgram2D, normals):
     return (pred, (before, into)), ((x, y), (into, out)), (succ, (out, after))
 
 
-def _corner_vertex(point, pair) -> Vertex:
+def _corner_vertex(point, pair, tol: float) -> Vertex:
     """The Vertex of one corner of _optimal_corner: its rows of the pair,
-    those within their limit, are all the rows tight there."""
+    those within their limit, are all the rows tight there.  A residual
+    within tol is within the limit, tol * row.scale() with row.scale() >= 1,
+    so the limit is computed only past that.  The corner has passed _pair,
+    so _point builds its Vec2."""
     u, v = point
-    return Vertex(Vec2(u, v), {r[1] for r in pair if abs(r[2] * u + r[3] * v - r[4]) <= r[6]})
+    tight = set()
+    for _, idx, a1, a2, b, _ in pair:
+        r = abs(a1 * u + a2 * v - b)
+        if r <= tol or r <= _limit(a1, a2, b, tol):
+            tight.add(idx)
+    return Vertex(_point(u, v), tight)
 
 
 def argmax_with_ties(values: list[float]) -> tuple[int, list[int]]:
@@ -603,7 +681,7 @@ def _optimum(lp: LinearProgram2D, tol: float, around):
     if corner is not None:
         vertices = []
         for d in around:  # a loop, not a comprehension: this is the hot route
-            vertices.append(_corner_vertex(*corner[1 + d]))
+            vertices.append(_corner_vertex(*corner[1 + d], tol))
         into, out = corner[1][1]
         return vertices, into, out, False, None
     poly = _polygon(normals)

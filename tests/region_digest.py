@@ -1,7 +1,7 @@
 """Print a SHA-256 digest of enumerate_vertices, analyze and solve_enumeration
 on fixed LPs.
 
-    PYTHONPATH=src python tests/region_digest.py [--entries | --fast-share]
+    PYTHONPATH=src python tests/region_digest.py [--entries | --fast-share | --room-share]
 
 The LPs are tangent_pool(seed, m, 16) of perfbench seeds 1, 2 and 3 for m in
 3, 4, 8, 16, 64 and 256; every LP of batch_pool(seed, 50, 16) for the same
@@ -24,7 +24,11 @@ same machine.  With --fast-share it prints, for analyze and for
 solve_enumeration and each family of LPs (tangent, batch, and the random
 integer, mixed and extreme ones), how many entries returned without
 building the polygon ("rows"), how many built it, and how many raised
-without building it ("refused", mostly a rejected argument).  This is a script rather than a test because
+without building it ("refused", mostly a rejected argument).  With
+--room-share it prints, for the same calls, how many of the row tests of
+solver._optimal_corner's certificate the room bound decided ("room") and
+how many took the exact test, solver._clears ("exact"); the rest are the
+exempt rows of a corner's pair.  This is a script rather than a test because
 math.atan2, and so the order of the sort and the cone angles, may differ
 between C libraries.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +131,27 @@ def _family(name: str) -> str:
     return _FAMILIES[2 + int(i) % 3] if kind == "random" else kind
 
 
+_ENTRY_POINTS = (("analyze", pl.analyze), ("solve", pl.solve_enumeration))
+
+
+def _entry_calls():
+    """(entry, family, run) for each call of analyze and solve_enumeration
+    on the LPs at each tolerance; run() makes the call and says whether it
+    raised."""
+    for name, lp in lps():
+        for tol in TOLS:
+            for entry, call in _ENTRY_POINTS:
+
+                def run(call=call, lp=lp, tol=tol) -> bool:
+                    try:
+                        call(lp, tol=tol)
+                        return False
+                    except pl.errors.PlanarLPError:
+                        return True
+
+                yield entry, _family(name), run
+
+
 def fast_share() -> None:
     """Count the routes of analyze and solve_enumeration per family by
     watching their polygon builds."""
@@ -139,26 +165,59 @@ def fast_share() -> None:
         return build(normals)
 
     solver._polygon = counting
-    calls = (("analyze", pl.analyze), ("solve", pl.solve_enumeration))
-    counts = {(e, f): [0, 0, 0] for e, _ in calls for f in _FAMILIES}  # rows, polygon, refused
-    for name, lp in lps():
-        for tol in TOLS:
-            for entry, call in calls:
-                built.clear()
-                try:
-                    call(lp, tol=tol)
-                    refused = False
-                except pl.errors.PlanarLPError:
-                    refused = True
-                counts[entry, _family(name)][1 if built else 2 if refused else 0] += 1
+    # rows, polygon, refused
+    counts = {(e, f): [0, 0, 0] for e, _ in _ENTRY_POINTS for f in _FAMILIES}
+    for entry, family, run in _entry_calls():
+        built.clear()
+        refused = run()
+        counts[entry, family][1 if built else 2 if refused else 0] += 1
     print(f"{'entry':8} {'family':8} {'rows':>6} {'polygon':>8} {'refused':>8}")
     for (entry, f), (rows, poly, refused) in counts.items():
         print(f"{entry:8} {f:8} {rows:6} {poly:8} {refused:8}")
 
 
+def room_share() -> None:
+    """Count the certificate's row tests per entry point and family that the
+    room bound decided and that took the exact test, solver._clears."""
+    from planarlp import solver
+
+    counts = {(e, f): Counter() for e, _ in _ENTRY_POINTS for f in _FAMILIES}
+    tests = Counter()
+
+    class Room(float):
+        # The certificate asks slack > room, which Python answers with
+        # room.__lt__(slack) first: room's type subclasses slack's.
+        def __lt__(self, slack):
+            cleared = float.__lt__(self, slack)
+            tests["room"] += cleared
+            return cleared
+
+    certify, clears = solver._optimal_corner, solver._clears
+
+    def counting_certify(lp, normals):
+        rows = [r[:5] + (Room(r[5]),) for r in normals[0]]
+        return certify(lp, (rows, *normals[1:]))
+
+    def counting_clears(rec, slack, tol):
+        tests["exact"] += 1
+        return clears(rec, slack, tol)
+
+    solver._optimal_corner, solver._clears = counting_certify, counting_clears
+    for entry, family, run in _entry_calls():
+        tests.clear()
+        run()
+        counts[entry, family].update(tests)
+    print(f"{'entry':8} {'family':8} {'room':>9} {'exact':>7}")
+    for (entry, f), c in counts.items():
+        print(f"{entry:8} {f:8} {c['room']:9} {c['exact']:7}")
+
+
 def main() -> None:
     if sys.argv[1:] == ["--fast-share"]:
         fast_share()
+        return
+    if sys.argv[1:] == ["--room-share"]:
+        room_share()
         return
     listing = sys.argv[1:] == ["--entries"]
     h = hashlib.sha256()

@@ -18,7 +18,7 @@ from planarlp import cli, oracle, solver
 from planarlp.sensitivity import _normal_angle
 from planarlp.solver import _RECESSION_TOL, argmax_with_ties
 from exact_reference import exact_bounded, exact_region
-from region_digest import _integer_lp, _mixed_lp
+from region_digest import _extreme_lp, _integer_lp, _mixed_lp
 from conftest import (
     FIXTURES,
     REF_OPTIMUM,
@@ -550,6 +550,63 @@ def test_entry_points_validate_and_sort_once(ref_lp, monkeypatch, entry, c):
         assert entry is pl.analyze and c == (2.0, 1.0)
     polygon = entry is pl.enumerate_vertices or c == (2.0, 1.0)
     assert counts == {"validate": 1, "_sorted_normals": 1, "_polygon": int(polygon)}
+
+
+def _corner_with_rooms(lp, tol, room=None):
+    """_optimal_corner on lp's normals at tol, every room set to room unless
+    it is None: each corner as the float.hex of its point and its pair of
+    records without their rooms."""
+    normals = solver._sorted_normals(lp, tol)
+    if room is not None:
+        normals = ([r[:5] + (room,) for r in normals[0]], *normals[1:])
+    corner = solver._optimal_corner(lp, normals)
+    if corner is None:
+        return None
+    return [((x.hex(), y.hex()), tuple(r[:5] for r in pair)) for (x, y), pair in corner]
+
+
+_TANGENT_LPS = [t.lp for seed in (1, 2, 3) for m in (3, 8, 64) for t in tangent_pool(seed, m, 4)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.builds(
+        lambda make, seed: make(random.Random(seed)),
+        st.sampled_from([_integer_lp, _mixed_lp, _extreme_lp]),
+        st.integers(0, 2**32 - 1),
+    )
+    | st.sampled_from(_TANGENT_LPS),
+    st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+def test_room_bound_is_a_filter_only(lp, tol):
+    # With every room inf, no slack clears it and every row the certificate
+    # tests takes the exact test: the rows route must answer the same, the
+    # same None, points and record pairs, as with the rooms it computes.
+    try:
+        solver._check_arguments(lp, tol)
+    except pl.errors.PlanarLPError:
+        return
+    assert _corner_with_rooms(lp, tol) == _corner_with_rooms(lp, tol, math.inf)
+
+
+# 0 or k * 2**e, from the subnormals to 2**1000.
+_binary_entry = st.builds(math.ldexp, st.integers(-7, 7), st.integers(-1074, 997)) | st.sampled_from(
+    [2.0**1000, -(2.0**1000)]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(_binary_entry, _binary_entry, _binary_entry), min_size=1, max_size=4),
+    st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e300]),
+)
+def test_room_bounds_the_exact_need(rows, tol):
+    # room >= 2 max(limit, MERGE_TOL |a|) as floats, for every record, the
+    # x >= 0 rows included: where a square underflows or overflows too.
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), tuple(pl.ConstraintRow(*r) for r in rows))
+    for _, _, a1, a2, b, room in solver._sorted_normals(lp, tol)[0]:
+        limit = tol * pl.ConstraintRow(a1, a2, b).scale()
+        assert room >= 2.0 * max(limit, pl.MERGE_TOL * math.hypot(a1, a2))
 
 
 def test_argmax_with_ties():
