@@ -296,7 +296,12 @@ def line_direction_angle(v: Vec2) -> Angle:
     """
     if v.is_zero():
         raise ZeroVector("no direction for the zero vector")
-    a = _atan2(v.x2, v.x1)
+    return _line_angle(v.x1, v.x2)
+
+
+def _line_angle(x1: float, x2: float) -> Angle:
+    """line_direction_angle of the nonzero vector (x1, x2), from its floats."""
+    a = _atan2(x2, x1)
     if a <= 0.0:
         a += math.pi
     if a == 0.0:  # direction rounded to -pi: the line is horizontal

@@ -45,7 +45,22 @@ class ConstraintRow(Frozen):
         _set(self, "b", b)
 
     def scale(self) -> float:
-        return max(1.0, abs(self.a1), abs(self.a2), abs(self.b))
+        """max(1.0, |a1|, |a2|, |b|), with the builtin's comparisons written
+        out in its order, so that NaN and inf give its bits too: a value
+        replaces the one kept only when it is > it.  This runs once per row
+        of every active_rows_at and is_feasible call, where the builtin's
+        call costs more than the comparisons."""
+        big = 1.0
+        t = abs(self.a1)
+        if t > big:
+            big = t
+        t = abs(self.a2)
+        if t > big:
+            big = t
+        t = abs(self.b)
+        if t > big:
+            big = t
+        return big
 
     def residual(self, x: Vec2) -> float:
         """a . x - b; nonpositive means x satisfies the row."""

@@ -11,7 +11,15 @@ is preserved by both.
 from __future__ import annotations
 
 from .errors import NonPositiveAlpha, ZeroObjective
-from .geometry import Frozen, Vec2, apply_rotation, polar_of, rotation_of, wrap_angle
+from .geometry import (
+    Frozen,
+    Vec2,
+    _atan2,
+    apply_rotation,
+    polar_of,
+    rotation_of,
+    wrap_angle,
+)
 from .lp_model import FeasibleRegion, Vertex
 
 
@@ -37,8 +45,14 @@ def normalizing_rotation(c: Vec2) -> float:
     """The angle in (-pi, pi] rotating c onto (|c1|, |c2|)."""
     if c.is_zero():
         raise ZeroObjective("cannot normalize a zero objective")
-    target = polar_of(Vec2(abs(c.x1), abs(c.x2))).phi
-    return wrap_angle(target - polar_of(c).phi)
+    return _normalizing_angle(c.x1, c.x2, polar_of(c).phi)
+
+
+def _normalizing_angle(c1: float, c2: float, phi: float) -> float:
+    """normalizing_rotation of the nonzero objective (c1, c2) whose polar
+    angle is phi.  (|c1|, |c2|) lies in the closed first quadrant, so its
+    polar angle is _atan2's, which polar_of would not wrap."""
+    return wrap_angle(_atan2(abs(c2), abs(c1)) - phi)
 
 
 def rotate_problem(

@@ -25,15 +25,15 @@ from .geometry import (
     TAU,
     Frozen,
     PolarVector,
-    Vec2,
     _atan2,
+    _line_angle,
     _set,
     _turns_left,
     line_direction_angle,
     polar_of,
 )
 from .lp_model import FEAS_TOL, MERGE_TOL, LinearProgram2D, Vertex, evaluate
-from .normalization import normalizing_rotation
+from .normalization import _normalizing_angle
 from .solver import VALUE_TIE_REL, _optimum
 
 
@@ -104,6 +104,36 @@ class SensitivityReport(Frozen):
     theta0: float
     endpoint_ties: tuple[Vertex, Vertex]
 
+    # Written out, not Frozen's binder: one is built per analyze call, and
+    # this form is about twice as fast.
+    def __init__(
+        self,
+        optimal_vertex: Vertex,
+        optimal_value: float,
+        pred: Vertex,
+        succ: Vertex,
+        theta1: float,
+        theta2: float,
+        interval: AngleInterval,
+        objective_polar: PolarVector,
+        phi_inside: bool,
+        nu_interval: AngleInterval,
+        theta0: float,
+        endpoint_ties: tuple[Vertex, Vertex],
+    ):
+        _set(self, "optimal_vertex", optimal_vertex)
+        _set(self, "optimal_value", optimal_value)
+        _set(self, "pred", pred)
+        _set(self, "succ", succ)
+        _set(self, "theta1", theta1)
+        _set(self, "theta2", theta2)
+        _set(self, "interval", interval)
+        _set(self, "objective_polar", objective_polar)
+        _set(self, "phi_inside", phi_inside)
+        _set(self, "nu_interval", nu_interval)
+        _set(self, "theta0", theta0)
+        _set(self, "endpoint_ties", endpoint_ties)
+
 
 class ValueShift(Enum):
     INCREASES = "increases"
@@ -165,8 +195,11 @@ def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
 
     Finds x0, its neighbours and the rows along its two edges by
     solver._optimum: from the rows in O(m) expected where they certify x0,
-    else from enumerate_vertices' polygon, to the same bits.  The cone's
-    ends are the normal angles of those two rows.
+    most often at the corner of the two rows whose normals bracket c, else
+    from enumerate_vertices' polygon, to the same bits.  The cone's ends
+    are the normal angles of those two rows, theta1 and theta2 their
+    line_direction_angle, and theta0 normalizing_rotation(c), each from the
+    floats by the rule those functions use.
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs, that of the row they share.
@@ -176,15 +209,18 @@ def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
         raise DegenerateOptimum("optimal value is tied between vertices", vertices, angle)
     pred, x0, succ = vertices
     c = lp.objective
-    theta1, theta2 = (line_direction_angle(Vec2(-r[3], r[2])) for r in (into, out))
+    # Each edge's line angle is that of its row's direction (-a2, a1).
+    theta1 = _line_angle(-into[3], into[2])
+    theta2 = _line_angle(-out[3], out[2])
     # The cone runs from the normal of the row along pred -> x0 to that of
     # the row along x0 -> succ, each moved by a turn at most to its side of
     # phi_f, with one rounding; they span less than a turn exactly when
     # phi_f lies inside.  The cone turns with the polygon, so it needs no
-    # rotated copy; theta0 only reports the rotation that would normalize c.
-    theta0 = normalizing_rotation(c) if c.x1 < 0.0 or c.x2 < 0.0 else 0.0
+    # rotated copy; theta0 only reports the rotation that would normalize c,
+    # normalizing_rotation(c) from the polar angle at hand.
     pv = polar_of(c)
     phi = pv.phi
+    theta0 = _normalizing_angle(c.x1, c.x2, phi) if c.x1 < 0.0 or c.x2 < 0.0 else 0.0
     lo = into[0] if into[0] < phi else into[0] - TAU
     hi = out[0] if out[0] > phi else out[0] + TAU
     if not hi - lo < TAU:

@@ -1,16 +1,17 @@
 """Two independent solvers for the planar LP, plus region construction.
 
 solve_enumeration and analyze find x0 through _optimum, which checks the
-arguments and sorts the row normals once, finds x0 from the sorted rows in
-O(m) with Seidel's incremental LP and certifies it with one more pass; only
-where that is in doubt does it build the feasible polygon from the same
-sort, by half-plane intersection, and rank its vertices.  The sort also
-decides boundedness, by a gap of a half turn; enumerate_vertices always
-builds the polygon.  solve_simplex is a two-phase revised simplex with
-Bland's rule whose basis is the pair of tight constraints, in both phases,
-so a pivot is a 2 x 2 solve and one O(m) pass over the rows.  Neither needs
-numpy.  They share no code on the solve path, which is what makes
-cross-checking one against the other meaningful.
+arguments and sorts the row normals once, then certifies in one O(m) pass
+the corner of the two rows whose normals bracket c; only where that fails
+does Seidel's incremental LP walk from it, O(m) expected, to a corner that
+is certified again.  Only where x0 is still in doubt does it build the
+feasible polygon from the same sort, by half-plane intersection, and rank
+its vertices.  The sort also decides boundedness, by a gap of a half turn;
+enumerate_vertices always builds the polygon.  solve_simplex is a
+two-phase revised simplex with Bland's rule whose basis is the pair of
+tight constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m)
+pass over the rows.  Neither needs numpy.  They share no code on the solve
+path, which is what makes cross-checking one against the other meaningful.
 """
 
 from __future__ import annotations
@@ -489,8 +490,8 @@ def _on_line(h, seen, c1: float, c2: float):
     h's line the way c grows; the corner is None where c is level with the
     line, nothing stops the walk, or _corner_of finds none.  Seidel's test
     for an empty interval is left out: where the LP is infeasible, the point
-    left fails _optimal_corner's certificate instead.  The records are
-    _sorted_normals'; _foot's point on h's line reads |h|, computed here."""
+    left fails _certified instead.  The records are _sorted_normals';
+    _foot's point on h's line reads |h|, computed here."""
     _, _, h1, h2, hb, _ = h
     forward = c2 * h1 - c1 * h2
     if forward == 0.0:
@@ -510,17 +511,16 @@ def _on_line(h, seen, c1: float, c2: float):
     return into, out, _corner_of(into, out)
 
 
-def _optimal_edges(rows, c1: float, c2: float):
+def _optimal_edges(rows, c1: float, c2: float, into, out, x):
     """(into, out, x0), x0's two edge records, counterclockwise, and their
     _corner_of, for max c . x over _sorted_normals' records of a bounded
     region, or None where in doubt: Seidel's incremental LP (Seidel 1991; de
-    Berg et al., Computational Geometry, 3rd ed., 4.3-4.4).  It starts where
-    the two rows whose normals bracket c meet, so it needs no bounding box,
-    then visits the rows in strides of isqrt(len(rows)) through the angle
+    Berg et al., Computational Geometry, 3rd ed., 4.3-4.4).  It starts from
+    into and out, the two rows whose normals bracket c, and x, their
+    _corner_of, which _certified has rejected; so it needs no bounding box.
+    It visits the rows in strides of isqrt(len(rows)) through the angle
     order; a row that rejects the point moves it along the row's line."""
-    k = bisect_right(rows, math.atan2(c2 + 0.0, c1), key=itemgetter(0))
-    first = into, out = rows[k - 1], rows[k % len(rows)]
-    x = _corner_of(into, out)
+    first = into, out
     step = math.isqrt(len(rows))
     order = list(chain.from_iterable(rows[j::step] for j in range(step)))
     for i, h in enumerate(order):
@@ -546,8 +546,8 @@ def _near_parallel(rows, gaps) -> bool:
 
 def _clears(rec, slack: float, tol: float) -> bool:
     """The row of rec, a _sorted_normals record, holds with this slack by
-    twice its limit and 2 MERGE_TOL in distance.  _optimal_corner asks this
-    only where the slack does not clear the record's room."""
+    twice its limit and 2 MERGE_TOL in distance.  _certified asks this only
+    where the slack does not clear the record's room."""
     _, _, a1, a2, b, _ = rec
     return slack > 2.0 * max(_limit(a1, a2, b, tol), MERGE_TOL * math.hypot(a1, a2))
 
@@ -556,23 +556,46 @@ def _optimal_corner(lp: LinearProgram2D, normals):
     """pred, x0 and succ in O(m), each as its point and the pair of records
     that meet there, the one into it first, or None where in doubt; lp's
     objective is nonzero, normals _sorted_normals(lp, tol) for a good tol.
-    x0 is _optimal_edges' corner.  Each row but a vertex's two holds there by
-    twice its limit and 2 MERGE_TOL in distance: no other is tight, no corner
-    merges, so the points are _polygon's and the pairs hold every row tight at
-    them.  A slack above the row's room proves that, the room being an upper
-    bound on what _clears asks; only a row the room leaves in doubt, and not
-    one of the vertex's two, takes _clears, so each answer is the one the
-    exact test alone gives.  Ratio tests along x0's rows find pred's and
-    succ's other rows.  x0 beats both by twice _ranked's tie threshold, so c
-    lies in the normal cone of x0's rows (LP duality), and _ranked would find
-    no tie; pred, x0, succ turn left by one exact orientation test,
-    _cycle_fault's for 3 points."""
+    It tries first the corner of the two rows whose normals bracket c, found
+    by one bisection of the angles: that is x0 unless some row's normal lies
+    between theirs and binds.  Only where _certified rejects that corner
+    does _optimal_edges walk from it, and only a walk that ends at another
+    pair of rows is certified again.  The certificate alone proves the
+    answer _polygon's, so it does not matter how x0 was reached."""
     rows, _, bounded, gaps, tol = normals
-    c1, c2 = lp.objective.x1, lp.objective.x2
-    edges = bounded and not _near_parallel(rows, gaps) and _optimal_edges(rows, c1, c2)
-    if not edges:
+    if not bounded or _near_parallel(rows, gaps):
         return None
-    into, out, (x, y) = edges
+    c1, c2 = lp.objective.x1, lp.objective.x2
+    k = bisect_right(rows, math.atan2(c2 + 0.0, c1), key=itemgetter(0))
+    into, out = rows[k - 1], rows[k % len(rows)]
+    x = _corner_of(into, out)
+    if x is None:
+        return None
+    corner = _certified(rows, into, out, x, c1, c2, tol)
+    if corner is None:
+        edges = _optimal_edges(rows, c1, c2, into, out, x)
+        if edges is None or edges[0] is into and edges[1] is out:
+            return None
+        corner = _certified(rows, *edges, c1, c2, tol)
+    return corner
+
+
+def _certified(rows, into, out, x0, c1: float, c2: float, tol: float):
+    """pred, x0 and succ as _optimal_corner returns them, where x0 is the
+    _corner_of into and out, _sorted_normals' records rows, tol theirs and
+    (c1, c2) the objective; or None where in doubt.  Each row but a
+    vertex's two holds there by twice its limit and 2 MERGE_TOL in
+    distance: no other is tight, no corner merges, so the points are
+    _polygon's and the pairs hold every row tight at them.  A slack above
+    the row's room proves that, the room being an upper bound on what
+    _clears asks; only a row the room leaves in doubt, and not one of the
+    vertex's two, takes _clears, so each answer is the one the exact test
+    alone gives.  Ratio tests along x0's rows find pred's and succ's other
+    rows.  x0 beats both by twice _ranked's tie threshold, so c lies in the
+    normal cone of x0's rows (LP duality), and _ranked would find no tie;
+    pred, x0, succ turn left by one exact orientation test, _cycle_fault's
+    for 3 points."""
+    x, y = x0
     p1, p2, s1, s2 = into[3], -into[2], -out[3], out[2]  # towards pred, succ
     tp = tp2 = ts = ts2 = math.inf
     before = after = None

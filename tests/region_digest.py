@@ -1,7 +1,8 @@
 """Print a SHA-256 digest of enumerate_vertices, analyze and solve_enumeration
 on fixed LPs.
 
-    PYTHONPATH=src python tests/region_digest.py [--entries | --fast-share | --room-share]
+    PYTHONPATH=src python tests/region_digest.py [--entries | --fast-share | --room-share |
+                                                  --walk-share]
 
 The LPs are tangent_pool(seed, m, 16) of perfbench seeds 1, 2 and 3 for m in
 3, 4, 8, 16, 64 and 256; every LP of batch_pool(seed, 50, 16) for the same
@@ -28,7 +29,10 @@ without building it ("refused", mostly a rejected argument).  With
 --room-share it prints, for the same calls, how many of the row tests of
 solver._optimal_corner's certificate the room bound decided ("room") and
 how many took the exact test, solver._clears ("exact"); the rest are the
-exempt rows of a corner's pair.  This is a script rather than a test because
+exempt rows of a corner's pair.  With --walk-share it prints, for the same
+calls, how many of the "rows" answers the corner of the two rows whose
+normals bracket c gave ("bracket") and how many needed Seidel's walk,
+solver._optimal_edges ("walk").  This is a script rather than a test because
 math.atan2, and so the order of the sort and the cone angles, may differ
 between C libraries.
 """
@@ -152,19 +156,26 @@ def _entry_calls():
                 yield entry, _family(name), run
 
 
+def _watch(name: str) -> list:
+    """A list that gains one entry for each call of solver's function name
+    from now on."""
+    from planarlp import solver
+
+    calls = []
+    call = getattr(solver, name)
+
+    def counting(*args):
+        calls.append(args)
+        return call(*args)
+
+    setattr(solver, name, counting)
+    return calls
+
+
 def fast_share() -> None:
     """Count the routes of analyze and solve_enumeration per family by
     watching their polygon builds."""
-    from planarlp import solver
-
-    built = []
-    build = solver._polygon
-
-    def counting(normals):
-        built.append(normals)
-        return build(normals)
-
-    solver._polygon = counting
+    built = _watch("_polygon")
     # rows, polygon, refused
     counts = {(e, f): [0, 0, 0] for e, _ in _ENTRY_POINTS for f in _FAMILIES}
     for entry, family, run in _entry_calls():
@@ -212,12 +223,25 @@ def room_share() -> None:
         print(f"{entry:8} {f:8} {c['room']:9} {c['exact']:7}")
 
 
+def walk_share() -> None:
+    """Count the rows answers of analyze and solve_enumeration per family
+    that the bracketing corner gave and that needed the walk."""
+    built, walked = _watch("_polygon"), _watch("_optimal_edges")
+    counts = {(e, f): [0, 0] for e, _ in _ENTRY_POINTS for f in _FAMILIES}
+    for entry, family, run in _entry_calls():
+        built.clear()
+        walked.clear()
+        if not run() and not built:
+            counts[entry, family][1 if walked else 0] += 1
+    print(f"{'entry':8} {'family':8} {'bracket':>8} {'walk':>6}")
+    for (entry, f), (bracket, walk) in counts.items():
+        print(f"{entry:8} {f:8} {bracket:8} {walk:6}")
+
+
 def main() -> None:
-    if sys.argv[1:] == ["--fast-share"]:
-        fast_share()
-        return
-    if sys.argv[1:] == ["--room-share"]:
-        room_share()
+    shares = {"--fast-share": fast_share, "--room-share": room_share, "--walk-share": walk_share}
+    if len(sys.argv) == 2 and sys.argv[1] in shares:
+        shares[sys.argv[1]]()
         return
     listing = sys.argv[1:] == ["--entries"]
     h = hashlib.sha256()

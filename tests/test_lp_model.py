@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -75,6 +76,22 @@ def test_is_feasible_tolerance_is_scaled():
     lp = pl.LinearProgram2D(pl.Vec2(1.0, 0.0), (pl.ConstraintRow(100.0, 0.0, 100.0),))
     assert pl.is_feasible(lp, pl.Vec2(1.0 + 9e-10, 0.0), tol=1e-9)
     assert not pl.is_feasible(lp, pl.Vec2(1.0 + 1e-6, 0.0), tol=1e-9)
+
+
+_any_float = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -(2.0**-1023), 1.0, -1.0]
+)
+
+
+@settings(max_examples=500)
+@given(_any_float, _any_float, _any_float)
+def test_row_scale_is_the_builtin_max(a1, a2, b):
+    # scale() writes out max(1.0, |a1|, |a2|, |b|); is_feasible can see rows
+    # that were never validated, so it must give the builtin's bits for any
+    # floats, NaN and inf included.
+    got = pl.ConstraintRow(a1, a2, b).scale()
+    want = max(1.0, abs(a1), abs(a2), abs(b))
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 @given(st.floats(min_value=0, max_value=1e-6), st.floats(min_value=0, max_value=1e-6))

@@ -27,6 +27,7 @@ from conftest import (
     rng_for,
     square_lp,
     tangent_circle_lp,
+    tangent_pool,
 )
 
 
@@ -202,6 +203,49 @@ def test_analyze_square():
 def test_analyze_zero_objective():
     with pytest.raises(ZeroObjective):
         pl.analyze(square_lp(pl.Vec2(0.0, 0.0)))
+
+
+def _edge_normal(lp, u, v):
+    """(a1, a2) of the one row tight at both vertices u and v, the x >= 0
+    rows included."""
+    (i,) = u.active_rows & v.active_rows
+    if i == pl.X1_NONNEG:
+        return -1.0, 0.0
+    if i == pl.X2_NONNEG:
+        return 0.0, -1.0
+    return lp.constraints[i].a1, lp.constraints[i].a2
+
+
+# The paper's region has edges on both axes; the tangent one has none, so
+# that c along an axis does not tie.
+_ANGLE_ROWS = [
+    pl.load_lp(FIXTURES / "paper.lp").constraints,
+    tangent_circle_lp(rng_for(8), 8).constraints,
+]
+_component = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1022)]
+) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_ANGLE_ROWS),
+    st.builds(pl.Vec2, _component, _component).filter(lambda c: not c.is_zero()),
+)
+def test_report_angles_keep_the_public_rules(rows, c):
+    # No digest hashes theta0, theta1 or theta2: analyze must give, bit for
+    # bit, normalizing_rotation(c) and the line_direction_angle of each edge
+    # row's direction (-a2, a1), for c in every quadrant.
+    lp = pl.LinearProgram2D(c, rows)
+    try:
+        rep = pl.analyze(lp)
+    except DegenerateOptimum:
+        return
+    assert rep.theta0.hex() == pl.normalizing_rotation(c).hex()
+    x0 = rep.optimal_vertex
+    for theta, u, v in ((rep.theta1, rep.pred, x0), (rep.theta2, x0, rep.succ)):
+        a1, a2 = _edge_normal(lp, u, v)
+        assert theta.hex() == pl.line_direction_angle(pl.Vec2(-a2, a1)).hex()
 
 
 @pytest.mark.parametrize("k", [0.5, 3.0, 1000.0])
@@ -543,16 +587,17 @@ def test_analyze_ignores_row_order_and_duplicate_rows(lp, tol, data):
     assert answer(doubled, lambda i: j if i == m else i) == answer(lp)
 
 
-def _counting_polygon(monkeypatch) -> list:
-    """A list that gains one entry for each polygon built from now on."""
+def _counting(monkeypatch, name="_polygon") -> list:
+    """A list that gains one entry for each call of solver's function name
+    from now on: by default, for each polygon built."""
     calls = []
-    build = solver._polygon
+    call = getattr(solver, name)
 
-    def counting(normals):
-        calls.append(normals)
-        return build(normals)
+    def counting(*args):
+        calls.append(args)
+        return call(*args)
 
-    monkeypatch.setattr(solver, "_polygon", counting)
+    monkeypatch.setattr(solver, name, counting)
     return calls
 
 
@@ -561,7 +606,7 @@ def _counting_polygon(monkeypatch) -> list:
 def test_builds_no_polygon_for_a_tangent_lp(monkeypatch, entry, m):
     lp = tangent_circle_lp(rng_for(m), m)
     expected = _builder_route(entry, lp, pl.FEAS_TOL)
-    calls = _counting_polygon(monkeypatch)
+    calls = _counting(monkeypatch)
     assert entry(lp, pl.FEAS_TOL) == expected
     assert calls == []
 
@@ -603,7 +648,7 @@ _DOUBTS = {
 def test_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, entry, c, rows):
     lp = pl.LinearProgram2D(pl.Vec2(*c), rows)
     expected = _builder_route(entry, lp, pl.FEAS_TOL)
-    calls = _counting_polygon(monkeypatch)
+    calls = _counting(monkeypatch)
     assert entry(lp, pl.FEAS_TOL) == expected
     assert len(calls) == 1
 
@@ -615,9 +660,46 @@ def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch):
         pl.Vec2(1.0, 1.0), _SQUARE + (_R(2.0, 0.0, 3.0), _R(0.0, 3.0, 6.0), _R(-2.0, 0.0, 1.0))
     )
     expected = [_builder_route(entry, lp, pl.FEAS_TOL) for entry in _ENTRY_POINTS.values()]
-    calls = _counting_polygon(monkeypatch)
+    calls = _counting(monkeypatch)
     assert [entry(lp, pl.FEAS_TOL) for entry in _ENTRY_POINTS.values()] == expected
     assert calls == []
+
+
+def _bracket_is_x0(t) -> bool:
+    """The closed-form cone of the tangent-pool LP t holds neither x >= 0
+    normal, pi or -pi/2: then the two rows whose normals bracket c meet at
+    x0, since the tangent rows alone bound the region."""
+    lo, hi = t.cone
+    return not any(
+        lo < a + k * math.tau < hi for a in (math.pi, -0.5 * math.pi) for k in (-1, 0, 1)
+    )
+
+
+@pytest.mark.parametrize("m", [16, 64, 1024])
+@_each_entry_point
+def test_walks_from_no_tangent_bracket_that_is_x0(monkeypatch, entry, m):
+    # The rows route certifies the bracketing corner first, and walks only
+    # where that fails: never on these LPs.
+    pool = [t.lp for t in tangent_pool(1, m, 16) if _bracket_is_x0(t)]
+    expected = [_builder_route(entry, lp, pl.FEAS_TOL) for lp in pool]
+    walks = _counting(monkeypatch, "_optimal_edges")
+    polygons = _counting(monkeypatch)
+    assert [entry(lp, pl.FEAS_TOL) for lp in pool] == expected
+    assert len(pool) >= 8 and walks == [] and polygons == []
+
+
+@_each_entry_point
+def test_walks_once_where_a_redundant_row_splits_the_bracket(monkeypatch, entry):
+    # x1 + x2 <= 3 never binds on the unit square, but its normal, at 45
+    # degrees, lies between those of x1 <= 1 and x2 <= 1 and below c's: the
+    # bracketing rows meet at (2, 1), outside x1 <= 1.  One walk finds
+    # x0 = (1, 1), and the rows certify it.
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 2.0), _SQUARE + (_R(1.0, 1.0, 3.0),))
+    expected = _builder_route(entry, lp, pl.FEAS_TOL)
+    walks = _counting(monkeypatch, "_optimal_edges")
+    polygons = _counting(monkeypatch)
+    assert entry(lp, pl.FEAS_TOL) == expected
+    assert len(walks) == 1 and polygons == []
 
 
 def test_analyze_doubts_give_the_builder_errors():
@@ -639,7 +721,7 @@ def test_analyze_moves_x0_onto_a_row_that_cuts_it_off(monkeypatch, row, x0):
     # the rows x1 <= 1 and x2 <= 1 bracket c = (1, 1) and meet at (1, 1); a
     # third row cuts that corner off, and x0 moves along it either way
     lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), _SQUARE + (_R(*row),))
-    calls = _counting_polygon(monkeypatch)
+    calls = _counting(monkeypatch)
     rep = pl.analyze(lp)
     assert calls == []
     assert (rep.optimal_vertex.point.x1, rep.optimal_vertex.point.x2) == x0
