@@ -13,9 +13,10 @@ same test (see _wins).  Where either test cannot decide, it takes the full
 scan, so both equal the full scan at every angle (see _walk); so does every
 angle of a cycle that FeasibleRegion's exact convexity check
 (geometry._cycle_fault) rejects.  The sweeps walk an arithmetic grid that
-computes each angle when asked (_Grid), so no array is built while they
-run; a SweepResult builds its phis and argmax arrays, with numpy, when they
-are first read.  The fan's edge-normal angles come from vertex differences
+computes each angle when asked (_Grid), and a SweepResult keeps that grid
+as its phis and the runs as its argmax (_Runs): read-only sequences that
+compute each value when read, so no array is built, and the module needs
+no numpy.  The fan's edge-normal angles come from vertex differences
 by stable_angle_interval's formula (sensitivity._normal_angle), while
 analyze reads its cone from the constraint rows, so --check-sweep compares
 two independent derivations.  The angles are only the kernel's guess:
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
-    import numpy as np
+from collections.abc import Sequence
+from operator import itemgetter
 
 from .errors import GridTooCoarse, VertexNeverOptimal
 from .geometry import TAU, _UNDERFLOW, Frozen, _cycle_fault, _set, wrap_angle
@@ -38,12 +37,13 @@ from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval, _normal_angle
 from .solver import VALUE_TIE_REL
 
-#: Marker used in sample arrays when no vertex wins strictly.
+#: The winner a sweep's argmax gives where no vertex wins strictly.
 TIE = -1
 
-#: Most angles one sweep may sample.  Reading a result's arrays costs 16
-#: bytes per angle (its angle and its winner).  A finer grid is refused
-#: before its size is converted to an integer.
+#: Most angles one sweep may sample.  A result stores no value per angle,
+#: but a cycle the walk cannot certify takes the full scan at every angle,
+#: and tobytes() gives 8 bytes per angle.  A finer grid is refused before
+#: its size is converted to an integer.
 _MAX_SWEEP_ANGLES = 10**7
 
 
@@ -53,82 +53,110 @@ def sweep_backend() -> str:
     return "python"
 
 
-class _Grid:
-    """The angles first + step * (start + k) for k in range(count), each
-    rounded as numpy rounds first + step * np.arange(start, start + count):
-    the same two float operations on the same operands.
+class _View(Frozen, Sequence):
+    """A read-only sequence with one value per index of the range in its
+    field indices: len, negative indexing, IndexError, slicing (a view over
+    the sliced range) and iteration come from the range.  tobytes() gives the
+    bytes of numpy's array of the same values, float64 or int64.  A view is
+    built once per sweep, so each writes out its __init__."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.indices)))
+
+    def tobytes(self) -> bytes:
+        from array import array
+
+        return array(self._typecode, self).tobytes()
+
+
+class _Grid(_View):
+    """The angles first + step * j for j in indices, each rounded as numpy
+    rounds first + step * np.arange(start, stop, dtype=float): the same two
+    float operations on the same operands.  A sweep's phis.
 
     With step > 0 the exact product step * j grows with j, and rounding is
     monotone, so fl(step * j) and fl(first + fl(step * j)) never decrease:
-    the grid is nondecreasing, as _walk requires.
+    a grid whose indices step up is nondecreasing, as _walk requires.
     """
 
-    __slots__ = ("first", "step", "start", "count")
+    __slots__ = ("first", "step", "indices")
+    first: float
+    step: float
+    indices: range
+    _typecode = "d"
 
-    def __init__(self, first: float, step: float, start: int, count: int):
-        self.first, self.step, self.start, self.count = first, step, start, count
+    def __init__(self, first: float, step: float, indices: range):
+        _set(self, "first", first)
+        _set(self, "step", step)
+        _set(self, "indices", indices)
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, k: int) -> float:
-        return self.first + self.step * (self.start + k)
+    def __getitem__(self, k):
+        j = self.indices[k]
+        if j.__class__ is range:
+            return _Grid(self.first, self.step, j)
+        return self.first + self.step * j
 
     def searchsorted(self, x: float) -> int:
-        """The least k in [0, count] with self[k] >= x (count if none), as
-        numpy's searchsorted finds it on the array: guessed from
-        (x - first) / step, and bisected only if the guess is wrong."""
-        t = (x - self.first) / self.step - self.start
-        k = 0 if not t > 0.0 else self.count if not t < self.count else math.ceil(t)
-        if (k > 0 and self[k - 1] >= x) or (k < self.count and self[k] < x):
+        """The least k in [0, len] with self[k] >= x (len if none), for x
+        not NaN, on a grid whose indices step up, as numpy's searchsorted
+        finds it on the array: guessed from (x - first) / step, and bisected
+        only if the guess is wrong."""
+        first, step, js = self.first, self.step, self.indices
+        count = len(js)
+        t = ((x - first) / step - js.start) / js.step
+        k = 0 if not t > 0.0 else count if not t < count else math.ceil(t)
+        if (k > 0 and first + step * js[k - 1] >= x) or (k < count and first + step * js[k] < x):
             k = bisect_left(self, x)
         return k
 
-    def array(self) -> np.ndarray:
-        import numpy as np
 
-        a = np.arange(self.start, self.start + self.count, dtype=float)
-        a *= self.step  # fl(j * step) == fl(step * j)
-        a += self.first
-        return a
+_END = itemgetter(1)
 
 
-def _winners(runs: list[tuple[int, int, int]], count: int) -> np.ndarray:
-    """The int64 array of count winners that runs (start, end, winner)
-    cover."""
-    import numpy as np
+class _Runs(_View):
+    """The winner at each of indices, from runs (start, end, winner) in
+    order that cover them, as _walk returns them, and looked up by a
+    bisection of their ends.  A sweep's argmax."""
 
-    out = np.empty(count, dtype=np.int64)
-    for s, e, p in runs:
-        out[s : e + 1] = p
-    return out
+    __slots__ = ("runs", "indices")
+    runs: tuple[tuple[int, int, int], ...]
+    indices: range
+    _typecode = "q"
+
+    def __init__(self, runs, indices: range):
+        _set(self, "runs", tuple(runs))
+        _set(self, "indices", indices)
+
+    def __getitem__(self, k):
+        j = self.indices[k]
+        if j.__class__ is range:
+            return _Runs(self.runs, j)
+        return self.runs[bisect_left(self.runs, j, key=_END)][2]
 
 
-class _KernelSlot(Frozen):
-    """Keeps a kernel result's grid and runs outside SweepResult's fields,
-    so that repr, copy and pickle see only the five public ones."""
-
-    __slots__ = ("_kernel",)
-
-
-class SweepResult(_KernelSlot):
+class SweepResult(Frozen):
     """Samples of the winning vertex index over a grid of gradient angles.
 
     argmax[k] is the index into region.vertices of the strict winner at
     phis[k], or TIE.  estimated_interval is filled by
     stable_interval_by_sweep and None for a plain sweep.  Results compare
-    by identity, as arrays have no single truth value.
+    by identity, as their fields may be arrays, which have no single truth
+    value.
 
-    A result from sweep_argmax or stable_interval_by_sweep holds its grid
-    and its runs of one winner, and builds phis and argmax (with numpy) when
-    each is first read; repr, copy and pickle read them, and so give the
-    arrays.
+    The constructor takes any sequences.  The sweeps give read-only views
+    that build nothing, a _Grid and a _Runs, so repr, copy and pickle cost
+    the runs, not the angles; np.asarray turns either into an ndarray.
     """
 
     __slots__ = ("region", "phis", "argmax", "step", "estimated_interval")
     region: FeasibleRegion
-    phis: np.ndarray
-    argmax: np.ndarray
+    phis: Sequence[float]
+    argmax: Sequence[int]
     step: float
     estimated_interval: AngleInterval | None
 
@@ -136,32 +164,6 @@ class SweepResult(_KernelSlot):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __getattr__(self, name: str):
-        # Called only for an unset slot or an unknown name.
-        if name == "phis" or name == "argmax":
-            grid, runs = self._kernel
-            value = grid.array() if name == "phis" else _winners(runs, len(grid))
-            _set(self, name, value)
-            return value
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-
-def _kernel_result(
-    region: FeasibleRegion,
-    grid: _Grid,
-    runs: list[tuple[int, int, int]],
-    step: float,
-    interval: AngleInterval | None = None,
-) -> SweepResult:
-    """A SweepResult that builds its arrays from grid and runs when they
-    are first read."""
-    res = SweepResult.__new__(SweepResult)
-    _set(res, "region", region)
-    _set(res, "step", step)
-    _set(res, "estimated_interval", interval)
-    _set(res, "_kernel", (grid, runs))
-    return res
 
 
 def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
@@ -215,7 +217,8 @@ def _walk(
     """_scan at every angle of a nondecreasing grid, as maximal runs.
 
     grid is indexable, has a length, and has searchsorted(x), the least k
-    with grid[k] >= x (len(grid) if none): a sorted numpy array or a _Grid.
+    with grid[k] >= x (len(grid) if none), such as a _Grid or a sorted
+    numpy array.
     limit is _limits(vx, vy, rel_tol), computed here unless given.  The
     result is a list of (start, end, winner) in grid order that covers 0,
     ..., len(grid) - 1, with _scan(grid[k]) == winner for start <= k <= end
@@ -339,9 +342,10 @@ def sweep_argmax(
             f"step {step} over ({phi_lo}, {phi_hi}) gives more than "
             f"{_MAX_SWEEP_ANGLES} angles"
         )
-    grid = _Grid(phi_lo, step, 0, int(math.floor(steps)) + 1)
+    grid = _Grid(phi_lo, step, range(int(math.floor(steps)) + 1))
     vx, vy = _coords(region)
-    return _kernel_result(region, grid, _walk(grid, vx, vy, VALUE_TIE_REL), step)
+    runs = _walk(grid, vx, vy, VALUE_TIE_REL)
+    return SweepResult(region, grid, _Runs(runs, range(len(grid))), step)
 
 
 def _cyclic_runs(runs: list[tuple[int, int, int]], p: int, count: int) -> list[tuple[int, int]]:
@@ -388,10 +392,10 @@ def stable_interval_by_sweep(
     x0_idx = region.index_of(x0)
 
     n = int(math.floor(steps))
-    grid = _Grid(-math.pi, step, 1, n)
+    grid = _Grid(-math.pi, step, range(1, n + 1))
     if grid[n - 1] > math.pi + 1e-9:
         n -= 1
-        grid = _Grid(-math.pi, step, 1, n)
+        grid = grid[:n]
 
     vx, vy = _coords(region)
     limit = _limits(vx, vy, VALUE_TIE_REL)
@@ -426,4 +430,4 @@ def stable_interval_by_sweep(
     hi = _bisect(at(last), at(last + 1), wins, tol)
     shift = wrap_angle(lo) - lo
     interval = AngleInterval(lo + shift, hi + shift)
-    return _kernel_result(region, grid, runs, step, interval)
+    return SweepResult(region, grid, _Runs(runs, range(n)), step, interval)

@@ -547,9 +547,10 @@ def _near_parallel(rows, gaps) -> bool:
 def _clears(rec, slack: float, tol: float) -> bool:
     """The row of rec, a _sorted_normals record, holds with this slack by
     twice its limit and 2 MERGE_TOL in distance.  _certified asks this only
-    where the slack does not clear the record's room."""
+    where the slack does not clear the record's room.  The need is >= 0 (or
+    NaN), so a slack <= 0 (or NaN) is refused without computing it."""
     _, _, a1, a2, b, _ = rec
-    return slack > 2.0 * max(_limit(a1, a2, b, tol), MERGE_TOL * math.hypot(a1, a2))
+    return slack > 0.0 and slack > 2.0 * max(_limit(a1, a2, b, tol), MERGE_TOL * math.hypot(a1, a2))
 
 
 def _optimal_corner(lp: LinearProgram2D, normals):

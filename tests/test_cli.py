@@ -489,8 +489,8 @@ def _run_python(code):
 
 
 def test_cli_does_not_import_numpy(tmp_path):
-    # numpy is loaded only to build a sweep result's arrays, which no
-    # command reads: every command runs without importing it
+    # numpy is a dependency of the tests only, and no package path imports
+    # it: every command runs without it
     svg = str(tmp_path / "out.svg")
     code = "\n".join([
         "import contextlib, io, sys",
@@ -510,8 +510,9 @@ def test_cli_does_not_import_numpy(tmp_path):
 
 def test_cli_import_budget(tmp_path):
     # Start-up time: the CLI commands load none of these modules, except
-    # that --json loads json.  Modules the interpreter loaded before the
-    # package (site hooks) do not count.
+    # that --json loads json; the package never imports numpy, a dependency
+    # of the tests only.  Modules the interpreter loaded before the package
+    # (site hooks) do not count.
     svg = str(tmp_path / "out.svg")
     code = "\n".join([
         "import contextlib, io, sys",
@@ -567,6 +568,49 @@ def test_simplex_does_not_import_numpy():
         "sol = pl.solve_simplex(pl.LinearProgram2D(pl.Vec2(1.0, 1.0), rows))",
         "assert sol.value == 4.0",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_runs_without_numpy():
+    # with every import of numpy made to fail, the solvers, analyze and both
+    # sweeps run, and the sweep's two views answer the sequence API, give
+    # their values as bytes, and survive repr, copy and pickle
+    code = "\n".join([
+        "import copy, math, pickle, struct, sys",
+        "sys.modules['numpy'] = None",
+        "import planarlp as pl",
+        f"lp = pl.load_lp({PAPER!r})",
+        "sol = pl.solve_simplex(lp)",
+        "assert sol.unique and pl.solve_enumeration(lp).unique",
+        "rep = pl.analyze(lp)",
+        "region = pl.enumerate_vertices(lp)",
+        "step = math.radians(0.01)",
+        "res = pl.stable_interval_by_sweep(region, rep.optimal_vertex, step)",
+        "plain = pl.sweep_argmax(region, -math.pi, math.pi, step)",
+        "for r in (res, plain):",
+        "    for view, code in ((r.phis, 'd'), (r.argmax, 'q')):",
+        "        n = len(view)",
+        "        assert n >= 36000 and view[0] == view[-n] and view[-1] == view[n - 1]",
+        "        try:",
+        "            view[n]",
+        "        except IndexError:",
+        "            pass",
+        "        else:",
+        "            raise AssertionError('no IndexError')",
+        "        assert list(view[10:200:7]) == [view[k] for k in range(10, 200, 7)]",
+        "        values = list(view)",
+        "        assert len(values) == n and values[-1] == view[-1]",
+        "        assert struct.unpack(f'{n}{code}', view.tobytes()) == tuple(values)",
+        "    last = len(r.phis) - 1",
+        "    assert [r.phis.searchsorted(r.phis[k]) for k in (0, 5, -1)] == [0, 5, last]",
+        "    assert len(repr(r)) < 4000",
+        "    for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):",
+        "        assert again.phis.tobytes() == r.phis.tobytes()",
+        "        assert again.argmax.tobytes() == r.argmax.tobytes()",
+        "        assert again.estimated_interval == r.estimated_interval",
+        "assert sys.modules['numpy'] is None",
     ])
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr

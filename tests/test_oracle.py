@@ -49,7 +49,7 @@ def test_sweep_argmax_reports_tie(ref_region):
 
 def test_sweep_argmax_grid_layout(ref_region):
     res = pl.sweep_argmax(ref_region, 0.0, 1.0, 0.25)
-    assert np.allclose(res.phis, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(np.asarray(res.phis), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert res.step == 0.25
 
 
@@ -118,8 +118,8 @@ def test_sweep_is_deterministic(ref_region):
     x0 = vertex_at(ref_region, 80, 40)
     a = pl.stable_interval_by_sweep(ref_region, x0, math.radians(0.1))
     b = pl.stable_interval_by_sweep(ref_region, x0, math.radians(0.1))
-    assert (a.phis == b.phis).all()
-    assert (a.argmax == b.argmax).all()
+    assert list(a.phis) == list(b.phis)
+    assert list(a.argmax) == list(b.argmax)
     assert a.estimated_interval == b.estimated_interval
 
 
@@ -153,8 +153,8 @@ def test_sweep_trims_the_angle_past_pi(ref_region):
     step = math.tau / (3 - 0.9e-9)
     assert -math.pi + step * 3 > math.pi + 1e-9
     res = pl.stable_interval_by_sweep(ref_region, vertex_at(ref_region, 100, 0), step)
-    assert res.phis.tolist() == [-math.pi + step, -math.pi + 2.0 * step]
-    assert res.argmax.tolist()[0] == ref_region.index_of(pl.Vec2(100.0, 0.0))
+    assert list(res.phis) == [-math.pi + step, -math.pi + 2.0 * step]
+    assert res.argmax[0] == ref_region.index_of(pl.Vec2(100.0, 0.0))
 
 
 def test_simplex_confirms_cone_edges(ref_lp, ref_region):
@@ -178,8 +178,8 @@ def test_simplex_confirms_cone_edges(ref_lp, ref_region):
 
 
 def _walk_winners(phis, vx, vy, rel_tol):
-    # the walk's winner at every angle of a sorted array, filled in from its runs
-    return oracle._winners(oracle._walk(phis, vx, vy, rel_tol), len(phis))
+    # the walk's winner at every angle of a sorted array, as a view of its runs
+    return oracle._Runs(oracle._walk(phis, vx, vy, rel_tol), range(len(phis)))
 
 
 def test_backends_agree(ref_region):
@@ -188,10 +188,10 @@ def test_backends_agree(ref_region):
     vx, vy = oracle._coords(ref_region)
     phis = np.linspace(-math.pi, math.pi, 20001)
     grid = _walk_winners(phis, vx, vy, 1e-9)
-    assert grid.tolist() == [oracle._scan(float(p), vx, vy, 1e-9) for p in phis]
+    assert list(grid) == [oracle._scan(float(p), vx, vy, 1e-9) for p in phis]
     five = [-2.0, -0.5, 0.3, math.atan(0.5), 1.4]
     at = [oracle._scan(p, vx, vy, 1e-9) for p in five]
-    assert _walk_winners(np.array(five), vx, vy, 1e-9).tolist() == at
+    assert list(_walk_winners(np.array(five), vx, vy, 1e-9)) == at
     assert at[3] == pl.TIE
 
 
@@ -277,8 +277,8 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
     else:  # the grid sweep_argmax samples over four turns
         phis = pl.sweep_argmax(TRIANGLE, -3.0 * math.pi, 5.0 * math.pi, max(step, 0.02)).phis
     grid = _walk_winners(phis, vx, vy, rel_tol)
-    assert grid.dtype == np.int64
-    assert grid.tolist() == [oracle._scan(float(p), vx, vy, rel_tol) for p in phis]
+    assert grid.tobytes() == np.array(list(grid), dtype=np.int64).tobytes()
+    assert list(grid) == [oracle._scan(float(p), vx, vy, rel_tol) for p in phis]
 
 
 @settings(deadline=None, max_examples=150)
@@ -291,13 +291,13 @@ def test_grid_equals_full_scan(kind, seed, scale, order, log_step, count, start,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_arithmetic_grid_equals_numpy(first, log_step, start, count, probes, seed):
-    # every angle, the array and searchsorted match numpy's grid to the bit,
+    # every angle, the bytes and searchsorted match numpy's grid to the bit,
     # plateaus of equal angles (a step below an ulp of first) included, and
     # the walk's runs over the grid are maximal and equal the full scan
     step = 10.0**log_step
-    grid = oracle._Grid(first, step, start, count)
+    grid = oracle._Grid(first, step, range(start, start + count))
     phis = first + step * np.arange(start, start + count, dtype=float)
-    assert grid.array().tobytes() == phis.tobytes()
+    assert grid.tobytes() == phis.tobytes()
     assert [grid[k] for k in range(count)] == phis.tolist()
     xs = np.concatenate([phis[:: max(1, count // 40)], phis[-1:], probes])
     for x in np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)]):
@@ -313,7 +313,7 @@ def test_arithmetic_grid_equals_numpy(first, log_step, start, count, probes, see
 
 def test_arithmetic_grid_search_bounds():
     # (x - first) / step overflows to inf for a subnormal step
-    grid = oracle._Grid(0.0, 5e-324, 0, 10)
+    grid = oracle._Grid(0.0, 5e-324, range(10))
     assert grid.searchsorted(1.0) == 10
     assert grid.searchsorted(-1.0) == 0
     assert grid.searchsorted(1e-323) == 2
@@ -341,7 +341,7 @@ def test_grid_work_does_not_grow_with_density(m, monkeypatch):
     vx, vy = oracle._coords(region)
     n = len(vx)
     grids = [
-        (oracle._Grid(-math.pi, step, 0, round(turns * math.tau / step) + 1), turns)
+        (oracle._Grid(-math.pi, step, range(round(turns * math.tau / step) + 1)), turns)
         for step, turns in ((STEP, 1), (0.1 * STEP, 1), (STEP, 3))
     ]
     counting = _CountingMath()
@@ -373,11 +373,11 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", counting_scan)
     argmax = res.argmax
-    for grid in (oracle._Grid(-math.pi, STEP, 0, len(argmax)), res.phis + math.tau):
+    for grid in (oracle._Grid(-math.pi, STEP, range(len(argmax))), np.asarray(res.phis) + math.tau):
         scans.clear()
         runs = oracle._walk(grid, vx, vy, 1e-9)
         assert len(scans) <= 1 + 2 * n
-        assert (oracle._winners(runs, len(grid)) == argmax).all()
+        assert list(oracle._Runs(runs, range(len(grid)))) == list(argmax)
 
 
 def _counting_scans(monkeypatch):
@@ -643,7 +643,7 @@ def test_grid_memory_is_blockwise(turns):
     # an allowance that does not grow with the grid
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
     vx, vy = oracle._coords(region)
-    grid = oracle._Grid(-math.pi, STEP, 1, turns * 36000)
+    grid = oracle._Grid(-math.pi, STEP, range(1, 1 + turns * 36000))
     tracemalloc.start()
     try:
         oracle._walk(grid, vx, vy, 1e-9)
@@ -661,30 +661,30 @@ def test_grid_memory_is_blockwise(turns):
     ],
     ids=["interval", "argmax"],
 )
-def test_sweep_builds_arrays_when_read(sweep):
-    # a sweep allocates no block of 8 bytes per angle; reading phis and then
-    # argmax allocates one array of that size each
+def test_sweep_builds_nothing_when_read(sweep):
+    # neither a sweep nor a read of its phis and argmax allocates a block of
+    # 8 bytes per angle: both are views of the grid and of the runs, and a
+    # pickle of the result holds the runs, not the angles
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
-    warm = sweep(region)  # numpy's import and lazy set-up
-    warm.phis, warm.argmax
+    warm = sweep(region)  # lazy set-up
+    warm.phis[-1], warm.argmax[-1]
     tracemalloc.start()
     try:
         res = sweep(region)
         _, sweep_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        phis = res.phis
-        after_phis = tracemalloc.get_traced_memory()[0]
-        argmax = res.argmax
-        after_argmax = tracemalloc.get_traced_memory()[0]
+        phis, argmax = res.phis, res.argmax
+        len(phis), phis[0], phis[-1], len(argmax), argmax[0], argmax[-1]
+        read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = 8 * len(phis)
     assert size >= 8 * 36000
     assert sweep_peak < size // 4
-    assert after_phis - before >= size
-    assert after_argmax - after_phis >= size
-    assert res.phis is phis and res.argmax is argmax  # built once
+    assert read_peak - before < 8 * 1024
+    assert res.phis is phis and res.argmax is argmax
+    assert len(pickle.dumps(res)) < 8 * 1024
     assert phis.tobytes() == warm.phis.tobytes()
     assert argmax.tobytes() == warm.argmax.tobytes()
 
@@ -695,22 +695,58 @@ def test_sweep_builds_arrays_when_read(sweep):
     ids=["copy", "deepcopy", "pickle", "repr"],
 )
 def test_kernel_result_copies_eager_arrays(ref_region, clone):
-    # a copy of a result that has not built its arrays yet holds the arrays
-    # that the eager numpy expressions give
+    # a copy of a sweep's result holds the bytes that the eager numpy
+    # expressions give, float64 angles and int64 winners; its repr shows
+    # the two views, whose size does not grow with the grid
     x0 = vertex_at(ref_region, 80, 40)
     step = math.radians(0.5)
     res = pl.stable_interval_by_sweep(ref_region, x0, step)
     phis = -math.pi + step * np.arange(1, 721, dtype=float)
-    argmax = _walk_winners(phis, *oracle._coords(ref_region), VALUE_TIE_REL)
-    eager = pl.SweepResult(ref_region, phis, argmax, step, res.estimated_interval)
+    vx, vy = oracle._coords(ref_region)
+    argmax = np.array([oracle._scan(p, vx, vy, VALUE_TIE_REL) for p in phis.tolist()], np.int64)
     if clone is None:
-        assert repr(res) == repr(eager)
+        assert repr(res.phis) == f"_Grid(first={-math.pi!r}, step={step!r}, indices=range(1, 721))"
+        assert len(repr(res.argmax)) < 200
+        assert repr(res) == (
+            f"SweepResult(region={ref_region!r}, phis={res.phis!r}, argmax={res.argmax!r}, "
+            f"step={step!r}, estimated_interval={res.estimated_interval!r})"
+        )
         return
     other = clone(res)
     assert type(other) is pl.SweepResult and other is not res
-    assert not hasattr(other, "_kernel")
+    assert other.phis == res.phis and other.argmax == res.argmax
     assert other.phis.tobytes() == phis.tobytes()
-    assert other.argmax.dtype == np.int64
+    assert len(other.argmax.tobytes()) == 8 * len(argmax)
     assert other.argmax.tobytes() == argmax.tobytes()
     assert (other.region, other.step) == (ref_region, step)
     assert other.estimated_interval == res.estimated_interval
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    cut=st.slices(720),
+    k=st.integers(-720, 719),
+    probes=st.lists(st.floats(-4.0, 4.0), max_size=4),
+)
+def test_sweep_views_index_as_the_arrays(cut, k, probes):
+    # indexing, slicing (of a slice too) and searchsorted on an upward
+    # slice give what the eager arrays give, to the bit
+    region = pl.enumerate_vertices(pl.load_lp(FIXTURES / "paper.lp"))
+    step = math.radians(0.5)
+    res = pl.stable_interval_by_sweep(region, region.vertices[2], step)
+    phis = -math.pi + step * np.arange(1, 721, dtype=float)
+    vx, vy = oracle._coords(region)
+    argmax = np.array([oracle._scan(p, vx, vy, VALUE_TIE_REL) for p in phis.tolist()], np.int64)
+    for view, array in ((res.phis, phis), (res.argmax, argmax)):
+        assert view[k] == array[k]
+        for bad in (720, -721):
+            with pytest.raises(IndexError):
+                view[bad]
+        part = view[cut]
+        assert len(part) == len(array[cut])
+        assert part.tobytes() == array[cut].tobytes()
+        assert part[::-2].tobytes() == array[cut][::-2].tobytes()
+    if (cut.step or 1) > 0:
+        part = res.phis[cut]
+        for x in probes + list(phis[cut][:3]):
+            assert part.searchsorted(x) == np.searchsorted(phis[cut], x)
