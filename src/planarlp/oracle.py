@@ -12,7 +12,11 @@ wins at one angle, and decides that from x0 and its two neighbours by the
 same test (see _wins).  Where either test cannot decide, it takes the full
 scan, so both equal the full scan at every angle (see _walk); so does every
 angle of a cycle that FeasibleRegion's exact convexity check
-(geometry._cycle_fault) rejects.  The sweeps walk an arithmetic grid that
+(geometry._cycle_fault) rejects.  To bracket x0's cone the grid kernel walks
+only a window around it, and proves from a few angles of the rest of the
+turn that a neighbour of x0 beats it there (see _window_runs); the whole
+walk runs where that proof fails, and otherwise at the first read of the
+result's argmax.  The sweeps walk an arithmetic grid that
 computes each angle when asked (_Grid), and a SweepResult keeps that grid
 as its phis and the runs as its argmax (_Runs): read-only sequences that
 compute each value when read, so no array is built, and the module needs
@@ -27,8 +31,9 @@ make the oracle agree with the analytic cone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import GridTooCoarse, VertexNeverOptimal
@@ -55,18 +60,16 @@ def sweep_backend() -> str:
 
 class _View(Frozen, Sequence):
     """A read-only sequence with one value per index of the range in its
-    field indices: len, negative indexing, IndexError, slicing (a view over
-    the sliced range) and iteration come from the range.  tobytes() gives the
-    bytes of numpy's array of the same values, float64 or int64.  A view is
-    built once per sweep, so each writes out its __init__."""
+    field indices: len, negative indexing, IndexError and slicing (a view
+    over the sliced range) come from the range.  Each view iterates its
+    values without a lookup per index, and tobytes() gives the bytes of
+    numpy's array of the same values, float64 or int64.  A view is built
+    once per sweep, so each writes out its __init__."""
 
     __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.indices)))
 
     def tobytes(self) -> bytes:
         from array import array
@@ -101,6 +104,10 @@ class _Grid(_View):
             return _Grid(self.first, self.step, j)
         return self.first + self.step * j
 
+    def __iter__(self):
+        first, step = self.first, self.step
+        return (first + step * j for j in self.indices)
+
     def searchsorted(self, x: float) -> int:
         """The least k in [0, len] with self[k] >= x (len if none), for x
         not NaN, on a grid whose indices step up, as numpy's searchsorted
@@ -118,10 +125,22 @@ class _Grid(_View):
 _END = itemgetter(1)
 
 
-class _Runs(_View):
+class _Deferred(_View):
+    """A view that may hold, in the slot _walk and outside its fields, the
+    call that gives its fields' data at the first read."""
+
+    __slots__ = ("_walk",)
+
+
+class _Runs(_Deferred):
     """The winner at each of indices, from runs (start, end, winner) in
     order that cover them, as _walk returns them, and looked up by a
-    bisection of their ends.  A sweep's argmax."""
+    bisection of their ends.  A sweep's argmax.
+
+    _Runs.deferred(walk, indices) gives a view whose runs are walk()'s,
+    called at the first read of runs and kept: a lookup, iteration, ==,
+    hash, repr, copy and pickle all read runs, so each sees what the eager
+    view shows, and a pickle holds the runs.  len reads only indices."""
 
     __slots__ = ("runs", "indices")
     runs: tuple[tuple[int, int, int], ...]
@@ -132,11 +151,36 @@ class _Runs(_View):
         _set(self, "runs", tuple(runs))
         _set(self, "indices", indices)
 
+    @classmethod
+    def deferred(cls, walk, indices: range) -> _Runs:
+        self = object.__new__(cls)
+        _set(self, "_walk", walk)
+        _set(self, "indices", indices)
+        return self
+
+    def __getattr__(self, name):  # reached only for a slot not yet set
+        if name != "runs":
+            raise AttributeError(name)
+        _set(self, "runs", tuple(self._walk()))
+        return self.runs
+
     def __getitem__(self, k):
         j = self.indices[k]
         if j.__class__ is range:
             return _Runs(self.runs, j)
         return self.runs[bisect_left(self.runs, j, key=_END)][2]
+
+    def __iter__(self):
+        js = self.indices
+        if js.step < 0:
+            return reversed(list(self[::-1]))
+        # runs in order: each gives its winner once per index up to its end
+        parts, done = [], 0
+        for _, end, p in self.runs:
+            upto = bisect_right(js, end, done)
+            parts.append(repeat(p, upto - done))
+            done = upto
+        return chain.from_iterable(parts)
 
 
 class SweepResult(Frozen):
@@ -151,6 +195,8 @@ class SweepResult(Frozen):
     The constructor takes any sequences.  The sweeps give read-only views
     that build nothing, a _Grid and a _Runs, so repr, copy and pickle cost
     the runs, not the angles; np.asarray turns either into an ndarray.
+    stable_interval_by_sweep may give a deferred _Runs, which walks the
+    grid at its first read.
     """
 
     __slots__ = ("region", "phis", "argmax", "step", "estimated_interval")
@@ -196,11 +242,14 @@ def _limits(vx: list[float], vy: list[float], rel_tol: float) -> list[float]:
     takes the full scan, unless the cycle is certified strictly convex and
     counterclockwise (exactly, by geometry._cycle_fault, the check
     FeasibleRegion makes), rel_tol >= 0 and all |x_j| + |y_j| < 2**1000."""
-    scale = max((abs(x) + abs(y) for x, y in zip(vx, vy)), default=0.0)
+    sizes = [abs(x) + abs(y) for x, y in zip(vx, vy)]
+    scale = max(sizes, default=0.0)
     if not (rel_tol >= 0.0 and scale < 2.0**1000 and _cycle_fault(vx, vy) is None):
         return []
     band = 2.0**-48 * scale + _UNDERFLOW
-    return [rel_tol * (1.0 + 2.0**-49) * max(1.0, abs(x) + abs(y)) + band for x, y in zip(vx, vy)]
+    tol = rel_tol * (1.0 + 2.0**-49)
+    # tol * max(1, size), written out as solver._limit does: the same bits
+    return [(tol * t if t > 1.0 else tol) + band for t in sizes]
 
 
 def _margin(p: int, c: float, s: float, vx: list[float], vy: list[float]) -> float:
@@ -212,14 +261,22 @@ def _margin(p: int, c: float, s: float, vx: list[float], vy: list[float]) -> flo
 
 
 def _walk(
-    grid, vx: list[float], vy: list[float], rel_tol: float, limit: list[float] | None = None
+    grid,
+    vx: list[float],
+    vy: list[float],
+    rel_tol: float,
+    limit: list[float] | None = None,
+    fan: tuple[int, list[float]] | None = None,
 ) -> list[tuple[int, int, int]]:
     """_scan at every angle of a nondecreasing grid, as maximal runs.
 
     grid is indexable, has a length, and has searchsorted(x), the least k
     with grid[k] >= x (len(grid) if none), such as a _Grid or a sorted
     numpy array.
-    limit is _limits(vx, vy, rel_tol), computed here unless given.  The
+    limit is _limits(vx, vy, rel_tol), computed here unless given.  fan is
+    (k0, edges), increasing angles of which the last is at least pi: vertex
+    k0 + i is guessed to win from edges[i - 1] to edges[i].  Unless given,
+    it is the whole normal fan, computed here.  The
     result is a list of (start, end, winner) in grid order that covers 0,
     ..., len(grid) - 1, with _scan(grid[k]) == winner for start <= k <= end
     and a different winner in each neighbouring run.
@@ -238,10 +295,10 @@ def _walk(
     are multiples of 2**-1074, so again fl(f_p - f_j) > t: the scan gives p.
 
     The walk starts a run at the first angle a not yet covered.  p is
-    guessed from the normal fan (edge-normal angles, rotated to start at
-    their least) by atan2(s, c), and the run is to end at b, the last grid
-    angle before p's upper fan edge, found by searchsorted, with fl(b - a)
-    <= 3 < pi.  For the exact cos and sin, g_p - g_q is a sinusoid h(phi),
+    guessed from the fan (the normal fan's edge-normal angles, rotated to
+    start at their least) by atan2(s, c), and the run is to end at b, the
+    last grid angle before p's upper fan edge, found by searchsorted, with
+    fl(b - a) <= 3 < pi.  For the exact cos and sin, g_p - g_q is a sinusoid h(phi),
     concave on the arc of length pi where it is positive; an interval
     shorter than pi with both ends in that arc lies in it, so h > K >= 0 at
     a and b gives h > K on [a, b].  A libm cos or sin within 1 ulp errs by
@@ -282,10 +339,12 @@ def _walk(
         for k in range(count):
             emit(k, k, _scan(float(grid[k]), vx, vy, rel_tol))
         return runs
-    normals = [_normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)]
-    k0 = normals.index(min(normals))
-    # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
-    fan = normals[k0:] + normals[:k0] + [normals[k0] + TAU]
+    if fan is None:
+        normals = [_normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)]
+        k0 = normals.index(min(normals))
+        # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
+        fan = k0, normals[k0:] + normals[:k0] + [normals[k0] + TAU]
+    k0, fan = fan
 
     k = 0
     while k < count:
@@ -309,20 +368,26 @@ def _walk(
     return runs
 
 
-def _wins(
-    phi: float, p: int, vx: list[float], vy: list[float], rel_tol: float, limit: list[float]
-) -> bool:
-    """_scan(phi, vx, vy, rel_tol) == p, with limit = _limits(vx, vy,
-    rel_tol): decided from p and its two neighbours when _margin(p) <= 0
-    (False) or > limit[p] (True), as _walk shows, and by the full scan
-    otherwise or when limit is []."""
-    if limit:
-        d = _margin(p, math.cos(phi), math.sin(phi), vx, vy)
+def _wins(p: int, vx: list[float], vy: list[float], rel_tol: float, limit: list[float]):
+    """The predicate phi -> _scan(phi, vx, vy, rel_tol) == p, with limit =
+    _limits(vx, vy, rel_tol): decided from p and its two neighbours, read
+    here once, when _margin(p), written out, is <= 0 (False) or > limit[p]
+    (True), as _walk shows, and by the full scan otherwise or when limit is
+    []."""
+    if not limit:
+        return lambda phi: _scan(phi, vx, vy, rel_tol) == p
+    n = len(vx)
+    px, py, ax, ay, bx, by = vx[p], vy[p], vx[p - 1], vy[p - 1], vx[p + 1 - n], vy[p + 1 - n]
+    lim = limit[p]
+
+    def wins(phi: float) -> bool:
+        c, s = math.cos(phi), math.sin(phi)
+        d = px * c + py * s - max(ax * c + ay * s, bx * c + by * s)
         if not d > 0.0:
             return False
-        if d > limit[p]:
-            return True
-    return _scan(phi, vx, vy, rel_tol) == p
+        return d > lim or _scan(phi, vx, vy, rel_tol) == p
+
+    return wins
 
 
 def sweep_argmax(
@@ -349,14 +414,98 @@ def sweep_argmax(
 
 
 def _cyclic_runs(runs: list[tuple[int, int, int]], p: int, count: int) -> list[tuple[int, int]]:
-    """The (start, end) of each of winner p's maximal runs among runs, which
-    cover a cyclic grid of count angles: a run across the seam is merged
-    into one, first in the list, that starts past the seam."""
+    """The (start, end) of each of winner p's maximal runs among runs, in
+    grid order, which cover a cyclic grid of count angles, or every part of
+    it where p wins: a run across the seam is merged into one, first in the
+    list, that starts past the seam."""
     own = [(s, e) for s, e, q in runs if q == p]
     if len(own) > 1 and own[0][0] == 0 and own[-1][1] == count - 1:
         s, _ = own.pop()
         own[0] = (s, own[0][1])
     return own
+
+
+#: Grid angles the window reaches past each edge of x0's cone.
+_PAST = 2
+
+
+def _turns(a: int, b: int, n: int):
+    """(start, end, turn) for each stretch of the indices a..b of a cyclic
+    grid of n angles, unwrapped, that lies in one turn, in order: index k of
+    turn t is the grid's k - t n, its angle plus t 2 pi."""
+    while a <= b:
+        turn = a // n
+        stop = min(b, turn * n + n - 1)
+        yield a - turn * n, stop - turn * n, turn
+        a = stop + 1
+
+
+def _window_runs(
+    grid: _Grid, p: int, vx: list[float], vy: list[float], limit: list[float]
+) -> list[tuple[int, int, int]] | None:
+    """_walk's runs over a window of the cyclic grid around vertex p's
+    cone, in grid order, and a proof that p wins at no grid angle outside
+    the window; None where either fails, and the caller walks the grid.
+
+    p's cone runs counterclockwise from lo, the normal angle of its edge
+    in, to hi, that of its edge out (sensitivity._normal_angle, as _walk's
+    fan).  The window runs, with indices unwrapped past either end of the
+    grid, from _PAST angles before lo to _PAST angles past hi.  It is
+    walked one turn at a time with a fan of p's two edges alone: p's
+    predecessor is guessed before lo and its successor past hi, and a
+    wrong guess only fails a test.  _walk's runs are the maximal runs of
+    _scan, so p's runs in the window are the whole walk's, unless the
+    window's first or last run is p's, which gives None; so does a window
+    as long as the grid, or limit = [].
+
+    The rest of the turn is split at its middle, about hi + (2 pi - (hi -
+    lo)) / 2: before it q is p's successor, after it p's predecessor.  Each
+    part is cut into pieces that lie in one turn and span at most
+    int(3 / step) steps, so that their end angles a <= b differ by about 3
+    at most, less than pi.  A piece holds when fl(f_q - f_p) > limit[p] at
+    a and at b, with _scan's f_j = fl(fl(x_j c) + fl(y_j s)), c =
+    math.cos(phi) and s = math.sin(phi).  Proof, in _walk's terms:
+    limit[p] = fl(T_p + S) >= S, and rounding is monotone, so f_q - f_p > S
+    at a and b.  For the exact cos and sin, g_q - g_p is a sinusoid h,
+    concave on the arc of length pi where it is positive, and f_q - f_p
+    misses h by at most 2E + 2**-51 M.  So h > S - 2E - 2**-51 M > 0 at a
+    and b; [a, b] is shorter than pi, so it lies in that arc, and h exceeds
+    the same bound on it.  Every grid angle of the piece lies in [a, b], as
+    the grid is nondecreasing, and there f_q - f_p > S - 4E - 2**-50 M >=
+    0: f_p is not the greatest value, and _scan does not give p.  A failed
+    test gives None.
+    """
+    n, nv = len(grid), len(vx)
+    lo = _normal_angle(vx[p] - vx[p - 1], vy[p] - vy[p - 1])
+    hi = _normal_angle(vx[p + 1 - nv] - vx[p], vy[p + 1 - nv] - vy[p])
+    first = grid.searchsorted(lo) - _PAST
+    last = grid.searchsorted(hi) + _PAST - 1
+    if hi < lo:  # the cone holds the seam: hi lies a turn on
+        hi, last = hi + TAU, last + n
+    if not limit or last - first + 1 >= n:
+        return None
+    parts = []
+    for a, b, turn in _turns(first, last, n):
+        fan = (p - 1, [lo - TAU * turn, hi - TAU * turn, math.inf])
+        part = _walk(grid[a : b + 1], vx, vy, VALUE_TIE_REL, limit, fan)
+        parts.append([(start + a, end + a, q) for start, end, q in part])
+    if parts[0][0][2] == p or parts[-1][-1][2] == p:
+        return None
+
+    lim, chunk = limit[p], int(3.0 / grid.step)
+    px, py = vx[p], vy[p]
+
+    def beaten(q: int, k: int) -> bool:
+        c, s = math.cos(grid[k]), math.sin(grid[k])
+        return vx[q] * c + vy[q] * s - (px * c + py * s) > lim
+
+    middle = (last + first + n + 1) // 2
+    for start, end, q in ((last + 1, middle - 1, p + 1 - nv), (middle, first + n - 1, p - 1)):
+        for a, b, _ in _turns(start, end, n):
+            for k in range(a, b + 1, chunk + 1):
+                if not (beaten(q, k) and beaten(q, min(k + chunk, b))):
+                    return None
+    return [run for part in sorted(parts) for run in part]
 
 
 def _bisect(inside: float, outside: float, wins, tol: float) -> float:
@@ -383,6 +532,12 @@ def stable_interval_by_sweep(
     samples where x0 wins strictly, and bisects each run boundary down to
     step/1024.  Raises VertexNeverOptimal when no sample picks x0, and
     GridTooCoarse when every sample does.
+
+    x0's runs come from a window of the grid around its cone, with a proof
+    from a few angles that x0 wins nowhere else (_window_runs), or, where
+    that fails, from the whole walk.  After the window, argmax is deferred:
+    the whole walk runs at its first read.  Either way every output has
+    the same bits.
     """
     if not 0.0 < step <= math.pi:
         raise ValueError(f"step must lie in (0, pi], got {step}")
@@ -399,10 +554,12 @@ def stable_interval_by_sweep(
 
     vx, vy = _coords(region)
     limit = _limits(vx, vy, VALUE_TIE_REL)
-    runs = _walk(grid, vx, vy, VALUE_TIE_REL, limit)
-
-    def wins(phi: float) -> bool:
-        return _wins(phi, x0_idx, vx, vy, VALUE_TIE_REL, limit)
+    runs = _window_runs(grid, x0_idx, vx, vy, limit)
+    if runs is None:
+        runs = _walk(grid, vx, vy, VALUE_TIE_REL, limit)
+        argmax = _Runs(runs, range(n))
+    else:
+        argmax = _Runs.deferred(lambda: _walk(grid, vx, vy, VALUE_TIE_REL, limit), range(n))
 
     own = _cyclic_runs(runs, x0_idx, n)
     if not own:
@@ -426,8 +583,9 @@ def stable_interval_by_sweep(
     s, e = max(own, key=run_len)  # ties: first wins (max is stable)
     last = s + (e - s) % n  # e, unwrapped when the run wraps the seam
     tol = step / 1024.0
+    wins = _wins(x0_idx, vx, vy, VALUE_TIE_REL, limit)
     lo = _bisect(at(s), at(s - 1), wins, tol)
     hi = _bisect(at(last), at(last + 1), wins, tol)
     shift = wrap_angle(lo) - lo
     interval = AngleInterval(lo + shift, hi + shift)
-    return SweepResult(region, grid, _Runs(runs, range(n)), step, interval)
+    return SweepResult(region, grid, argmax, step, interval)

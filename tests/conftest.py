@@ -127,3 +127,17 @@ def circ_close(a, b, tol):
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def walked_lengths(monkeypatch):
+    """The length of the grid of every later oracle._walk call."""
+    from planarlp import oracle
+
+    lengths, walk = [], oracle._walk
+
+    def recording(grid, *args):
+        lengths.append(len(grid))
+        return walk(grid, *args)
+
+    monkeypatch.setattr(oracle, "_walk", recording)
+    return lengths

@@ -1,6 +1,6 @@
 """Print a SHA-256 digest of the sweep oracle's output on fixed LPs.
 
-    PYTHONPATH=src python tests/sweep_digest.py
+    PYTHONPATH=src python tests/sweep_digest.py [--window-share]
 
 The LPs are fixtures/paper.lp and the 16 tangent_pool(seed, 16, 16) LPs of
 perfbench seeds 1, 2 and 3.  For each LP, in that order, one hash takes:
@@ -15,6 +15,9 @@ It prints the number of LPs and the hex digest.  A change to the sweep
 kernels must leave the digest as it is on the same machine.  This is a
 script rather than a test because math.cos and math.sin, and so the tie
 angles, may differ between C libraries.
+
+With --window-share it prints instead how many of the stable_interval_by_sweep
+calls above the window around x0's cone answered, without the whole walk.
 """
 
 from __future__ import annotations
@@ -40,7 +43,27 @@ def lps():
             yield t.lp
 
 
+def window_share() -> None:
+    from planarlp import oracle
+
+    window, answered = oracle._window_runs, []
+
+    def counting(*args):
+        runs = window(*args)
+        answered.append(runs is not None)
+        return runs
+
+    oracle._window_runs = counting
+    for lp in lps():
+        region = pl.enumerate_vertices(lp)
+        pl.stable_interval_by_sweep(region, pl.analyze(lp).optimal_vertex, STEP)
+    print(f"window answered {sum(answered)} of {len(answered)} sweeps")
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--window-share"]:
+        window_share()
+        return
     h = hashlib.sha256()
     count = 0
     for lp in lps():

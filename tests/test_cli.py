@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import planarlp as pl
 from planarlp import cli
 from planarlp.errors import LPSyntaxError, MissingObjective, NoConstraints
-from conftest import FIXTURES
+from conftest import FIXTURES, walked_lengths
 
 PAPER = str(FIXTURES / "paper.lp")
 TIE = str(FIXTURES / "tie.lp")
@@ -260,6 +260,14 @@ def test_cli_sensitivity_degenerate(capsys):
 def test_cli_sensitivity_check_sweep(capsys):
     assert cli.main(["sensitivity", PAPER, "--check-sweep", "0.05"]) == 0
     assert "agree" in capsys.readouterr().out
+
+
+def test_cli_check_sweep_walks_a_window(monkeypatch, capsys):
+    # --check-sweep 0.01 walks only a window of the 36,000-angle grid
+    lengths = walked_lengths(monkeypatch)
+    assert cli.main(["sensitivity", PAPER, "--check-sweep", "0.01"]) == 0
+    assert "agree" in capsys.readouterr().out
+    assert lengths and max(lengths) < 36000 // 4
 
 
 def test_cli_sensitivity_sweep_disagreement(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from conftest import (
     square_lp,
     tangent_circle_lp,
     tangent_pool,
+    walked_lengths,
 )
 
 STEP = math.radians(0.01)
@@ -458,7 +459,7 @@ def test_wins_equals_full_scan(kind, seed, exponent, rel_tol, probes):
     for p in range(len(vx)):
         for phi in _edge_angles(vx, vy, p, 4) + probes:
             want = oracle._scan(phi, vx, vy, rel_tol) == p
-            assert oracle._wins(phi, p, vx, vy, rel_tol, limit) == want
+            assert oracle._wins(p, vx, vy, rel_tol, limit)(phi) == want
 
 
 def _scan_bisect(inside, outside, p, vx, vy, tol):
@@ -528,13 +529,13 @@ def test_wins_falls_back_to_the_full_scan(ref_region, monkeypatch):
         assert close
         for phi in close:
             scans.clear()
-            assert oracle._wins(phi, p, vx, vy, rel_tol, limit) == (scan(phi, vx, vy, rel_tol) == p)
+            assert oracle._wins(p, vx, vy, rel_tol, limit)(phi) == (scan(phi, vx, vy, rel_tol) == p)
             assert scans == [phi]
     limit = oracle._limits(vx, vy, VALUE_TIE_REL)
     outside = _edge_angles(vx, vy, p, 0)[1] + 0.01
     scans.clear()
-    assert not oracle._wins(outside, p, vx, vy, VALUE_TIE_REL, limit)
-    assert oracle._wins(outside - 0.02, p, vx, vy, VALUE_TIE_REL, limit)
+    assert not oracle._wins(p, vx, vy, VALUE_TIE_REL, limit)(outside)
+    assert oracle._wins(p, vx, vy, VALUE_TIE_REL, limit)(outside - 0.02)
     assert scans == []
     big = region_of_points(_scaled(zip(vx, vy), 1003))
     bx, by = oracle._coords(big)
@@ -543,8 +544,145 @@ def test_wins_falls_back_to_the_full_scan(ref_region, monkeypatch):
     res = pl.stable_interval_by_sweep(big, big.vertices[p], step)
     ref = pl.stable_interval_by_sweep(ref_region, ref_region.vertices[p], step)
     assert res.estimated_interval == ref.estimated_interval  # exact scaling
-    assert oracle._wins(outside - 0.02, p, bx, by, VALUE_TIE_REL, [])
+    assert oracle._wins(p, bx, by, VALUE_TIE_REL, [])(outside - 0.02)
     assert scans[-1] == outside - 0.02
+
+
+@pytest.mark.parametrize("m", [16, 64, 1024])
+def test_sweep_work_does_not_grow_with_vertices(m, monkeypatch):
+    # with argmax unread, one sweep walks a window around x0's cone, proves
+    # x0 loses elsewhere from a few angles, and bisects: a bounded number of
+    # cos calls at any m, where the whole walk makes up to 4n + 4
+    region = pl.enumerate_vertices(tangent_circle_lp(rng_for(m), m))
+    counting = _CountingMath()
+    monkeypatch.setattr(oracle, "math", counting)
+    for p in range(0, m, m // 8):
+        counting.cos_calls = 0
+        res = pl.stable_interval_by_sweep(region, region.vertices[p], STEP)
+        assert counting.cos_calls <= 64
+        assert not _holds_runs(res.argmax)
+
+
+def _holds_runs(view):
+    # whether a _Runs view holds its runs, found without reading them
+    try:
+        oracle._Runs.runs.__get__(view)
+    except AttributeError:
+        return False
+    return True
+
+
+def _outcome(region, x0, step):
+    # the interval's bits and the argmax bytes, or the error class
+    try:
+        res = pl.stable_interval_by_sweep(region, x0, step)
+    except (VertexNeverOptimal, GridTooCoarse) as err:
+        return type(err)
+    iv = res.estimated_interval
+    return iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()
+
+
+def _full_walk_outcome(region, x0, step):
+    # _outcome with the window refused, so that the sweep walks the grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_window_runs", lambda *args: None)
+        return _outcome(region, x0, step)
+
+
+def test_window_splits_at_the_seam(ref_region, monkeypatch):
+    # the cone of (0, 0) starts at -pi: the window is walked in two parts,
+    # one on each side of the seam, and gives the whole walk's answer
+    x0 = vertex_at(ref_region, 0, 0)
+    lengths = walked_lengths(monkeypatch)
+    res = pl.stable_interval_by_sweep(ref_region, x0, STEP)
+    assert len(lengths) == 2 and sum(lengths) < len(res.phis) // 3
+    assert not _holds_runs(res.argmax)
+    iv = res.estimated_interval
+    assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == _full_walk_outcome(
+        ref_region, x0, STEP
+    )
+
+
+# A corner whose cone, ~1e-10 rad, is too narrow for the proof at the
+# middle of the rest of the turn, where x0's successor beats it by ~5e-11.
+NEEDLE = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-10), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("case", ["needle", "coarse", "past-gate", "fan-late", "fan-early"])
+def test_window_falls_back_to_the_full_walk(case, ref_region, monkeypatch):
+    # a failed proof, a window as long as the grid, a cycle that _limits
+    # refuses, and a fan formula 0.01 rad off, so that x0 wins at the first
+    # or the last angle of the window, each take the whole walk, with an
+    # eager argmax and the same answer
+    region, x0, step = ref_region, vertex_at(ref_region, 80, 40), STEP
+    if case == "needle":
+        region = region_of_points(NEEDLE)
+        x0, step = region.vertices[1], math.radians(1.0)
+    elif case == "coarse":
+        x0, step = vertex_at(ref_region, 100, 0), math.radians(90.0)
+    elif case == "past-gate":
+        region = region_of_points(_scaled(zip(*oracle._coords(ref_region)), 1003))
+        x0 = region.vertices[ref_region.index_of(x0.point)]
+    want = _full_walk_outcome(region, x0, step)
+    if case.startswith("fan"):
+        skew, normal_angle = (0.01 if case == "fan-late" else -0.01), oracle._normal_angle
+        monkeypatch.setattr(oracle, "_normal_angle", lambda e1, e2: normal_angle(e1, e2) + skew)
+    lengths = walked_lengths(monkeypatch)
+    try:
+        res = pl.stable_interval_by_sweep(region, x0, step)
+    except (VertexNeverOptimal, GridTooCoarse) as err:
+        assert type(err) is want
+    else:
+        assert _holds_runs(res.argmax)
+        iv = res.estimated_interval
+        assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == want
+    assert lengths[-1] == int(math.floor(math.tau / step + 1e-9))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(
+        ["lp", "tangent", "sliver", "near-straight", "straight", "dart", "pentagram"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from(EXPONENTS),
+    degrees=st.floats(0.01, 3.0),
+    pick=st.integers(0, 63),
+)
+def test_window_equals_full_walk(kind, seed, exponent, degrees, pick):
+    # the interval's bits, the error class and the argmax bytes are those
+    # of the sweep that walks the whole grid
+    vx, vy = _cycle(kind, rng_for(seed))
+    region = _unchecked_region(
+        tuple(pl.Vertex(pl.Vec2(x, y)) for x, y in _scaled(zip(vx, vy), exponent))
+    )
+    x0 = region.vertices[pick % len(region.vertices)]
+    step = math.radians(degrees)
+    assert _outcome(region, x0, step) == _full_walk_outcome(region, x0, step)
+
+
+def test_deferred_argmax_reads_as_the_eager_view(ref_region):
+    # the window leaves argmax unwalked; len needs no walk, and a copy made
+    # at the first read equals one made after it, a view of the whole
+    # walk's runs, in ==, hash and repr; a pickle holds the runs
+    x0 = vertex_at(ref_region, 80, 40)
+    first = pl.stable_interval_by_sweep(ref_region, x0, STEP).argmax
+    later = pl.stable_interval_by_sweep(ref_region, x0, STEP).argmax
+    assert len(first) == 36000 and not _holds_runs(first)
+    early = copy.copy(first)
+    later[0]
+    assert _holds_runs(first) and _holds_runs(later)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_window_runs", lambda *args: None)
+        eager = pl.stable_interval_by_sweep(ref_region, x0, STEP).argmax
+    assert _holds_runs(eager)
+    for view in (early, copy.deepcopy(later), first, later):
+        assert view == eager and hash(view) == hash(eager) and repr(view) == repr(eager)
+    fresh = pl.stable_interval_by_sweep(ref_region, x0, STEP).argmax
+    data = pickle.dumps(fresh)
+    assert len(data) < 8 * 1024
+    loaded = pickle.loads(data)
+    assert type(loaded) is oracle._Runs and _holds_runs(loaded) and loaded == eager
 
 
 def _runs_by_loop(mask):
