@@ -103,6 +103,34 @@ class Frozen:
         return self.__class__, self._astuple()
 
 
+class _Deferred(Frozen):
+    """A Frozen whose one field named by _deferred may be left unset, with,
+    in the slot _thunk outside the fields, the call that gives its value.
+    cls.deferred(thunk, **slots) builds such an instance: the first read of
+    the field calls thunk(), keeps the value and drops the thunk.  ==, hash,
+    repr, copy and pickle all read the field, so each sees what the eager
+    instance shows, and a pickle holds the value."""
+
+    __slots__ = ("_thunk",)
+    _deferred = ""
+
+    @classmethod
+    def deferred(cls, thunk, **slots):
+        self = object.__new__(cls)
+        _set(self, "_thunk", thunk)
+        for name, value in slots.items():
+            _set(self, name, value)
+        return self
+
+    def __getattr__(self, name):  # reached only for a slot not yet set
+        if name != self._deferred:
+            raise AttributeError(name)
+        value = self._thunk()
+        _set(self, name, value)
+        _set(self, "_thunk", None)
+        return value
+
+
 def _non_finite(x1: float, x2: float) -> NonFiniteEntry:
     return NonFiniteEntry(f"non-finite coordinates ({x1}, {x2})")
 

@@ -16,7 +16,7 @@ from .errors import (
     VertexNotInRegion,
     ZeroRow,
 )
-from .geometry import Frozen, Vec2, _cycle_fault, _non_finite, _set
+from .geometry import Frozen, Vec2, _cycle_fault, _Deferred, _non_finite, _set
 
 # Synthetic row indices for the implicit bounds x1 >= 0 and x2 >= 0.
 X1_NONNEG = -1
@@ -94,19 +94,45 @@ class Vertex(Frozen):
         _set(self, "active_rows", frozenset(active_rows))
 
 
-class FeasibleRegion(Frozen):
-    """A bounded feasible polygon as a counterclockwise cycle of vertices."""
+class _Cycle(_Deferred):
+    """FeasibleRegion's slots outside its fields: the coordinates of its
+    cycle, set only where the package's check has passed them."""
+
+    __slots__ = ("_xs", "_ys")
+
+
+class FeasibleRegion(_Cycle):
+    """A bounded feasible polygon as a counterclockwise cycle of vertices.
+
+    The constructor checks the cycle and keeps its coordinates.  The region
+    enumerate_vertices returns keeps those of the cycle it has checked, and
+    builds its vertices at their first read (_Deferred): len, index_of and
+    the sweeps read the coordinates alone, so build no Vertex."""
 
     __slots__ = ("vertices",)
     vertices: tuple[Vertex, ...]
+    _deferred = "vertices"
 
     def __init__(self, vertices: tuple[Vertex, ...]):
         vs = tuple(vertices)
-        _check_cycle([v.point.x1 for v in vs], [v.point.x2 for v in vs])
+        xs, ys = [v.point.x1 for v in vs], [v.point.x2 for v in vs]
+        _check_cycle(xs, ys)
         _set(self, "vertices", vs)
+        _set(self, "_xs", xs)
+        _set(self, "_ys", ys)
+
+    def _coords(self) -> tuple[list[float], list[float], bool]:
+        """The coordinates of the cycle, as lists not to be changed, and
+        whether the package's check passed them: False only for a region of
+        _unchecked_region."""
+        try:
+            return self._xs, self._ys, True
+        except AttributeError:
+            vs = self.vertices
+            return [v.point.x1 for v in vs], [v.point.x2 for v in vs], False
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._coords()[0])
 
     def __iter__(self):
         return iter(self.vertices)
@@ -118,10 +144,11 @@ class FeasibleRegion(Frozen):
         """Index of the vertex within MERGE_TOL of v (a Vertex or bare Vec2)."""
         p = v.point if isinstance(v, Vertex) else v
         x, y = p.x1, p.x2
+        xs, ys, _ = self._coords()
         isfinite, hypot = math.isfinite, math.hypot
         best, best_d = -1, math.inf
-        for i, w in enumerate(self.vertices):
-            dx, dy = w.point.x1 - x, w.point.x2 - y
+        for i, (wx, wy) in enumerate(zip(xs, ys)):
+            dx, dy = wx - x, wy - y
             if not (isfinite(dx) and isfinite(dy)):
                 raise _non_finite(dx, dy)
             d = hypot(dx, dy)
@@ -155,8 +182,17 @@ def _check_cycle(xs: list[float], ys: list[float]) -> None:
         raise ValueError(fault)
 
 
+def _checked_region(xs: list[float], ys: list[float], vertices) -> FeasibleRegion:
+    """The FeasibleRegion of the checked cycle (xs[k], ys[k]), whose Vertex
+    tuple vertices() gives at the first read.  The solver calls this, as
+    perfbench's tracer replaces solver.FeasibleRegion with a function."""
+    return FeasibleRegion.deferred(vertices, _xs=xs, _ys=ys)
+
+
 def _unchecked_region(vertices: tuple[Vertex, ...]) -> FeasibleRegion:
-    """The FeasibleRegion of a cycle that _check_cycle has passed."""
+    """A FeasibleRegion of vertices, unchecked and with no coordinates kept,
+    so the sweeps decide its convexity again.  Only the tests use it, to
+    hand the sweeps cycles that FeasibleRegion refuses."""
     region = FeasibleRegion.__new__(FeasibleRegion)
     _set(region, "vertices", vertices)
     return region

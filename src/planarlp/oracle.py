@@ -12,15 +12,19 @@ wins at one angle, and decides that from x0 and its two neighbours by the
 same test (see _wins).  Where either test cannot decide, it takes the full
 scan, so both equal the full scan at every angle (see _walk); so does every
 angle of a cycle that FeasibleRegion's exact convexity check
-(geometry._cycle_fault) rejects.  To bracket x0's cone the grid kernel walks
-only a window around it, and proves from a few angles of the rest of the
-turn that a neighbour of x0 beats it there (see _window_runs); the whole
-walk runs where that proof fails, and otherwise at the first read of the
-result's argmax.  The sweeps walk an arithmetic grid that
-computes each angle when asked (_Grid), and a SweepResult keeps that grid
-as its phis and the runs as its argmax (_Runs): read-only sequences that
-compute each value when read, so no array is built, and the module needs
-no numpy.  The fan's edge-normal angles come from vertex differences
+(geometry._cycle_fault) rejects.  The sweeps read the region's kept
+coordinates (_coords); a region built by FeasibleRegion or
+enumerate_vertices has passed that check, and builds no Vertex here, so
+the check runs again only for an unchecked region (see _limits).  To
+bracket x0's cone the grid kernel walks only a window around it, and
+proves from a few angles of the rest of the turn that a neighbour of x0
+beats it there (see _window_runs); the whole walk runs where that proof
+fails, and otherwise at the first read of the result's argmax.  The
+sweeps walk an arithmetic grid that computes each angle when asked
+(_Grid), and a SweepResult keeps that grid as its phis and the runs as
+its argmax (_Runs): read-only sequences that compute each value when
+read, so no array is built, and the module needs no numpy.  The fan's
+edge-normal angles come from vertex differences
 by stable_angle_interval's formula (sensitivity._normal_angle), while
 analyze reads its cone from the constraint rows, so --check-sweep compares
 two independent derivations.  The angles are only the kernel's guess:
@@ -37,7 +41,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import GridTooCoarse, VertexNeverOptimal
-from .geometry import TAU, _UNDERFLOW, Frozen, _cycle_fault, _set, wrap_angle
+from .geometry import TAU, _UNDERFLOW, Frozen, _cycle_fault, _Deferred, _set, wrap_angle
 from .lp_model import FeasibleRegion
 from .sensitivity import AngleInterval, _normal_angle
 from .solver import VALUE_TIE_REL
@@ -125,44 +129,24 @@ class _Grid(_View):
 _END = itemgetter(1)
 
 
-class _Deferred(_View):
-    """A view that may hold, in the slot _walk and outside its fields, the
-    call that gives its fields' data at the first read."""
-
-    __slots__ = ("_walk",)
-
-
-class _Runs(_Deferred):
+class _Runs(_View, _Deferred):
     """The winner at each of indices, from runs (start, end, winner) in
     order that cover them, as _walk returns them, and looked up by a
     bisection of their ends.  A sweep's argmax.
 
-    _Runs.deferred(walk, indices) gives a view whose runs are walk()'s,
-    called at the first read of runs and kept: a lookup, iteration, ==,
-    hash, repr, copy and pickle all read runs, so each sees what the eager
-    view shows, and a pickle holds the runs.  len reads only indices."""
+    _Runs.deferred(thunk, indices=indices) gives a view whose runs are
+    thunk()'s, called at the first read of runs (_Deferred): a lookup and
+    iteration read runs too, and len reads only indices."""
 
     __slots__ = ("runs", "indices")
     runs: tuple[tuple[int, int, int], ...]
     indices: range
     _typecode = "q"
+    _deferred = "runs"
 
     def __init__(self, runs, indices: range):
         _set(self, "runs", tuple(runs))
         _set(self, "indices", indices)
-
-    @classmethod
-    def deferred(cls, walk, indices: range) -> _Runs:
-        self = object.__new__(cls)
-        _set(self, "_walk", walk)
-        _set(self, "indices", indices)
-        return self
-
-    def __getattr__(self, name):  # reached only for a slot not yet set
-        if name != "runs":
-            raise AttributeError(name)
-        _set(self, "runs", tuple(self._walk()))
-        return self.runs
 
     def __getitem__(self, k):
         j = self.indices[k]
@@ -212,8 +196,9 @@ class SweepResult(Frozen):
     __hash__ = object.__hash__
 
 
-def _coords(region: FeasibleRegion) -> tuple[list[float], list[float]]:
-    return [v.point.x1 for v in region.vertices], [v.point.x2 for v in region.vertices]
+#: region -> (xs, ys, checked): the coordinates of region's cycle, and
+#: whether the package's check passed them.
+_coords = FeasibleRegion._coords
 
 
 def _scan(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
@@ -236,15 +221,17 @@ def _scan(phi: float, vx: list[float], vy: list[float], rel_tol: float) -> int:
     return best_j
 
 
-def _limits(vx: list[float], vy: list[float], rel_tol: float) -> list[float]:
+def _limits(vx: list[float], vy: list[float], rel_tol: float, checked: bool = False) -> list[float]:
     """limit[p] for each vertex p, the margin by which _walk and _wins need
     p to beat both its neighbours (see _walk).  It is [], and every angle
     takes the full scan, unless the cycle is certified strictly convex and
-    counterclockwise (exactly, by geometry._cycle_fault, the check
-    FeasibleRegion makes), rel_tol >= 0 and all |x_j| + |y_j| < 2**1000."""
+    counterclockwise (exactly, by geometry._cycle_fault), rel_tol >= 0 and
+    all |x_j| + |y_j| < 2**1000.  checked says that the package's check
+    has passed the cycle (_coords), which implies _cycle_fault's pass, so
+    it runs only on an unchecked cycle."""
     sizes = [abs(x) + abs(y) for x, y in zip(vx, vy)]
     scale = max(sizes, default=0.0)
-    if not (rel_tol >= 0.0 and scale < 2.0**1000 and _cycle_fault(vx, vy) is None):
+    if not (rel_tol >= 0.0 and scale < 2.0**1000 and (checked or _cycle_fault(vx, vy) is None)):
         return []
     band = 2.0**-48 * scale + _UNDERFLOW
     tol = rel_tol * (1.0 + 2.0**-49)
@@ -408,8 +395,8 @@ def sweep_argmax(
             f"{_MAX_SWEEP_ANGLES} angles"
         )
     grid = _Grid(phi_lo, step, range(int(math.floor(steps)) + 1))
-    vx, vy = _coords(region)
-    runs = _walk(grid, vx, vy, VALUE_TIE_REL)
+    vx, vy, checked = _coords(region)
+    runs = _walk(grid, vx, vy, VALUE_TIE_REL, _limits(vx, vy, VALUE_TIE_REL, checked))
     return SweepResult(region, grid, _Runs(runs, range(len(grid))), step)
 
 
@@ -552,14 +539,16 @@ def stable_interval_by_sweep(
         n -= 1
         grid = grid[:n]
 
-    vx, vy = _coords(region)
-    limit = _limits(vx, vy, VALUE_TIE_REL)
+    vx, vy, checked = _coords(region)
+    limit = _limits(vx, vy, VALUE_TIE_REL, checked)
     runs = _window_runs(grid, x0_idx, vx, vy, limit)
     if runs is None:
         runs = _walk(grid, vx, vy, VALUE_TIE_REL, limit)
         argmax = _Runs(runs, range(n))
     else:
-        argmax = _Runs.deferred(lambda: _walk(grid, vx, vy, VALUE_TIE_REL, limit), range(n))
+        argmax = _Runs.deferred(
+            lambda: tuple(_walk(grid, vx, vy, VALUE_TIE_REL, limit)), indices=range(n)
+        )
 
     own = _cyclic_runs(runs, x0_idx, n)
     if not own:

@@ -42,7 +42,7 @@ from .lp_model import (
     LinearProgram2D,
     Vertex,
     _check_cycle,
-    _unchecked_region,
+    _checked_region,
     evaluate,
     validate,
 )
@@ -317,7 +317,10 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     tol * row.scale(), as in is_feasible; corners within MERGE_TOL of each
     other merge into one vertex, which carries every row within
     tol * row.scale() of it, as active_rows_at finds them.  Vertex 0 is the
-    one whose edge to vertex 1 has the least outward normal angle.
+    one whose edge to vertex 1 has the least outward normal angle.  The
+    region keeps the checked coordinates and builds its Vertex tuple at the
+    first read of vertices, which cannot fail: len, index_of and the sweeps
+    build none.
 
     Raises a structural error (validate) first, then ValueError for a
     negative or non-finite tol, Infeasible when the rows leave no feasible
@@ -331,8 +334,9 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
     poly = _polygon(_sorted_normals(lp, tol))
+    xs, ys = poly[0], poly[1]
     # _polygon has checked the cycle as FeasibleRegion would.
-    return _unchecked_region(tuple(_vertices(poly, range(len(poly[0])))))
+    return _checked_region(xs, ys, lambda: tuple(_vertices(poly, range(len(xs)))))
 
 
 def _polygon(normals):

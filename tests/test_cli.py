@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import planarlp as pl
-from planarlp import cli
+from planarlp import cli, lp_model, oracle, solver
 from planarlp.errors import LPSyntaxError, MissingObjective, NoConstraints
 from conftest import FIXTURES, walked_lengths
 
@@ -268,6 +268,36 @@ def test_cli_check_sweep_walks_a_window(monkeypatch, capsys):
     assert cli.main(["sensitivity", PAPER, "--check-sweep", "0.01"]) == 0
     assert "agree" in capsys.readouterr().out
     assert lengths and max(lengths) < 36000 // 4
+
+
+def test_check_sweep_builds_no_vertex(monkeypatch, tmp_path, capsys):
+    # --check-sweep reads the region's checked coordinates: it builds no
+    # Vertex, and decides the cycle's convexity once, in _polygon; --svg
+    # reads every vertex, and builds them once, as two reads of a region do
+    built, faults = [], []
+    vertices = solver._vertices
+
+    def counting_vertices(poly, ks):
+        built.append(ks)
+        return vertices(poly, ks)
+
+    monkeypatch.setattr(solver, "_vertices", counting_vertices)
+    # perfbench's tracer replaces the class solver names with a function
+    monkeypatch.setattr(solver, "FeasibleRegion", lambda vertices: pl.FeasibleRegion(vertices))
+    for module in (lp_model, solver, oracle):
+
+        def counting_fault(xs, ys, fault=module._cycle_fault):
+            faults.append(sys._getframe(1).f_code.co_name)
+            return fault(xs, ys)
+
+        monkeypatch.setattr(module, "_cycle_fault", counting_fault)
+    assert cli.main(["sensitivity", PAPER, "--check-sweep", "0.01"]) == 0
+    assert "agree" in capsys.readouterr().out
+    assert built == [] and faults == ["_polygon"]
+    assert cli.main(["sensitivity", PAPER, "--svg", str(tmp_path / "r.svg")]) == 0
+    assert len(built) == 1
+    region = pl.enumerate_vertices(pl.load_lp(PAPER))
+    assert region.vertices is region.vertices and len(built) == 2
 
 
 def test_cli_sensitivity_sweep_disagreement(monkeypatch, capsys):

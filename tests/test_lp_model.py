@@ -172,11 +172,18 @@ def test_region_cyclic_equality():
     b = region_of_points([(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
     c = region_of_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 2.0)])
     d = region_of_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    assert same_cycle(a, b)
-    assert same_cycle(b, a)
-    assert not same_cycle(a, c)
+
+    def square():  # a's cycle from enumerate_vertices, vertices first read here
+        return pl.enumerate_vertices(square_lp())
+
+    assert same_cycle(a, b) and same_cycle(square(), b)
+    assert same_cycle(b, a) and same_cycle(b, square())
+    assert not same_cycle(a, c) and not same_cycle(square(), c)
     assert not same_cycle(a, d) and not same_cycle(d, a)  # 4 vertices against 3
+    assert not same_cycle(square(), d) and not same_cycle(d, square())
     assert list(b) == list(b.vertices)
+    built = square()
+    assert list(built) == list(built.vertices)
 
 
 def test_region_index_of(ref_region):
@@ -212,13 +219,21 @@ def _outcome(f, *args):
     dx=st.sampled_from([0.0, 7.5e-8, -1e-7, 1e-7, 2e-7, math.nextafter(1e-7, 1.0), -1.5e308]),
     dy=st.sampled_from([0.0, 1e-8, 0.5, -1e308, 1.7e308, -1.7e308]),
     as_vertex=st.booleans(),
+    built=st.booleans(),
 )
-def test_region_index_of_equals_vec2_loop(corner, exponent, dx, dy, as_vertex):
+def test_region_index_of_equals_vec2_loop(corner, exponent, dx, dy, as_vertex, built):
     # the float loop gives what the Vec2 loop gave: the first vertex at the
     # least distance, NonFiniteEntry where a difference overflows, and
-    # VertexNotInRegion past MERGE_TOL, also where hypot overflows
+    # VertexNotInRegion past MERGE_TOL, also where hypot overflows; so does
+    # enumerate_vertices' region of the same triangle, from the coordinates
+    # it keeps
     f = 2.0**exponent
-    region = region_of_points([(0.0, 0.0), (1.5e-7 * f, 0.0), (0.0, f)])
+    points = [(0.0, 0.0), (1.5e-7 * f, 0.0), (0.0, f)]
+    region = region_of_points(points)
+    if built:
+        row = pl.ConstraintRow(1.0, 1.5e-7, 1.5e-7 * f)
+        region = pl.enumerate_vertices(pl.LinearProgram2D(pl.Vec2(1.0, 1.0), (row,)))
+        assert list(zip(*region._coords()[:2])) == points
     x, y = corner[0] * f + dx, corner[1] * f + dy
     assume(math.isfinite(y))
     p = pl.Vec2(x, y)

@@ -186,7 +186,7 @@ def _walk_winners(phis, vx, vy, rel_tol):
 def test_backends_agree(ref_region):
     # the grid kernel and the point kernel that bisection calls must pick
     # the same winner at the same angle, to the bit
-    vx, vy = oracle._coords(ref_region)
+    vx, vy, _ = oracle._coords(ref_region)
     phis = np.linspace(-math.pi, math.pi, 20001)
     grid = _walk_winners(phis, vx, vy, 1e-9)
     assert list(grid) == [oracle._scan(float(p), vx, vy, 1e-9) for p in phis]
@@ -230,14 +230,53 @@ def test_convexity_check():
         assert _cycle_fault(*_xy(points))
 
 
+@pytest.mark.parametrize(
+    "points, p", [(STRAIGHT, 3), (DART, 1), (PENTAGRAM, 1), (SLIVER, 2)],
+    ids=["straight", "dart", "pentagram", "checked"],
+)
+def test_unchecked_cycles_keep_the_convexity_check(points, p, monkeypatch):
+    # a region of _unchecked_region keeps no coordinates, so each sweep
+    # decides its convexity again, once, and a refused cycle takes the full
+    # scan at every angle; a region the constructor checked skips it
+    if points is SLIVER:
+        region = region_of_points(points)
+    else:
+        region = _unchecked_region(tuple(pl.Vertex(pl.Vec2(x, y)) for x, y in points))
+        with pytest.raises(AttributeError):
+            region._xs
+    assert oracle._coords(region) == (*_xy(points), points is SLIVER)
+    faults, fault, scan = [], oracle._cycle_fault, oracle._scan
+
+    def counting_fault(xs, ys):
+        faults.append(fault(xs, ys))
+        return faults[-1]
+
+    monkeypatch.setattr(oracle, "_cycle_fault", counting_fault)
+    scans = _counting_scans(monkeypatch)
+    step = math.radians(1.0)
+    for sweep in (
+        lambda: pl.sweep_argmax(region, -math.pi, math.pi, step),
+        lambda: pl.stable_interval_by_sweep(region, region.vertices[p], step),
+    ):
+        faults.clear()
+        scans.clear()
+        res = sweep()
+        if points is SLIVER:
+            assert faults == [] and len(scans) < len(res.phis) // 4
+        else:
+            assert len(faults) == 1 and faults[0]
+            assert _holds_runs(res.argmax) and len(scans) >= len(res.phis)
+            assert list(res.argmax) == [scan(phi, *_xy(points), VALUE_TIE_REL) for phi in res.phis]
+
+
 def _cycle(kind, rng):
     if kind == "lp":
-        return oracle._coords(pl.enumerate_vertices(random_bounded_lp(rng)))
+        return oracle._coords(pl.enumerate_vertices(random_bounded_lp(rng)))[:2]
     if kind == "tangent":
         m = int(rng.integers(4, 65))
-        return oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng, m)))
+        return oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng, m)))[:2]
     if kind == "sliver":
-        return oracle._coords(region_of_points(SLIVER))
+        return oracle._coords(region_of_points(SLIVER))[:2]
     points = {"near-straight": NEAR_STRAIGHT, "straight": STRAIGHT, "dart": DART}
     return _xy(points.get(kind, PENTAGRAM))
 
@@ -303,7 +342,7 @@ def test_arithmetic_grid_equals_numpy(first, log_step, start, count, probes, see
     xs = np.concatenate([phis[:: max(1, count // 40)], phis[-1:], probes])
     for x in np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)]):
         assert grid.searchsorted(float(x)) == np.searchsorted(phis, x)
-    vx, vy = oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng_for(seed), 8)))
+    vx, vy, _ = oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng_for(seed), 8)))
     runs = oracle._walk(grid, vx, vy, VALUE_TIE_REL)
     assert [s for s, _, _ in runs] == [0] + [e + 1 for _, e, _ in runs[:-1]]
     assert runs[-1][1] == count - 1
@@ -339,7 +378,7 @@ def test_grid_work_does_not_grow_with_density(m, monkeypatch):
     # the walk evaluates cos a bounded number of times per fan edge, full
     # scans included, at any grid density; one per angle would be 36,000
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(m), m))
-    vx, vy = oracle._coords(region)
+    vx, vy, _ = oracle._coords(region)
     n = len(vx)
     grids = [
         (oracle._Grid(-math.pi, step, range(round(turns * math.tau / step) + 1)), turns)
@@ -362,7 +401,7 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
         region = ref_region
     else:
         region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
-    vx, vy = oracle._coords(region)
+    vx, vy, _ = oracle._coords(region)
     n = len(vx)
     res = pl.sweep_argmax(region, -math.pi, math.pi, STEP)
     scans = []
@@ -489,7 +528,7 @@ def test_sweep_interval_equals_scan_bisection(kind, seed, exponent, degrees, pic
     region = _unchecked_region(
         tuple(pl.Vertex(pl.Vec2(x, y)) for x, y in _scaled(zip(vx, vy), exponent))
     )
-    vx, vy = oracle._coords(region)
+    vx, vy, _ = oracle._coords(region)
     bisect = oracle._bisect
     for p in sorted({k % len(vx) for k in picks}):
         calls = []
@@ -515,7 +554,7 @@ def test_wins_falls_back_to_the_full_scan(ref_region, monkeypatch):
     # next to a cone edge x0 beats its neighbour by less than limit, and the
     # predicate asks the full scan; past the edge the neighbour wins and it
     # does not; a cycle past the 2**1000 gate always takes the full scan
-    vx, vy = oracle._coords(ref_region)
+    vx, vy, _ = oracle._coords(ref_region)
     p = ref_region.index_of(pl.Vec2(80.0, 40.0))
     scan = oracle._scan
     scans = _counting_scans(monkeypatch)
@@ -538,7 +577,7 @@ def test_wins_falls_back_to_the_full_scan(ref_region, monkeypatch):
     assert oracle._wins(p, vx, vy, VALUE_TIE_REL, limit)(outside - 0.02)
     assert scans == []
     big = region_of_points(_scaled(zip(vx, vy), 1003))
-    bx, by = oracle._coords(big)
+    bx, by, _ = oracle._coords(big)
     assert oracle._limits(bx, by, VALUE_TIE_REL) == []
     step = math.radians(1.0)
     res = pl.stable_interval_by_sweep(big, big.vertices[p], step)
@@ -621,7 +660,7 @@ def test_window_falls_back_to_the_full_walk(case, ref_region, monkeypatch):
     elif case == "coarse":
         x0, step = vertex_at(ref_region, 100, 0), math.radians(90.0)
     elif case == "past-gate":
-        region = region_of_points(_scaled(zip(*oracle._coords(ref_region)), 1003))
+        region = region_of_points(_scaled(zip(*oracle._coords(ref_region)[:2]), 1003))
         x0 = region.vertices[ref_region.index_of(x0.point)]
     want = _full_walk_outcome(region, x0, step)
     if case.startswith("fan"):
@@ -780,7 +819,7 @@ def test_grid_memory_is_blockwise(turns):
     # the kernel walks an arithmetic grid without building it: its peak is
     # an allowance that does not grow with the grid
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
-    vx, vy = oracle._coords(region)
+    vx, vy, _ = oracle._coords(region)
     grid = oracle._Grid(-math.pi, STEP, range(1, 1 + turns * 36000))
     tracemalloc.start()
     try:
@@ -840,7 +879,7 @@ def test_kernel_result_copies_eager_arrays(ref_region, clone):
     step = math.radians(0.5)
     res = pl.stable_interval_by_sweep(ref_region, x0, step)
     phis = -math.pi + step * np.arange(1, 721, dtype=float)
-    vx, vy = oracle._coords(ref_region)
+    vx, vy, _ = oracle._coords(ref_region)
     argmax = np.array([oracle._scan(p, vx, vy, VALUE_TIE_REL) for p in phis.tolist()], np.int64)
     if clone is None:
         assert repr(res.phis) == f"_Grid(first={-math.pi!r}, step={step!r}, indices=range(1, 721))"
@@ -873,7 +912,7 @@ def test_sweep_views_index_as_the_arrays(cut, k, probes):
     step = math.radians(0.5)
     res = pl.stable_interval_by_sweep(region, region.vertices[2], step)
     phis = -math.pi + step * np.arange(1, 721, dtype=float)
-    vx, vy = oracle._coords(region)
+    vx, vy, _ = oracle._coords(region)
     argmax = np.array([oracle._scan(p, vx, vy, VALUE_TIE_REL) for p in phis.tolist()], np.int64)
     for view, array in ((res.phis, phis), (res.argmax, argmax)):
         assert view[k] == array[k]

@@ -87,7 +87,7 @@ def test_enumerate_starts_the_cycle_at_the_least_normal_angle(m):
             except UnboundedRegion:  # some of the three-row LPs
                 continue
             assert edges[1][0] == min(e[0] for e in edges)
-            vx, vy = oracle._coords(pl.enumerate_vertices(t.lp))
+            vx, vy, _ = oracle._coords(pl.enumerate_vertices(t.lp))
             n = len(vx)
             normals = [
                 _normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)
@@ -111,19 +111,25 @@ def test_enumerate_active_rows_are_active_rows_at(m, tol):
         _assert_active_rows_at(t.lp, pl.enumerate_vertices(t.lp, tol=tol), tol)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)  # ~200 per family, as before
 @given(
-    st.sampled_from([_integer_lp, _mixed_lp]),
+    st.sampled_from([_integer_lp, _mixed_lp, _extreme_lp]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([1e-9, 0.0, 1e-3]),
 )
 def test_enumerate_active_rows_are_active_rows_at_on_random_lps(make, seed, tol):
-    # the region digest's small integer and mixed LPs
+    # the region digest's small integer, mixed and extreme-scale LPs; the
+    # region, whose vertices are built at their first read, also equals
+    # the one the checking constructor makes of them, in ==, hash and
+    # repr, and keeps the same coordinates, as checked
     lp = make(random.Random(seed))
     try:
         region = pl.enumerate_vertices(lp, tol=tol)
     except pl.errors.PlanarLPError:
         return
+    checked = pl.FeasibleRegion(region.vertices)
+    assert region == checked and hash(region) == hash(checked) and repr(region) == repr(checked)
+    assert region._coords() == checked._coords() and region._coords()[2]
     _assert_active_rows_at(lp, region, tol)
 
 

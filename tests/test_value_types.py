@@ -6,6 +6,7 @@ are defined cannot change what callers see.
 """
 
 import copy
+import functools
 import math
 import pickle
 
@@ -185,16 +186,30 @@ def test_fields_are_read_only(cls, fields):
         obj.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)
-def test_copy_deepcopy_and_pickle(cls, fields):
-    obj = cls(**fields)
-    for again in (
-        copy.copy(obj),
-        copy.deepcopy(obj),
-        pickle.loads(pickle.dumps(obj)),
-        pickle.loads(pickle.dumps(obj, protocol=0)),
-    ):
-        assert type(again) is cls
+_COPIES = (
+    copy.copy,
+    copy.deepcopy,
+    lambda obj: pickle.loads(pickle.dumps(obj)),
+    lambda obj: pickle.loads(pickle.dumps(obj, protocol=0)),
+)
+
+
+def _built_region():
+    # enumerate_vertices' region, which builds its vertices at their first read
+    return pl.enumerate_vertices(pl.load_lp(FIXTURES / "paper.lp"))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(functools.partial(cls, **fields) for cls, fields in SAMPLES), _built_region],
+    ids=[*IDS, "FeasibleRegion-built"],
+)
+def test_copy_deepcopy_and_pickle(make):
+    # copies made before an instance is first read (for the built region,
+    # the first copy is that read) equal those made after it
+    obj = make()
+    for again in [clone(obj) for clone in _COPIES] + [clone(obj) for clone in _COPIES]:
+        assert type(again) is type(obj)
         assert again == obj
         assert hash(again) == hash(obj)
         assert repr(again) == repr(obj)
