@@ -41,42 +41,39 @@ def circular_delta(a: Angle, b: Angle) -> float:
 # Stores a field of a Frozen instance, past the __setattr__ that refuses it.
 _set = object.__setattr__
 
-_MISSING = object()  # an argument or default that was not given
-
 
 class Frozen:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__``, in order, and the defaults
-    of trailing fields in a ``_defaults`` dict.  The ``__init__`` here binds
-    positional, then keyword arguments to the fields, and raises TypeError
-    for a missing, extra, unknown or repeated one, as a real signature would.
-    A subclass writes its own ``__init__``, storing each field with ``_set``,
-    when it checks or converts its fields, or when it is built once per row
-    or per solve, where that form is about twice as fast.  Instances of the
-    same class are equal when their fields are; repr is ``Name(field=value,
-    ...)``; copy and pickle rebuild an instance by calling the class.
+    of trailing fields in a ``_defaults`` dict.  At class creation Frozen
+    compiles the class's ``__init__`` from these: a real signature,
+    ``(self, f1, ..., fk=default)``, whose body stores each field with
+    ``_set``, as namedtuple and dataclasses build theirs, so a missing,
+    extra, unknown or repeated argument raises Python's own TypeError.  A
+    subclass writes its own ``__init__``, storing each field with ``_set``
+    just as the compiled one does, only when it checks or converts its
+    fields; a class whose slots are private (``_thunk``, ``_xs``) holds no
+    fields and gets none.  Instances of the same class are equal when their
+    fields are; repr is ``Name(field=value, ...)``; copy and pickle rebuild
+    an instance by calling the class.
     """
 
     __slots__ = ()
     _defaults: dict = {}
 
-    def __init__(self, *args, **kwargs):
-        names, cls = self.__slots__, self.__class__.__qualname__
-        if len(args) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} arguments, got {len(args)}")
-        for name, value in zip(names, args):
-            _set(self, name, value)
-        for name in names[len(args):]:
-            value = kwargs.pop(name, _MISSING)
-            if value is _MISSING:
-                value = self._defaults.get(name, _MISSING)
-                if value is _MISSING:
-                    raise TypeError(f"{cls}() missing argument {name!r}")
-            _set(self, name, value)
-        for name in kwargs:
-            kind = "repeated" if name in names else "unexpected"
-            raise TypeError(f"{cls}() got {kind} argument {name!r}")
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = cls.__dict__.get("__slots__", ())
+        if "__init__" in cls.__dict__ or not names or any(n[0] == "_" for n in names):
+            return
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names)
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+        scope = {"_set": _set, "_defaults": cls._defaults, "__name__": cls.__module__}
+        name = f"{cls.__qualname__}.__init__"
+        exec(compile(f"def __init__(self, {params}):{body}", f"<{name}>", "exec"), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = name
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

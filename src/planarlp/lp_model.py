@@ -37,13 +37,6 @@ class ConstraintRow(Frozen):
     a2: float
     b: float
 
-    # Written out, not Frozen's binder: a row is built per parsed line and
-    # two per solve, and this form is about twice as fast.
-    def __init__(self, a1: float, a2: float, b: float):
-        _set(self, "a1", a1)
-        _set(self, "a2", a2)
-        _set(self, "b", b)
-
     def scale(self) -> float:
         """max(1.0, |a1|, |a2|, |b|), with the builtin's comparisons written
         out in its order, so that NaN and inf give its bits too: a value

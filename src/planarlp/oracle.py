@@ -67,8 +67,7 @@ class _View(Frozen, Sequence):
     field indices: len, negative indexing, IndexError and slicing (a view
     over the sliced range) come from the range.  Each view iterates its
     values without a lookup per index, and tobytes() gives the bytes of
-    numpy's array of the same values, float64 or int64.  A view is built
-    once per sweep, so each writes out its __init__."""
+    numpy's array of the same values, float64 or int64."""
 
     __slots__ = ()
 
@@ -96,11 +95,6 @@ class _Grid(_View):
     step: float
     indices: range
     _typecode = "d"
-
-    def __init__(self, first: float, step: float, indices: range):
-        _set(self, "first", first)
-        _set(self, "step", step)
-        _set(self, "indices", indices)
 
     def __getitem__(self, k):
         j = self.indices[k]
@@ -179,8 +173,8 @@ class SweepResult(Frozen):
     The constructor takes any sequences.  The sweeps give read-only views
     that build nothing, a _Grid and a _Runs, so repr, copy and pickle cost
     the runs, not the angles; np.asarray turns either into an ndarray.
-    stable_interval_by_sweep may give a deferred _Runs, which walks the
-    grid at its first read.
+    stable_interval_by_sweep gives a deferred _Runs, which walks the grid
+    at its first read unless the sweep has walked it.
     """
 
     __slots__ = ("region", "phis", "argmax", "step", "estimated_interval")
@@ -522,9 +516,9 @@ def stable_interval_by_sweep(
 
     x0's runs come from a window of the grid around its cone, with a proof
     from a few angles that x0 wins nowhere else (_window_runs), or, where
-    that fails, from the whole walk.  After the window, argmax is deferred:
-    the whole walk runs at its first read.  Either way every output has
-    the same bits.
+    that fails, from the whole walk, which argmax keeps.  After the window,
+    argmax is deferred: the whole walk runs at its first read.  Either way
+    every output has the same bits.
     """
     if not 0.0 < step <= math.pi:
         raise ValueError(f"step must lie in (0, pi], got {step}")
@@ -541,14 +535,12 @@ def stable_interval_by_sweep(
 
     vx, vy, checked = _coords(region)
     limit = _limits(vx, vy, VALUE_TIE_REL, checked)
+    argmax = _Runs.deferred(
+        lambda: tuple(_walk(grid, vx, vy, VALUE_TIE_REL, limit)), indices=range(n)
+    )
     runs = _window_runs(grid, x0_idx, vx, vy, limit)
     if runs is None:
-        runs = _walk(grid, vx, vy, VALUE_TIE_REL, limit)
-        argmax = _Runs(runs, range(n))
-    else:
-        argmax = _Runs.deferred(
-            lambda: tuple(_walk(grid, vx, vy, VALUE_TIE_REL, limit)), indices=range(n)
-        )
+        runs = argmax.runs
 
     own = _cyclic_runs(runs, x0_idx, n)
     if not own:

@@ -104,36 +104,6 @@ class SensitivityReport(Frozen):
     theta0: float
     endpoint_ties: tuple[Vertex, Vertex]
 
-    # Written out, not Frozen's binder: one is built per analyze call, and
-    # this form is about twice as fast.
-    def __init__(
-        self,
-        optimal_vertex: Vertex,
-        optimal_value: float,
-        pred: Vertex,
-        succ: Vertex,
-        theta1: float,
-        theta2: float,
-        interval: AngleInterval,
-        objective_polar: PolarVector,
-        phi_inside: bool,
-        nu_interval: AngleInterval,
-        theta0: float,
-        endpoint_ties: tuple[Vertex, Vertex],
-    ):
-        _set(self, "optimal_vertex", optimal_vertex)
-        _set(self, "optimal_value", optimal_value)
-        _set(self, "pred", pred)
-        _set(self, "succ", succ)
-        _set(self, "theta1", theta1)
-        _set(self, "theta2", theta2)
-        _set(self, "interval", interval)
-        _set(self, "objective_polar", objective_polar)
-        _set(self, "phi_inside", phi_inside)
-        _set(self, "nu_interval", nu_interval)
-        _set(self, "theta0", theta0)
-        _set(self, "endpoint_ties", endpoint_ties)
-
 
 class ValueShift(Enum):
     INCREASES = "increases"

@@ -65,13 +65,6 @@ class Solution(Frozen):
     value: float
     unique: bool
 
-    # Written out, not Frozen's binder: one is built per solve, and this
-    # form is about twice as fast.
-    def __init__(self, vertex: Vertex, value: float, unique: bool):
-        _set(self, "vertex", vertex)
-        _set(self, "value", value)
-        _set(self, "unique", unique)
-
 
 def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> frozenset[int]:
     """Indices of all rows (synthetic included) tight at p."""
@@ -341,13 +334,12 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
 
 def _polygon(normals):
     """enumerate_vertices' cycle from the _sorted_normals result normals,
-    checked as FeasibleRegion checks it, as (xs, ys, rows, owners, edges):
-    vertex k is (xs[k], ys[k]), entered along the row of record edges[k];
-    rows holds a sweep record, with |a| and the limit, for each record of
+    checked as FeasibleRegion checks it, as (xs, ys, rows, edges): vertex k
+    is (xs[k], ys[k]), entered along the row of record edges[k]; and rows
+    holds a sweep record, with |a| and the limit, for each record of
     normals, x >= 0 rows included, in normal-angle order from the one after
-    the widest gap; and owners[i] is the vertex that owns rows[i]'s normal
-    angle: its cone in the normal fan, whose order the cycle keeps from the
-    vertex whose out-edge row, edges[1], has the least normal angle."""
+    the widest gap.  The cycle keeps the normal fan's order from the vertex
+    whose out-edge row, edges[1], has the least normal angle."""
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
     sorted_rows, start, bounded, _, tol = normals
@@ -444,20 +436,21 @@ def _polygon(normals):
         # the corners bound no proper polygon.
         raise DegenerateRegion(f"the corners make no convex polygon: {fault}")
 
-    ends = [e[0] for e in edges[1:] + edges[:1]]
-    owners = [bisect_right(ends, rec[0]) % n for rec in rows]
-    return xs, ys, rows, owners, edges
+    return xs, ys, rows, edges
 
 
 def _vertices(poly, ks) -> list[Vertex]:
     """Vertices ks of a _polygon result, each with the rows within their limit
     there, as active_rows_at finds them, by the limits _polygon computed: a . x
-    is unimodal round the convex cycle, so a row is tested at its owner and on
+    is unimodal round the convex cycle, so a row is tested at its owner, the
+    vertex whose cone in the normal fan holds the row's normal angle, and on
     each side while it holds."""
-    xs, ys, rows, owners, _ = poly
+    xs, ys, rows, edges = poly
     n = len(xs)
+    ends = [e[0] for e in edges[1:] + edges[:1]]
     active: list[set[int]] = [set() for _ in xs]
-    for j, (_, idx, a1, a2, b, _, limit) in zip(owners, rows):
+    for angle, idx, a1, a2, b, _, limit in rows:
+        j = bisect_right(ends, angle) % n
         if abs(a1 * xs[j] + a2 * ys[j] - b) <= limit:
             active[j].add(idx)
         lo, hi = j - 1, j + 1  # down to j + 1 - n, then up to where that stopped
@@ -713,7 +706,7 @@ def _optimum(lp: LinearProgram2D, tol: float, around):
         into, out = corner[1][1]
         return vertices, into, out, False, None
     poly = _polygon(normals)
-    xs, edges = poly[0], poly[4]
+    xs, edges = poly[0], poly[3]
     best, tied = _ranked(lp.objective, xs, poly[1])
     n = len(xs)
     if not tied:

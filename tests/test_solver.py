@@ -83,7 +83,7 @@ def test_enumerate_starts_the_cycle_at_the_least_normal_angle(m):
     for seed in (1, 2, 3):
         for t in tangent_pool(seed, m, 16):
             try:
-                edges = solver._polygon(solver._sorted_normals(t.lp, pl.FEAS_TOL))[4]
+                edges = solver._polygon(solver._sorted_normals(t.lp, pl.FEAS_TOL))[3]
             except UnboundedRegion:  # some of the three-row LPs
                 continue
             assert edges[1][0] == min(e[0] for e in edges)

@@ -7,6 +7,7 @@ are defined cannot change what callers see.
 
 import copy
 import functools
+import inspect
 import math
 import pickle
 
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 import planarlp as pl
+from planarlp import oracle
 from planarlp.cli import SCHEMA_VERSION, OracleCheck, ReportDocument
 from planarlp.errors import NonFiniteEntry, ZeroVector
+from planarlp.geometry import Frozen
 from conftest import FIXTURES, region_of_points
 
 _P = pl.Vec2(1.0, 2.0)
@@ -84,6 +87,19 @@ SAMPLES = [
 ]
 
 IDS = [cls.__name__ for cls, _ in SAMPLES]
+
+# The classes that write their own constructor, to check or convert fields;
+# every other record's is compiled from its slots.
+CHECKING = (
+    pl.Vec2,
+    pl.Rotation,
+    pl.PolarVector,
+    pl.LineThroughOrigin,
+    pl.LinearProgram2D,
+    pl.Vertex,
+    pl.FeasibleRegion,
+    pl.AngleInterval,
+)
 
 
 def _other_value(v):
@@ -307,11 +323,22 @@ _SWEEP_FIELDS = {
 
 # The plain records: every field given, and the fields that have defaults.
 RECORDS = [
-    (cls, fields) for cls, fields in SAMPLES
-    if cls in (pl.SensitivityReport, ReportDocument, pl.NormalizedProblem,
-               OracleCheck, pl.DistanceSolution)
-] + [(pl.SweepResult, _SWEEP_FIELDS)]
+    (cls, fields) for cls, fields in SAMPLES if cls not in CHECKING
+] + [
+    (pl.SweepResult, _SWEEP_FIELDS),
+    (oracle._Grid, {"first": -1.0, "step": 0.5, "indices": range(1, 5)}),
+]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+def test_records_have_the_signature_of_their_slots(cls, fields):
+    assert "__init__" not in Frozen.__dict__
+    params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == cls.__slots__ == tuple(fields)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == cls._defaults
+    # a traceback through the constructor names the class
+    assert cls.__init__.__code__.co_filename == f"<{cls.__qualname__}.__init__>"
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
