@@ -166,10 +166,10 @@ def analyze(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> SensitivityReport:
     Finds x0, its neighbours and the rows along its two edges by
     solver._optimum: from the rows in O(m) expected where they certify x0,
     most often at the corner of the two rows whose normals bracket c, else
-    from enumerate_vertices' polygon, to the same bits.  The cone's ends
-    are the normal angles of those two rows, theta1 and theta2 their
-    line_direction_angle, and theta0 normalizing_rotation(c), each from the
-    floats by the rule those functions use.
+    from enumerate_vertices' polygon.  The cone's ends are the normal
+    angles of those two rows, theta1 and theta2 their line_direction_angle,
+    and theta0 normalizing_rotation(c), each from the floats by the rule
+    those functions use.
     Raises DegenerateOptimum when the optimum ties between vertices; the
     error carries the tied vertices and, for an adjacent pair, the single
     gradient angle at which the tie occurs, that of the row they share.

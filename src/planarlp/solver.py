@@ -4,14 +4,15 @@ solve_enumeration and analyze find x0 through _optimum, which checks the
 arguments and sorts the row normals once, then certifies in one O(m) pass
 the corner of the two rows whose normals bracket c; only where that fails
 does Seidel's incremental LP walk from it, O(m) expected, to a corner that
-is certified again.  Only where x0 is still in doubt does it build the
-feasible polygon from the same sort, by half-plane intersection, and rank
-its vertices.  The sort also decides boundedness, by a gap of a half turn;
-enumerate_vertices always builds the polygon.  solve_simplex is a
-two-phase revised simplex with Bland's rule whose basis is the pair of
-tight constraints, in both phases, so a pivot is a 2 x 2 solve and one O(m)
-pass over the rows.  Neither needs numpy.  They share no code on the solve
-path, which is what makes cross-checking one against the other meaningful.
+is certified again.  The answer is the certificate's where it holds; only
+where it does not does _optimum build the feasible polygon from the same
+sort, by half-plane intersection, and rank its vertices.  The sort also
+decides boundedness, by a gap of a half turn; enumerate_vertices always
+builds the polygon.  solve_simplex is a two-phase revised simplex with
+Bland's rule whose basis is the pair of tight constraints, in both phases,
+so a pivot is a 2 x 2 solve and one O(m) pass over the rows.  Neither needs
+numpy.  They share no code on the solve path, which is what makes
+cross-checking one against the other meaningful.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
     [-pi, pi] and index the row's (X1_NONNEG and X2_NONNEG for x >= 0).
     Then the position just after the widest counterclockwise gap between
     consecutive normals; whether that gap leaves the region bounded, that
-    is, falls short of pi - _RECESSION_TOL (see check_recession); the gaps,
-    gaps[k] the one from rows[k] to the next record round the circle; and
-    tol.
+    is, falls short of pi - _RECESSION_TOL (see check_recession); and tol.
 
     room = 4 max(tol, MERGE_TOL) (1 + a1^2 + a2^2 + b^2) is plain
     arithmetic, and bounds from above the need of _clears, 2 max(limit,
@@ -120,7 +119,7 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
     gaps.append(rows[0][0] + TAU - rows[-1][0])
     widest = gaps.index(max(gaps))
     bounded = gaps[widest] < math.pi - _RECESSION_TOL
-    return rows, (widest + 1) % len(rows), bounded, gaps, tol
+    return rows, (widest + 1) % len(rows), bounded, tol
 
 
 def check_recession(lp: LinearProgram2D) -> Recession:
@@ -129,8 +128,8 @@ def check_recession(lp: LinearProgram2D) -> Recession:
     The recession cone {d : A d <= 0, d >= 0} is nonzero exactly when all
     row normals, the two x >= 0 rows included, lie in one closed half-plane:
     when the sorted normal angles leave a gap of at least pi (Rockafellar,
-    Convex Analysis, 1970, section 8).  enumerate_vertices decides it from
-    the same sort.
+    Convex Analysis, 1970, section 8).  enumerate_vertices, analyze and
+    solve_enumeration decide it from the same sort.
 
     A gap counts from pi - _RECESSION_TOL on.  That is the edge of the test
     a . d <= _RECESSION_TOL |a| for every row a, with d perpendicular to one
@@ -342,11 +341,12 @@ def _polygon(normals):
     whose out-edge row, edges[1], has the least normal angle."""
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
-    sorted_rows, start, bounded, _, tol = normals
+    sorted_rows, start, bounded, tol = normals
     hypot = math.hypot
     # Each record gains |a| and the limit.  Of rows whose normals point the
-    # same way, to within _DET_TOL, only the tightest bounds.  lines[-1] is
-    # (.., k1, k2, kb, kn, ..).
+    # same way, to within _DET_TOL, only the tightest where the normal
+    # through the origin meets it bounds; of two not exactly parallel, that
+    # need not be the one that binds.  lines[-1] is (.., k1, k2, kb, kn, ..).
     rows = []
     lines = []
     for angle, idx, a1, a2, b, _ in chain(sorted_rows[start:], sorted_rows[:start]):
@@ -528,19 +528,6 @@ def _optimal_edges(rows, c1: float, c2: float, into, out, x):
     return None if x is None else (into, out, x)
 
 
-def _near_parallel(rows, gaps) -> bool:
-    """Two consecutive normals of _sorted_normals' records lie within
-    4 _DET_TOL of each other and are not exactly parallel: _polygon may keep
-    one row of the two where the rows hold both.  Of exactly parallel rows,
-    whose cross product computes to 0, it keeps the tightest; where
-    _optimal_corner's certificate holds, each of the others holds at the
-    corners with room, so the two routes agree."""
-    return min(gaps) <= 4.0 * _DET_TOL and any(
-        gap <= 4.0 * _DET_TOL and r[2] * s[3] - r[3] * s[2] != 0.0
-        for r, s, gap in zip(rows, rows[1:] + rows[:1], gaps)
-    )
-
-
 def _clears(rec, slack: float, tol: float) -> bool:
     """The row of rec, a _sorted_normals record, holds with this slack by
     twice its limit and 2 MERGE_TOL in distance.  _certified asks this only
@@ -552,16 +539,17 @@ def _clears(rec, slack: float, tol: float) -> bool:
 
 def _optimal_corner(lp: LinearProgram2D, normals):
     """pred, x0 and succ in O(m), each as its point and the pair of records
-    that meet there, the one into it first, or None where in doubt; lp's
+    that meet there, the one into it first; or None where the region is
+    unbounded, _corner_of forms no corner, or the certificate fails.  lp's
     objective is nonzero, normals _sorted_normals(lp, tol) for a good tol.
     It tries first the corner of the two rows whose normals bracket c, found
     by one bisection of the angles: that is x0 unless some row's normal lies
     between theirs and binds.  Only where _certified rejects that corner
     does _optimal_edges walk from it, and only a walk that ends at another
     pair of rows is certified again.  The certificate alone proves the
-    answer _polygon's, so it does not matter how x0 was reached."""
-    rows, _, bounded, gaps, tol = normals
-    if not bounded or _near_parallel(rows, gaps):
+    answer from the rows, so it does not matter how x0 was reached."""
+    rows, _, bounded, tol = normals
+    if not bounded:
         return None
     c1, c2 = lp.objective.x1, lp.objective.x2
     k = bisect_right(rows, math.atan2(c2 + 0.0, c1), key=itemgetter(0))
@@ -583,16 +571,17 @@ def _certified(rows, into, out, x0, c1: float, c2: float, tol: float):
     _corner_of into and out, _sorted_normals' records rows, tol theirs and
     (c1, c2) the objective; or None where in doubt.  Each row but a
     vertex's two holds there by twice its limit and 2 MERGE_TOL in
-    distance: no other is tight, no corner merges, so the points are
-    _polygon's and the pairs hold every row tight at them.  A slack above
-    the row's room proves that, the room being an upper bound on what
-    _clears asks; only a row the room leaves in doubt, and not one of the
-    vertex's two, takes _clears, so each answer is the one the exact test
-    alone gives.  Ratio tests along x0's rows find pred's and succ's other
-    rows.  x0 beats both by twice _ranked's tie threshold, so c lies in the
-    normal cone of x0's rows (LP duality), and _ranked would find no tie;
-    pred, x0, succ turn left by one exact orientation test, _cycle_fault's
-    for 3 points."""
+    distance: no other is tight and no corner merges, so the pairs hold
+    every row tight at the points, which are _polygon's wherever its
+    parallel filter keeps every row that binds.  A slack above the row's
+    room proves that, the room being an upper bound on what _clears asks;
+    only a row the room leaves in doubt, and not one of the vertex's two,
+    takes _clears, so each answer is the one the exact test alone gives.
+    Ratio tests along x0's rows find pred's and succ's other rows.  x0
+    beats both by twice _ranked's tie threshold, so c lies in the normal
+    cone of x0's rows (LP duality), and _ranked would find no tie; pred,
+    x0, succ turn left by one exact orientation test, _cycle_fault's for 3
+    points."""
     x, y = x0
     p1, p2, s1, s2 = into[3], -into[2], -out[3], out[2]  # towards pred, succ
     tp = tp2 = ts = ts2 = math.inf
@@ -686,10 +675,11 @@ def _check_arguments(lp: LinearProgram2D, tol: float) -> None:
 
 
 def _optimum(lp: LinearProgram2D, tol: float, around):
-    """x0 of max c . x over enumerate_vertices' polygon, for analyze and
-    solve_enumeration, as (vertices, into, out, tied, angle), after one
-    argument check and one sort: from the rows in O(m) expected where
-    _optimal_corner certifies x0, else from the polygon, to the same bits.
+    """x0 of max c . x, for analyze and solve_enumeration, as (vertices,
+    into, out, tied, angle), after one argument check and one sort: the
+    certificate's, from the rows in O(m) expected, where _optimal_corner's
+    holds, else enumerate_vertices' polygon's.  The two agree bit for bit
+    wherever the polygon's parallel filter keeps every row that binds.
     Without a tie, vertices are those at each offset in around from x0
     (-1 pred, 1 succ), into and out the records of the rows along x0's two
     edges.  With a tie, which only the polygon finds, vertices are x0 and
@@ -721,9 +711,9 @@ def _optimum(lp: LinearProgram2D, tol: float, around):
 
 
 def solve_enumeration(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Solution:
-    """Maximize over the vertices of enumerate_vertices' polygon, by
-    _optimum: from the rows in O(m) expected where they certify x0, which is
-    then unique, else by ranking the polygon's vertices, to the same bits."""
+    """Maximize c . x by _optimum: from the rows in O(m) expected where
+    they certify x0, which is then unique, else by ranking the vertices of
+    enumerate_vertices' polygon."""
     vertices, _, _, tied, _ = _optimum(lp, tol, (0,))
     return Solution(vertices[0], evaluate(lp, vertices[0].point), not tied)
 

@@ -2,7 +2,7 @@
 on fixed LPs.
 
     PYTHONPATH=src python tests/region_digest.py [--entries | --fast-share | --room-share |
-                                                  --walk-share]
+                                                  --walk-share | --exact-share]
 
 The LPs are tangent_pool(seed, m, 16) of perfbench seeds 1, 2 and 3 for m in
 3, 4, 8, 16, 64 and 256; every LP of batch_pool(seed, 50, 16) for the same
@@ -32,9 +32,14 @@ how many took the exact test, solver._clears ("exact"); the rest are the
 exempt rows of a corner's pair.  With --walk-share it prints, for the same
 calls, how many of the "rows" answers the corner of the two rows whose
 normals bracket c gave ("bracket") and how many needed Seidel's walk,
-solver._optimal_edges ("walk").  This is a script rather than a test because
-math.atan2, and so the order of the sort and the cone angles, may differ
-between C libraries.
+solver._optimal_edges ("walk").  With --exact-share it prints the
+exact-agreement ledger: for analyze, solve_enumeration and solve_simplex on
+the random integer, mixed and extreme LPs at each tolerance, how many
+entries agree with tests/exact_reference.py's exact_optimum, refuse a
+finite optimum, or are wrong, split as exact_verdict says, and how many
+answers name other active rows than the exact ones.  This is a script
+rather than a test because math.atan2, and so the order of the sort and the
+cone angles, may differ between C libraries.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import planarlp as pl  # noqa: E402
+from exact_reference import exact_optimum, near  # noqa: E402
 from instances import batch_pool, tangent_pool  # noqa: E402
 
 TOLS = (1e-9, 0.0, 1e-3)
@@ -95,6 +101,11 @@ def lps():
         for b, batch in enumerate(batch_pool(seed, 50, 16)):
             for i, lp in enumerate(batch):
                 yield f"batch-{seed}-{b}-{i}", lp
+    yield from random_lps()
+
+
+def random_lps():
+    """The RANDOM_LPS random LPs of lps(), as (name, lp), in its order."""
     rng = random.Random(2024)
     makers = (_integer_lp, _mixed_lp, _extreme_lp)
     for i in range(RANDOM_LPS):
@@ -238,8 +249,108 @@ def walk_share() -> None:
         print(f"{entry:8} {f:8} {bracket:8} {walk:6}")
 
 
+def exact_outcome(lp):
+    """exact_optimum(lp), or the class of the error it raised."""
+    try:
+        return exact_optimum(lp)
+    except pl.errors.PlanarLPError as exc:
+        return type(exc)
+
+
+def _overflows(optima) -> bool:
+    """Some coordinate of the exact optima lies past the floats."""
+    try:
+        for x1, x2, _ in optima:
+            float(x1), float(x2)
+    except OverflowError:
+        return True
+    return False
+
+
+def exact_verdict(call, lp, tol: float, exact) -> tuple[str, bool]:
+    """The ledger's class of call(lp, tol=tol), for analyze,
+    solve_enumeration or solve_simplex, against exact, exact_outcome(lp);
+    and whether an answer names other active rows than the exact optimum it
+    matches.  The class is "arguments" for ZeroRow or ZeroObjective; else
+    "agree" for the exact outcome: Infeasible for Infeasible, Unbounded or
+    UnboundedRegion for Unbounded, NonFiniteEntry where an exact optimum
+    overflows, and otherwise an answer within 8 ulps of an exact optimum,
+    unique exactly where that is (DegenerateOptimum is analyze's tie);
+    "refuses" for UnboundedRegion or DegenerateRegion where the optimum is
+    finite; and else "wrong class", "wrong vertex", or "wrong tie" for
+    unique against tied either way."""
+    try:
+        res = call(lp, tol=tol)
+    except (pl.errors.ZeroRow, pl.errors.ZeroObjective):
+        return "arguments", False
+    except pl.errors.DegenerateOptimum as exc:
+        vertex, unique = exc.tied_vertices[0], False
+    except pl.errors.PlanarLPError as exc:
+        if isinstance(exact, type):
+            agree = type(exc) is exact or (
+                exact is pl.errors.Unbounded and type(exc) is pl.errors.UnboundedRegion
+            )
+        elif isinstance(exc, (pl.errors.UnboundedRegion, pl.errors.DegenerateRegion)):
+            return "refuses", False
+        else:
+            agree = isinstance(exc, pl.errors.NonFiniteEntry) and _overflows(exact[0])
+        return "agree" if agree else "wrong class", False
+    else:
+        if isinstance(res, pl.Solution):
+            vertex, unique = res.vertex, res.unique
+        else:
+            vertex, unique = res.optimal_vertex, True
+    if isinstance(exact, type):
+        return "wrong class", False
+    optima, exact_unique = exact
+    match = next((o for o in optima if near(vertex.point, o)), None)
+    if match is None:
+        return "wrong vertex", False
+    if unique != exact_unique:
+        return "wrong tie", False
+    return "agree", vertex.active_rows != match[2]
+
+
+# The ledger's columns, each a verdict of exact_verdict or "rows", and their
+# headers.
+_LEDGER = {
+    "agree": "agree",
+    "refuses": "refuses",
+    "arguments": "args",
+    "wrong class": "class",
+    "wrong vertex": "vertex",
+    "wrong tie": "tie",
+    "rows": "rows",
+}
+
+
+def exact_share() -> None:
+    """Print the exact-agreement ledger per entry point, family and
+    tolerance."""
+    entries = (*_ENTRY_POINTS, ("simplex", pl.solve_simplex))
+    counts = {
+        (e, f, tol): Counter() for e, _ in entries for f in _FAMILIES[2:] for tol in TOLS
+    }
+    for name, lp in random_lps():
+        exact = exact_outcome(lp)
+        for tol in TOLS:
+            for entry, call in entries:
+                verdict, rows_differ = exact_verdict(call, lp, tol, exact)
+                c = counts[entry, _family(name), tol]
+                c[verdict] += 1
+                c["rows"] += rows_differ
+    print(f"{'entry':8} {'family':8} {'tol':>6}", *(f"{h:>7}" for h in _LEDGER.values()))
+    for (entry, f, tol), c in counts.items():
+        print(f"{entry:8} {f:8} {tol:6}", *(f"{c[k]:7}" for k in _LEDGER))
+
+
 def main() -> None:
-    shares = {"--fast-share": fast_share, "--room-share": room_share, "--walk-share": walk_share}
+    shares = {
+        "--fast-share": fast_share,
+        "--room-share": room_share,
+        "--walk-share": walk_share,
+        "--exact-share": exact_share,
+    }
     if len(sys.argv) == 2 and sys.argv[1] in shares:
         shares[sys.argv[1]]()
         return

@@ -638,8 +638,6 @@ _DOUBTS = {
     ),
     "a row level with c": ((1.0, 1.0), _SQUARE + (_R(-1.0, -1.0, -5.0),)),
     "a row parallel to a bound": ((1.0, 2.0), (_R(1.0, 1.0, 2.0), _R(-1.0, -1.0, -3.0))),
-    # within _DET_TOL of parallel to x1 <= 1, not exactly: _polygon keeps one
-    "a row nearly parallel to an edge": ((1.0, 1.0), _SQUARE + (_R(1.0, 1e-13, 1.5),)),
 }
 
 
@@ -653,12 +651,20 @@ def test_builds_the_polygon_once_where_x0_is_in_doubt(monkeypatch, entry, c, row
     assert len(calls) == 1
 
 
-def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch):
-    # x1 <= 1.5, x2 <= 2 and x1 >= -0.5 are exactly parallel to rows of the
-    # square and looser: _polygon drops them, and the rows hold them slack
-    lp = pl.LinearProgram2D(
-        pl.Vec2(1.0, 1.0), _SQUARE + (_R(2.0, 0.0, 3.0), _R(0.0, 3.0, 6.0), _R(-2.0, 0.0, 1.0))
-    )
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # x1 <= 1.5, x2 <= 2 and x1 >= -0.5 are exactly parallel to rows of
+        # the square and looser
+        (_R(2.0, 0.0, 3.0), _R(0.0, 3.0, 6.0), _R(-2.0, 0.0, 1.0)),
+        # within _DET_TOL of parallel to x1 <= 1, not exactly, and looser
+        (_R(1.0, 1e-13, 1.5),),
+    ],
+    ids=["exactly", "nearly"],
+)
+def test_exactly_parallel_rows_answer_from_the_rows(monkeypatch, rows):
+    # _polygon drops each extra row, and the rows hold it slack
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), _SQUARE + rows)
     expected = [_builder_route(entry, lp, pl.FEAS_TOL) for entry in _ENTRY_POINTS.values()]
     calls = _counting(monkeypatch)
     assert [entry(lp, pl.FEAS_TOL) for entry in _ENTRY_POINTS.values()] == expected

@@ -17,8 +17,16 @@ from planarlp.errors import (
 from planarlp import cli, oracle, solver
 from planarlp.sensitivity import _normal_angle
 from planarlp.solver import _RECESSION_TOL, argmax_with_ties
-from exact_reference import exact_bounded, exact_region
-from region_digest import _extreme_lp, _integer_lp, _mixed_lp
+from exact_reference import exact_bounded, exact_optimum, exact_region, near
+from region_digest import (
+    _extreme_lp,
+    _family,
+    _integer_lp,
+    _mixed_lp,
+    exact_outcome,
+    exact_verdict,
+    random_lps,
+)
 from conftest import (
     FIXTURES,
     REF_OPTIMUM,
@@ -962,14 +970,6 @@ def test_adjacent_vertices_wraps(ref_lp, ref_region):
     assert rep.succ == ref_region.vertices[1]
 
 
-def _near(p, exact, ulps=8):
-    """Each coordinate of the point p lies within ulps units in the last
-    place of max(1, |x1|, |x2|) of the exact vertex (x1, x2, ...)."""
-    x1, x2 = exact[0], exact[1]
-    tol = ulps * math.ulp(float(max(1, abs(x1), abs(x2))))
-    return abs(Fraction(p.x1) - x1) <= tol and abs(Fraction(p.x2) - x2) <= tol
-
-
 def _same_outcome(lp):
     """enumerate_vertices agrees with the exact reference: the same
     exception class, or the same cycle up to a cyclic shift, with the same
@@ -986,10 +986,10 @@ def _same_outcome(lp):
         return
     n = len(ref)
     assert len(new) == n
-    shift = next(k for k in range(n) if _near(new.vertices[k].point, ref[0]))
+    shift = next(k for k in range(n) if near(new.vertices[k].point, ref[0]))
     for k, exact in enumerate(ref):
         v = new.vertices[(shift + k) % n]
-        assert _near(v.point, exact) and v.active_rows == exact[2]
+        assert near(v.point, exact) and v.active_rows == exact[2]
 
 
 small_int = st.integers(min_value=-10, max_value=10).map(float)
@@ -1161,38 +1161,122 @@ def _solve_outcome(solve, lp):
         return type(exc)
 
 
+# Rows 0 and 1 have normals whose cross product is 1e-13, within _DET_TOL,
+# and row 0 binds along the edge x2 in [5e6, 1e7]: the exact answer is
+# x0 = (1e6, 1e7) with rows {0, 2}.
+_NEAR_PARALLEL_LP = pl.LinearProgram2D(
+    pl.Vec2(1.0, 1.0),
+    (
+        pl.ConstraintRow(1.0, 0.0, 1e6),
+        pl.ConstraintRow(1.0, -1e-13, 999999.9999999),
+        pl.ConstraintRow(0.0, 1.0, 1e7),
+        pl.ConstraintRow(0.0, -1.0, -5e6),
+    ),
+)
+
+
+def _exact_vertex(v):
+    return Fraction(v.point.x1), Fraction(v.point.x2), v.active_rows
+
+
+def test_rows_within_det_tol_of_parallel_give_the_exact_answer():
+    # The rows route certifies x0 from the rows, whatever their normals'
+    # angles, so the entry points never meet _polygon's parallel filter
+    # here.
+    lp = _NEAR_PARALLEL_LP
+    x0 = max(exact_region(lp), key=lambda v: v[0] + v[1])
+    assert x0 == (1_000_000, 10_000_000, frozenset({0, 2}))
+    assert _exact_vertex(pl.analyze(lp, tol=0.0).optimal_vertex) == x0
+    assert _exact_vertex(pl.solve_enumeration(lp, tol=0.0).vertex) == x0
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the parallel filter keeps the near-parallel row that does not bind "
     "(ROADMAP item 12)",
 )
-def test_rows_within_det_tol_of_parallel_give_the_exact_answer():
-    # The normals of rows 0 and 1 have a cross product of 1e-13, within
-    # _DET_TOL, so _polygon keeps one of the two: row 1, tighter where the
-    # normal through the origin meets it, though row 0 binds along the edge
-    # x2 in [5e6, 1e7].  At tol 0 x0 then lies 9e-7 outside row 0, at
-    # (1000000.0000009, 1e7) with rows {1, 2}; the rows route doubts the
-    # pair (_near_parallel), so analyze and solve_enumeration give the
-    # polygon's x0.  solve_simplex and the exact reference give (1e6, 1e7)
-    # with rows {0, 2}.
-    lp = pl.LinearProgram2D(
-        pl.Vec2(1.0, 1.0),
-        (
-            pl.ConstraintRow(1.0, 0.0, 1e6),
-            pl.ConstraintRow(1.0, -1e-13, 999999.9999999),
-            pl.ConstraintRow(0.0, 1.0, 1e7),
-            pl.ConstraintRow(0.0, -1.0, -5e6),
+def test_enumerate_keeps_the_binding_row_of_two_within_det_tol_of_parallel():
+    # _polygon keeps one of rows 0 and 1: row 1, tighter where the normal
+    # through the origin meets it, though row 0 binds.  At tol 0 its x0 then
+    # lies 9e-7 outside row 0, at (1000000.0000009, 1e7) with rows {1, 2}.
+    lp = _NEAR_PARALLEL_LP
+    cycle = {_exact_vertex(v) for v in pl.enumerate_vertices(lp, tol=0.0).vertices}
+    assert cycle == set(exact_region(lp))
+
+
+@st.composite
+def _near_parallel_lp(draw):
+    """Rows (1, 0, B) and (1, +-e, B (1 + d)), their normals within about
+    e of parallel, between two bounds on x2; shuffled, and with a1 and a2
+    swapped or not.  c > 0 puts x0 on the pair's edge or next to it."""
+    big = 10.0 ** draw(st.floats(3.0, 9.0))
+    e = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-16.0, -12.5))
+    d = draw(st.floats(-1e-12, 1e-12))
+    hi = big * 10.0 ** draw(st.floats(0.0, 3.0))
+    lo = hi * draw(st.floats(0.1, 0.9))
+    pair = [(1.0, 0.0, big), (1.0, e, big * (1.0 + d))]
+    rows = draw(st.permutations(pair + [(0.0, 1.0, hi), (0.0, -1.0, -lo)]))
+    if draw(st.booleans()):
+        rows = [(a2, a1, b) for a1, a2, b in rows]
+    positive = st.integers(1, 10).map(float)
+    c = draw(st.builds(pl.Vec2, positive, positive))
+    return pl.LinearProgram2D(c, tuple(pl.ConstraintRow(*row) for row in rows))
+
+
+def test_certified_answers_are_the_exact_optimum():
+    # The rows route's certificate proves x0 from the rows alone, so
+    # wherever it answers, analyze's x0 is the unique exact optimum, near
+    # parallel rows included.  It answers in 7-13 % of 400 draws (12
+    # seeds), and must in 5 %, so that the property tests it.
+    answered = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _near_parallel_lp()
+        | st.builds(
+            lambda rows, c: pl.LinearProgram2D(c, tuple(rows)),
+            st.lists(small_row, min_size=1, max_size=6),
+            st.builds(pl.Vec2, small_int, small_int).filter(lambda c: not c.is_zero()),
         ),
+        st.sampled_from([0.0, 1e-9]),
     )
-    cycle = exact_region(lp)
+    @example(_NEAR_PARALLEL_LP, 0.0)
+    def check(lp, tol):
+        try:
+            solver._check_arguments(lp, tol)
+            corner = solver._optimal_corner(lp, solver._sorted_normals(lp, tol))
+        except pl.errors.PlanarLPError:
+            corner = None
+        answered.append(corner is not None)
+        if corner is not None:
+            optima, unique = exact_optimum(lp)
+            assert unique and near(pl.analyze(lp, tol=tol).optimal_vertex.point, optima[0])
 
-    def exact(v):
-        return Fraction(v.point.x1), Fraction(v.point.x2), v.active_rows
+    check()
+    assert sum(answered) >= 0.05 * len(answered)
 
-    assert {exact(v) for v in pl.enumerate_vertices(lp, tol=0.0).vertices} == set(cycle)
-    x0 = max(cycle, key=lambda v: v[0] + v[1])
-    assert exact(pl.analyze(lp, tol=0.0).optimal_vertex) == x0
-    assert exact(pl.solve_enumeration(lp, tol=0.0).vertex) == x0
+
+def test_entry_points_agree_with_the_exact_optimum_on_integer_lps():
+    # The exact-agreement ledger (tests/region_digest.py --exact-share) on
+    # the first 300 integer LPs of the region digest that pass the argument
+    # checks, at tol 0: analyze and solve_enumeration may refuse a finite
+    # optimum, but are never wrong, and solve_simplex always agrees.
+    entries = {"analyze": pl.analyze, "solve": pl.solve_enumeration, "simplex": pl.solve_simplex}
+    checked = 0
+    for name, lp in random_lps():
+        if _family(name) != "integer":
+            continue
+        exact = exact_outcome(lp)
+        verdict = {e: exact_verdict(call, lp, 0.0, exact)[0] for e, call in entries.items()}
+        if "arguments" in verdict.values():
+            continue
+        assert verdict["analyze"] in ("agree", "refuses"), name
+        assert verdict["solve"] in ("agree", "refuses"), name
+        assert verdict["simplex"] == "agree", name
+        checked += 1
+        if checked == 300:
+            break
+    assert checked == 300
 
 
 # Floats in [-10, 10] with five decimals.  Nothing smaller than 1e-5: the
