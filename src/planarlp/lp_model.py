@@ -134,10 +134,21 @@ class FeasibleRegion(_Cycle):
         return [v.point for v in self.vertices]
 
     def index_of(self, v) -> int:
-        """Index of the vertex within MERGE_TOL of v (a Vertex or bare Vec2)."""
+        """Index of the vertex within MERGE_TOL of v (a Vertex or bare Vec2),
+        the first of the nearest.  Where the first vertex with v's x also
+        has v's y, it is the first at distance 0, found without the scan of
+        the distances; the scan raises NonFiniteEntry where a difference
+        overflows."""
         p = v.point if isinstance(v, Vertex) else v
         x, y = p.x1, p.x2
         xs, ys, _ = self._coords()
+        try:
+            i = xs.index(x)
+        except ValueError:
+            pass
+        else:
+            if ys[i] == y:
+                return i
         isfinite, hypot = math.isfinite, math.hypot
         best, best_d = -1, math.inf
         for i, (wx, wy) in enumerate(zip(xs, ys)):

@@ -16,10 +16,14 @@ angle of a cycle that FeasibleRegion's exact convexity check
 coordinates (_coords); a region built by FeasibleRegion or
 enumerate_vertices has passed that check, and builds no Vertex here, so
 the check runs again only for an unchecked region (see _limits).  To
-bracket x0's cone the grid kernel walks only a window around it, and
-proves from a few angles of the rest of the turn that a neighbour of x0
-beats it there (see _window_runs); the whole walk runs where that proof
-fails, and otherwise at the first read of the result's argmax.  The
+bracket x0's cone the sweep reads only a window of the grid around it,
+guessed to be three runs: x0's predecessor, x0, and its successor.  Each
+run, cut at the grid's seam, is certified by _walk's own end test at its
+two end angles, whose proof covers any guessed winner, and the window is
+walked only where a test fails.  A few angles of the rest of the turn
+prove that a neighbour of x0 beats it there (see _window_runs); the whole
+walk runs where that proof fails, and otherwise at the first read of the
+result's argmax.  The
 sweeps walk an arithmetic grid that computes each angle when asked
 (_Grid), and a SweepResult keeps that grid as its phis and the runs as
 its argmax (_Runs): read-only sequences that compute each value when
@@ -421,23 +425,53 @@ def _turns(a: int, b: int, n: int):
         a = stop + 1
 
 
+def _holds(runs, grid: _Grid, vx: list[float], vy: list[float], limit: list[float]) -> bool:
+    """Whether _walk's end test holds for each run (a, b, q) of runs, grid
+    indices a <= b in one turn and a guessed winner q: grid[b] - grid[a] <=
+    3 and _margin(q) > limit[q] at both, so that _scan gives q at every
+    grid angle from a to b (see _walk).  grid's indices step by 1."""
+    cos, sin = math.cos, math.sin
+    at, step, j0 = grid.first, grid.step, grid.indices.start
+    for a, b, q in runs:
+        u, v = at + step * (a + j0), at + step * (b + j0)
+        if not (
+            v - u <= 3.0
+            and _margin(q, cos(u), sin(u), vx, vy) > limit[q]
+            and _margin(q, cos(v), sin(v), vx, vy) > limit[q]
+        ):
+            return False
+    return True
+
+
 def _window_runs(
     grid: _Grid, p: int, vx: list[float], vy: list[float], limit: list[float]
 ) -> list[tuple[int, int, int]] | None:
     """_walk's runs over a window of the cyclic grid around vertex p's
     cone, in grid order, and a proof that p wins at no grid angle outside
     the window; None where either fails, and the caller walks the grid.
+    grid's indices step by 1, as stable_interval_by_sweep's do.
 
     p's cone runs counterclockwise from lo, the normal angle of its edge
     in, to hi, that of its edge out (sensitivity._normal_angle, as _walk's
     fan).  The window runs, with indices unwrapped past either end of the
     grid, from _PAST angles before lo to _PAST angles past hi.  It is
-    walked one turn at a time with a fan of p's two edges alone: p's
-    predecessor is guessed before lo and its successor past hi, and a
-    wrong guess only fails a test.  _walk's runs are the maximal runs of
-    _scan, so p's runs in the window are the whole walk's, unless the
-    window's first or last run is p's, which gives None; so does a window
-    as long as the grid, or limit = [].
+    guessed to be three runs: p's predecessor on the angles before lo, p
+    on those from lo up to hi, and p's successor on those past hi.  Each
+    run is cut into pieces that lie in one turn, and each piece must pass
+    _walk's own end test at both of its end angles (_holds).  _walk's
+    proof of that test holds for any guessed winner, so then _scan gives
+    the guessed winner at every angle of the window, and the three runs,
+    whose neighbours have different winners, are _scan's maximal runs, as
+    _walk gives them.
+
+    A piece fails where a cone edge lies on a grid angle (two values tie
+    there), where p's run spans more than 3 rad, or where p's run holds no
+    grid angle.  Then the window is walked one turn at a time with a fan
+    of p's two edges alone: p's predecessor is guessed before lo and its
+    successor past hi, and a wrong guess only fails a test.  _walk's runs
+    are the maximal runs of _scan, so p's runs in the window are the whole
+    walk's, unless the window's first or last run is p's, which gives
+    None; so does a window as long as the grid, or limit = [].
 
     The rest of the turn is split at its middle, about hi + (2 pi - (hi -
     lo)) / 2: before it q is p's successor, after it p's predecessor.  Each
@@ -459,34 +493,46 @@ def _window_runs(
     n, nv = len(grid), len(vx)
     lo = _normal_angle(vx[p] - vx[p - 1], vy[p] - vy[p - 1])
     hi = _normal_angle(vx[p + 1 - nv] - vx[p], vy[p + 1 - nv] - vy[p])
-    first = grid.searchsorted(lo) - _PAST
-    last = grid.searchsorted(hi) + _PAST - 1
+    s, e = grid.searchsorted(lo), grid.searchsorted(hi) - 1
     if hi < lo:  # the cone holds the seam: hi lies a turn on
-        hi, last = hi + TAU, last + n
+        hi, e = hi + TAU, e + n
+    first, last = s - _PAST, e + _PAST
     if not limit or last - first + 1 >= n:
         return None
-    parts = []
-    for a, b, turn in _turns(first, last, n):
-        fan = (p - 1, [lo - TAU * turn, hi - TAU * turn, math.inf])
-        part = _walk(grid[a : b + 1], vx, vy, VALUE_TIE_REL, limit, fan)
-        parts.append([(start + a, end + a, q) for start, end, q in part])
-    if parts[0][0][2] == p or parts[-1][-1][2] == p:
-        return None
+    pred, succ = (p - 1) % nv, (p + 1) % nv
+    runs = [
+        (a, b, q)
+        for start, end, q in ((first, s - 1, pred), (s, e, p), (e + 1, last, succ))
+        for a, b, _ in _turns(start, end, n)
+    ]
+    if s <= e and _holds(runs, grid, vx, vy, limit):
+        runs.sort()
+    else:
+        parts = []
+        for a, b, turn in _turns(first, last, n):
+            fan = (p - 1, [lo - TAU * turn, hi - TAU * turn, math.inf])
+            part = _walk(grid[a : b + 1], vx, vy, VALUE_TIE_REL, limit, fan)
+            parts.append([(start + a, end + a, q) for start, end, q in part])
+        if parts[0][0][2] == p or parts[-1][-1][2] == p:
+            return None
+        runs = [run for part in sorted(parts) for run in part]
 
-    lim, chunk = limit[p], int(3.0 / grid.step)
-    px, py = vx[p], vy[p]
-
-    def beaten(q: int, k: int) -> bool:
-        c, s = math.cos(grid[k]), math.sin(grid[k])
-        return vx[q] * c + vy[q] * s - (px * c + py * s) > lim
-
+    cos, sin = math.cos, math.sin
+    at, step, j0 = grid.first, grid.step, grid.indices.start
+    px, py, lim, chunk = vx[p], vy[p], limit[p], int(3.0 / step)
     middle = (last + first + n + 1) // 2
-    for start, end, q in ((last + 1, middle - 1, p + 1 - nv), (middle, first + n - 1, p - 1)):
+    for start, end, q in ((last + 1, middle - 1, succ), (middle, first + n - 1, pred)):
+        qx, qy = vx[q], vy[q]
         for a, b, _ in _turns(start, end, n):
             for k in range(a, b + 1, chunk + 1):
-                if not (beaten(q, k) and beaten(q, min(k + chunk, b))):
+                u, v = at + step * (k + j0), at + step * (min(k + chunk, b) + j0)
+                cu, su, cv, sv = cos(u), sin(u), cos(v), sin(v)
+                if not (
+                    qx * cu + qy * su - (px * cu + py * su) > lim
+                    and qx * cv + qy * sv - (px * cv + py * sv) > lim
+                ):
                     return None
-    return [run for part in sorted(parts) for run in part]
+    return runs
 
 
 def _bisect(inside: float, outside: float, wins, tol: float) -> float:

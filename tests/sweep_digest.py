@@ -17,7 +17,9 @@ script rather than a test because math.cos and math.sin, and so the tie
 angles, may differ between C libraries.
 
 With --window-share it prints instead how many of the stable_interval_by_sweep
-calls above the window around x0's cone answered, without the whole walk.
+calls above the window around x0's cone answered, without the whole walk,
+and how many of them its three certified runs answered, without walking the
+window.
 """
 
 from __future__ import annotations
@@ -46,18 +48,26 @@ def lps():
 def window_share() -> None:
     from planarlp import oracle
 
-    window, answered = oracle._window_runs, []
+    window, walk = oracle._window_runs, oracle._walk
+    answered, certified, walks = [], [], []
 
     def counting(*args):
+        walks.clear()
         runs = window(*args)
         answered.append(runs is not None)
+        certified.append(runs is not None and not walks)
         return runs
 
-    oracle._window_runs = counting
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    oracle._window_runs, oracle._walk = counting, counting_walk
     for lp in lps():
         region = pl.enumerate_vertices(lp)
         pl.stable_interval_by_sweep(region, pl.analyze(lp).optimal_vertex, STEP)
     print(f"window answered {sum(answered)} of {len(answered)} sweeps")
+    print(f"three runs answered {sum(certified)} of {len(certified)} sweeps without a walk")
 
 
 def main() -> None:

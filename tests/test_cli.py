@@ -263,11 +263,13 @@ def test_cli_sensitivity_check_sweep(capsys):
 
 
 def test_cli_check_sweep_walks_a_window(monkeypatch, capsys):
-    # --check-sweep 0.01 walks only a window of the 36,000-angle grid
+    # --check-sweep 0.01 certifies a window of the 36,000-angle grid around
+    # x0 = (80, 40) as three runs, and walks none of it: no edge of x0's
+    # cone lies on a grid angle
     lengths = walked_lengths(monkeypatch)
     assert cli.main(["sensitivity", PAPER, "--check-sweep", "0.01"]) == 0
     assert "agree" in capsys.readouterr().out
-    assert lengths and max(lengths) < 36000 // 4
+    assert lengths == []
 
 
 def test_check_sweep_builds_no_vertex(monkeypatch, tmp_path, capsys):

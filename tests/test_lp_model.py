@@ -11,6 +11,7 @@ from planarlp.errors import (
     VertexNotInRegion,
     ZeroRow,
 )
+from planarlp.lp_model import _unchecked_region
 from conftest import region_of_points, same_cycle, square_lp
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -239,6 +240,26 @@ def test_region_index_of_equals_vec2_loop(corner, exponent, dx, dy, as_vertex, b
     p = pl.Vec2(x, y)
     query = pl.Vertex(p) if as_vertex else p
     assert _outcome(region.index_of, query) == _outcome(_index_by_vec2, region, p)
+
+
+# a few coordinates, both zeros among them, and one within MERGE_TOL of 0
+_FEW = st.sampled_from([0.0, -0.0, 1e-8, 1.0, -1.0, 2.5])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    points=st.lists(st.tuples(_FEW, _FEW), min_size=1, max_size=6),
+    pick=st.integers(0, 5),
+    query=st.none() | st.tuples(_FEW, _FEW),
+)
+def test_region_index_of_looks_coordinates_up_first(points, pick, query):
+    # index_of finds a vertex equal to v by its coordinates before it scans
+    # the distances: on cycles with repeated x coordinates, repeated points
+    # and both zeros it gives the scan's index, the first vertex at the
+    # least distance, or raises VertexNotInRegion as the scan does
+    region = _unchecked_region(tuple(pl.Vertex(pl.Vec2(x, y)) for x, y in points))
+    p = pl.Vec2(*(points[pick % len(points)] if query is None else query))
+    assert _outcome(region.index_of, p) == _outcome(_index_by_vec2, region, p)
 
 
 def test_region_index_of_edge_cases():

@@ -441,19 +441,20 @@ def test_sweep_bisection_scans_are_few(ref_region, monkeypatch):
         region = pl.enumerate_vertices(t.lp)
         cases.append((region, pl.analyze(t.lp).optimal_vertex))
     scans = _counting_scans(monkeypatch)
-    walk = oracle._walk
-    walked = []
+    window = oracle._window_runs
+    windowed = []
 
-    def counting_walk(*args):
-        runs = walk(*args)
-        walked.append(len(scans))
+    def counting_window(*args):
+        runs = window(*args)
+        windowed.append(len(scans))
         return runs
 
-    monkeypatch.setattr(oracle, "_walk", counting_walk)
+    monkeypatch.setattr(oracle, "_window_runs", counting_window)
     for region, x0 in cases:
         scans.clear()
+        windowed.clear()
         pl.stable_interval_by_sweep(region, x0, STEP)
-        assert len(scans) - walked[-1] <= 4
+        assert len(windowed) == 1 and len(scans) - windowed[0] <= 4
 
 
 def _scaled(points, exponent):
@@ -629,8 +630,10 @@ def _full_walk_outcome(region, x0, step):
 
 
 def test_window_splits_at_the_seam(ref_region, monkeypatch):
-    # the cone of (0, 0) starts at -pi: the window is walked in two parts,
-    # one on each side of the seam, and gives the whole walk's answer
+    # the cone of (0, 0) starts at -pi, and both its edges lie on grid
+    # angles, so its three runs are not certified: the window is walked in
+    # two parts, one on each side of the seam, and gives the whole walk's
+    # answer
     x0 = vertex_at(ref_region, 0, 0)
     lengths = walked_lengths(monkeypatch)
     res = pl.stable_interval_by_sweep(ref_region, x0, STEP)
@@ -640,6 +643,64 @@ def test_window_splits_at_the_seam(ref_region, monkeypatch):
     assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == _full_walk_outcome(
         ref_region, x0, STEP
     )
+
+
+def test_window_runs_split_at_the_seam(monkeypatch):
+    # x0's cone holds the seam on entry 13 of the certify-sweep pool: its
+    # run is cut into two pieces, one on each side of the seam, and the
+    # three runs are certified with no walk; they give the whole walk's
+    # answer
+    t = tangent_pool(1, 16, 16)[13]
+    region, x0 = pl.enumerate_vertices(t.lp), pl.analyze(t.lp).optimal_vertex
+    window, answers = oracle._window_runs, []
+
+    def recording(*args):
+        answers.append(window(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(oracle, "_window_runs", recording)
+    lengths = walked_lengths(monkeypatch)
+    res = pl.stable_interval_by_sweep(region, x0, STEP)
+    p, n = region.index_of(x0), len(res.phis)
+    [runs] = answers
+    assert lengths == [] and [q for _, _, q in runs] == [p, (p + 1) % 16, (p - 1) % 16, p]
+    assert runs[0][0] == 0 and runs[-1][1] == n - 1
+    assert not _holds_runs(res.argmax)
+    iv = res.estimated_interval
+    assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == _full_walk_outcome(region, x0, STEP)
+
+
+# x0 = (0, 0) of each.  TILTED's edge out has its normal 1e-12 past the
+# grid angle -pi/2 at 1 degree; SHARP's cone spans ~3.1 rad.
+TILTED = [(0.0, 0.0), (10.0, 1e-11), (-3.0, 7.0)]
+SHARP = [(0.0, 0.0), (-10.0, -0.3), (-10.0, -0.7)]
+
+
+@pytest.mark.parametrize("case", ["square", "tilted", "sharp"])
+def test_window_walks_where_its_runs_fail(case, monkeypatch):
+    # at 1 degree every cone edge of the unit square lies on a grid angle,
+    # TILTED's x0 ties its successor at the last angle of its guessed run,
+    # and SHARP's x0 wins on a run longer than the 3 rad a certified piece
+    # may span: a test of the window's three runs fails, and the window is
+    # walked one turn at a time, with the whole walk's answer
+    if case == "square":
+        region = pl.enumerate_vertices(square_lp())
+        x0 = vertex_at(region, 1.0, 1.0)
+    else:
+        region = region_of_points(TILTED if case == "tilted" else SHARP)
+        x0 = region.vertices[0]
+    step = math.radians(1.0)
+    want = _full_walk_outcome(region, x0, step)
+    lengths = walked_lengths(monkeypatch)
+    res = pl.stable_interval_by_sweep(region, x0, step)
+    assert lengths and sum(lengths) < len(res.phis)
+    assert not _holds_runs(res.argmax)
+    iv = res.estimated_interval
+    assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == want
+    if case == "sharp":
+        vx, vy, _ = oracle._coords(region)
+        lo, hi = (_normal_angle(vx[k] - vx[k - 1], vy[k] - vy[k - 1]) for k in (0, 1))
+        assert 3.0 < hi - lo < math.pi
 
 
 # A corner whose cone, ~1e-10 rad, is too narrow for the proof at the

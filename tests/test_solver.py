@@ -19,6 +19,7 @@ from planarlp.sensitivity import _normal_angle
 from planarlp.solver import _RECESSION_TOL, argmax_with_ties
 from exact_reference import exact_bounded, exact_optimum, exact_region, near
 from region_digest import (
+    _concurrent_lp,
     _extreme_lp,
     _family,
     _integer_lp,
@@ -1221,6 +1222,71 @@ def _near_parallel_lp(draw):
     positive = st.integers(1, 10).map(float)
     c = draw(st.builds(pl.Vec2, positive, positive))
     return pl.LinearProgram2D(c, tuple(pl.ConstraintRow(*row) for row in rows))
+
+
+#: region_digest's concurrent family: 3 to 5 unit rows through one point,
+#: each b moved by up to 3 ulps
+_concurrent = st.builds(_concurrent_lp, st.randoms(use_true_random=False))
+
+
+def _violations(lp, x):
+    # the rows x misses by more than the default limit, FEAS_TOL * scale
+    rows = enumerate(lp.constraints)
+    return [i for i, row in rows if row.residual(x) > pl.FEAS_TOL * row.scale()]
+
+
+_ANSWERS = {
+    "analyze": lambda lp, tol: pl.analyze(lp, tol=tol).optimal_vertex.point,
+    "solve": lambda lp, tol: pl.solve_enumeration(lp, tol=tol).vertex.point,
+    "simplex": lambda lp, tol: pl.solve_simplex(lp, tol=tol).vertex.point,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_parallel_lp() | _concurrent)
+def test_answers_satisfy_every_row(lp):
+    # at the default tol every answer of the three entry points satisfies
+    # every row within FEAS_TOL * row.scale(), on the two families the
+    # float path gets wrong most often (ROADMAP item 21)
+    for entry, answer in _ANSWERS.items():
+        try:
+            x = answer(lp, pl.FEAS_TOL)
+        except pl.errors.PlanarLPError:
+            continue
+        assert _violations(lp, x) == [], entry
+
+
+# A concurrent LP on which enumerate_vertices drops row 0 at tol 0, so that
+# analyze and solve_enumeration return (55.4349..., 0), 2.2 outside row 0
+# (0.061 of its scale).  The exact optimum is (44.2928..., 7.6043...).
+_CONCURRENT_LP = pl.LinearProgram2D(
+    pl.Vec2(0.8723844109702098, 0.9490662985942433),
+    (
+        pl.ConstraintRow(0.6918911023751061, 0.7220018715032257, 36.13614773060174),
+        pl.ConstraintRow(0.35300334022929675, 0.9356220614045819, 22.750279092717143),
+        pl.ConstraintRow(0.5637130883074131, 0.8259706738564746, 31.249389892201375),
+        pl.ConstraintRow(0.35472614905810473, 0.9349702450743592, 22.82163058086516),
+        pl.ConstraintRow(0.5400536642177385, 0.8416305839054294, 30.3205295203936),
+    ),
+)
+
+_ROWS_DROPPED = pytest.mark.xfail(
+    strict=True,
+    reason="at tol 0 the builder drops a binding row of the concurrent LP, "
+    "and the answer lies outside it (ROADMAP item 19)",
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param("analyze", marks=_ROWS_DROPPED),
+        pytest.param("solve", marks=_ROWS_DROPPED),
+        "simplex",
+    ],
+)
+def test_concurrent_lp_answer_satisfies_every_row_at_tol_0(entry):
+    assert _violations(_CONCURRENT_LP, _ANSWERS[entry](_CONCURRENT_LP, 0.0)) == []
 
 
 def test_certified_answers_are_the_exact_optimum():
