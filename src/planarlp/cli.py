@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 
+from . import _binder
 from .errors import (
     DegenerateOptimum,
     GridTooCoarse,
@@ -30,10 +31,25 @@ from .errors import (
 from .geometry import Frozen, PolarVector, Vec2, circular_delta
 from .lp_io import load_lp
 from .lp_model import FEAS_TOL, Vertex
-from .oracle import _MAX_SWEEP_ANGLES, stable_interval_by_sweep
-from .sensitivity import AngleInterval, SensitivityReport, analyze
 from .solver import enumerate_vertices, solve_enumeration
-from .svg import emit_svg
+
+TYPE_CHECKING = False  # true to a type checker; spares importing typing
+if TYPE_CHECKING:
+    from .sensitivity import AngleInterval, SensitivityReport
+
+# The names of the modules that not every command runs bind at their first
+# read, so that solve loads neither sensitivity, svg nor oracle.  The code
+# reads them as attributes of this module, _self, so that it also runs what
+# a rebinding (monkeypatch.setattr, a tracer) puts there.
+__getattr__ = _binder(globals(), {
+    "AngleInterval": "sensitivity",
+    "SensitivityReport": "sensitivity",
+    "analyze": "sensitivity",
+    "_MAX_SWEEP_ANGLES": "oracle",
+    "stable_interval_by_sweep": "oracle",
+    "emit_svg": "svg",
+})
+_self = sys.modules[__name__]
 
 SCHEMA_VERSION = 1
 
@@ -130,7 +146,7 @@ class ReportDocument(Frozen):
         prov = d["provenance"]
         oc = prov["oracle_check"]
         return cls(
-            report=_from_json_value(SensitivityReport, d),
+            report=_from_json_value(_self.SensitivityReport, d),
             input_path=prov["input_path"],
             tolerance=prov["tolerance"],
             solver=prov["solver"],
@@ -173,9 +189,9 @@ _DECODERS = {
     "optimal_vertex": _vertex_from,
     "pred": _vertex_from,
     "succ": _vertex_from,
-    "interval": lambda d: AngleInterval(**d),
+    "interval": lambda d: _self.AngleInterval(**d),
     "objective_polar": lambda d: PolarVector(**d),
-    "nu_interval": lambda d: AngleInterval(**d),
+    "nu_interval": lambda d: _self.AngleInterval(**d),
     "endpoint_ties": lambda d: (_vertex_from(d["lo"]), _vertex_from(d["hi"])),
 }
 
@@ -249,7 +265,7 @@ def run_sensitivity(
     tol: float = FEAS_TOL,
 ) -> int:
     lp = load_lp(path)
-    report = analyze(lp, tol=tol)
+    report = _self.analyze(lp, tol=tol)
     # The report reads three vertices; --svg and the sweep read them all.
     region = None
     if svg_path is not None or check_sweep_deg is not None:
@@ -260,7 +276,7 @@ def run_sensitivity(
     if check_sweep_deg is not None:
         step = math.radians(check_sweep_deg)
         try:
-            sweep = stable_interval_by_sweep(region, report.optimal_vertex, step)
+            sweep = _self.stable_interval_by_sweep(region, report.optimal_vertex, step)
         except (VertexNeverOptimal, GridTooCoarse) as exc:
             # The grid misses the cone or holds no sample outside it; the
             # report stands.
@@ -289,7 +305,7 @@ def run_sensitivity(
         print(render_text(doc, radians))
 
     if svg_path is not None:
-        emit_svg(region, report, svg_path)
+        _self.emit_svg(region, report, svg_path)
 
     if sweep_error is not None:
         print(f"error: {sweep_error}", file=sys.stderr)
@@ -306,10 +322,10 @@ def _tolerance(text: str) -> float:
 
 def _sweep_step(text: str) -> float:
     step = float(text)
-    if not 0.0 < step <= 180.0 or 360.0 / step > _MAX_SWEEP_ANGLES:
+    if not 0.0 < step <= 180.0 or 360.0 / step > _self._MAX_SWEEP_ANGLES:
         raise argparse.ArgumentTypeError(
             f"need a sweep step in (0, 180] degrees giving at most "
-            f"{_MAX_SWEEP_ANGLES} angles, got {text}"
+            f"{_self._MAX_SWEEP_ANGLES} angles, got {text}"
         )
     return step
 

@@ -444,7 +444,8 @@ def _vertices(poly, ks) -> list[Vertex]:
     there, as active_rows_at finds them, by the limits _polygon computed: a . x
     is unimodal round the convex cycle, so a row is tested at its owner, the
     vertex whose cone in the normal fan holds the row's normal angle, and on
-    each side while it holds."""
+    each side past the vertices beyond the limit (the float cycle may violate
+    the row there), then while it holds."""
     xs, ys, rows, edges = poly
     n = len(xs)
     ends = [e[0] for e in edges[1:] + edges[:1]]
@@ -454,9 +455,13 @@ def _vertices(poly, ks) -> list[Vertex]:
         if abs(a1 * xs[j] + a2 * ys[j] - b) <= limit:
             active[j].add(idx)
         lo, hi = j - 1, j + 1  # down to j + 1 - n, then up to where that stopped
+        while lo > j - n and a1 * xs[lo] + a2 * ys[lo] - b > limit:
+            lo -= 1
         while lo > j - n and abs(a1 * xs[lo] + a2 * ys[lo] - b) <= limit:
             active[lo].add(idx)
             lo -= 1
+        while hi < lo + n and a1 * xs[hi % n] + a2 * ys[hi % n] - b > limit:
+            hi += 1
         while hi < lo + n and abs(a1 * xs[hi % n] + a2 * ys[hi % n] - b) <= limit:
             active[hi % n].add(idx)
             hi += 1

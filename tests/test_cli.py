@@ -574,6 +574,72 @@ def test_cli_import_budget(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_SOLVE_MODULES = ["cli", "errors", "geometry", "lp_io", "lp_model", "solver"]
+_REPORT_MODULES = sorted(_SOLVE_MODULES + ["normalization", "sensitivity"])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, []),
+    (["solve", PAPER], _SOLVE_MODULES),
+    (["sensitivity", PAPER], _REPORT_MODULES),
+    (["sensitivity", "--json", PAPER], _REPORT_MODULES),
+    (["sensitivity", "--svg", "SVG", PAPER], sorted(_REPORT_MODULES + ["svg"])),
+    (["sensitivity", "--check-sweep", "0.05", PAPER], sorted(_REPORT_MODULES + ["oracle"])),
+], ids=["import", "solve", "sensitivity", "json", "svg", "check-sweep"])
+def test_cli_command_import_budget(tmp_path, argv, modules):
+    # Start-up time: a fresh `import planarlp` loads no submodule, and each
+    # command loads only the package modules it runs: solve none of
+    # sensitivity, normalization, oracle, svg or distance_form, only --svg
+    # loads svg and only --check-sweep loads oracle
+    lines = ["import contextlib, io, sys", "import planarlp"]
+    if argv is not None:
+        argv = [str(tmp_path / "out.svg") if a == "SVG" else a for a in argv]
+        lines += [
+            "from planarlp import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert cli.main({argv!r}) == 0",
+        ]
+    lines.append("print(sorted(m[9:] for m in sys.modules if m.startswith('planarlp.')))")
+    proc = _run_python("\n".join(lines))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(modules)
+
+
+def test_package_binds_each_name_from_its_home_module():
+    # in a fresh process every public name resolves to the very object of
+    # its home module, whose classes and functions name it as theirs, and
+    # `from planarlp import *` binds every name
+    code = "\n".join([
+        "import importlib",
+        "import planarlp as pl",
+        "for name, home in pl._HOMES.items():",
+        "    module = importlib.import_module('planarlp.' + home)",
+        "    value = getattr(pl, name)",
+        "    assert value is (module if name == home else getattr(module, name)), name",
+        "    if getattr(value, '__module__', '').startswith('planarlp.'):",
+        "        assert value.__module__ == module.__name__, name",
+        "scope = {}",
+        "exec('from planarlp import *', scope)",
+        "missing = set(pl.__all__) - set(scope)",
+        "assert not missing, f'star import missed {sorted(missing)}'",
+    ])
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_namespaces_list_their_names_and_refuse_others():
+    assert set(dir(pl)) >= set(pl.__all__)
+    with pytest.raises(AttributeError, match="'planarlp' has no attribute 'no_such_name'"):
+        pl.no_such_name
+    assert not hasattr(pl, "no_such_name")
+    # the CLI's lazily bound names are module attributes, rebindable there
+    from planarlp import sensitivity, svg
+    assert cli.analyze is sensitivity.analyze and cli.emit_svg is svg.emit_svg
+    assert cli.stable_interval_by_sweep is oracle.stable_interval_by_sweep
+    with pytest.raises(AttributeError, match="'planarlp.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
 def test_public_surface():
     # a change to the public names edits this list
     assert sorted(pl.__all__) == [
