@@ -1,12 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: planar LP solving and gradient-cone sensitivity.
 
     planarlp solve <file.lp> [--tol EPS]
     planarlp sensitivity <file.lp> [--json] [--radians] [--svg OUT.svg]
                          [--clip-first-quadrant] [--check-sweep STEP_DEG]
                          [--tol EPS]
+    planarlp -h | --help
 
-Exit codes: 0 success, 1 input/validation error, 2 infeasible or an argparse
-usage error (unknown flag, bad --tol or --check-sweep), 3 unbounded,
+An option may come before or after the file, as --opt VALUE or --opt=VALUE;
+the last of a repeated option wins.  Options are spelled in full.
+
+Exit codes: 0 success, 1 input/validation error, 2 infeasible or a usage
+error (unknown command or option, bad --tol or --check-sweep), 3 unbounded,
 4 sweep oracle disagreement (or no sweep sample picks the optimal vertex,
 whose cone is then narrower than the step, or every sample does, so the
 grid cannot bracket the cone), 5 degenerate (tied) optimum.
@@ -14,7 +18,6 @@ grid cannot bracket the cone), 5 degenerate (tied) optimum.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 
@@ -244,7 +247,7 @@ def render_text(doc: ReportDocument, radians: bool = False) -> str:
     return "\n".join(lines)
 
 
-def run_solve(path: str, tol: float) -> int:
+def run_solve(path: str, tol: float = FEAS_TOL) -> int:
     lp = load_lp(path)
     sol = solve_enumeration(lp, tol=tol)
     print(f"x* = {_fmt_point(sol.vertex.point)}, value = {_fmt_num(sol.value)}")
@@ -316,65 +319,85 @@ def run_sensitivity(
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text}")
+        raise ValueError(f"need a finite tolerance >= 0, got {text}")
     return tol
 
 
 def _sweep_step(text: str) -> float:
     step = float(text)
     if not 0.0 < step <= 180.0 or 360.0 / step > _self._MAX_SWEEP_ANGLES:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"need a sweep step in (0, 180] degrees giving at most "
             f"{_self._MAX_SWEEP_ANGLES} angles, got {text}"
         )
     return step
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="planarlp",
-        description="Planar LP solving and gradient-cone sensitivity analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each command's options: the keyword of its run_* function that an option
+#: sets, and the reader of its value (None for a flag, which sets True).
+_OPTIONS = {
+    "solve": {"--tol": ("tol", _tolerance)},
+    "sensitivity": {
+        "--json": ("json_mode", None),
+        "--radians": ("radians", None),
+        "--svg": ("svg_path", str),
+        "--clip-first-quadrant": ("clip", None),
+        "--check-sweep": ("check_sweep_deg", _sweep_step),
+        "--tol": ("tol", _tolerance),
+    },
+}
 
-    ps = sub.add_parser("solve", help="maximize the objective over the region")
-    ps.add_argument("file", help="LP text file")
-    ps.add_argument("--tol", type=_tolerance, default=FEAS_TOL, metavar="EPS",
-                    help="feasibility tolerance (default 1e-9)")
 
-    pn = sub.add_parser(
-        "sensitivity", help="stable gradient cone of the optimal vertex"
-    )
-    pn.add_argument("file", help="LP text file")
-    pn.add_argument("--json", action="store_true",
-                    help="emit a JSON document instead of text")
-    pn.add_argument("--radians", action="store_true",
-                    help="print angles in radians instead of degrees")
-    pn.add_argument("--svg", metavar="PATH",
-                    help="write an SVG rendering of region and cone")
-    pn.add_argument("--clip-first-quadrant", action="store_true",
-                    help="also report the cone clipped to (0°, 90°)")
-    pn.add_argument("--check-sweep", type=_sweep_step, metavar="STEP",
-                    help="certify the cone with a sweep at STEP degrees")
-    pn.add_argument("--tol", type=_tolerance, default=FEAS_TOL, metavar="EPS",
-                    help="feasibility tolerance (default 1e-9)")
-    return parser
+def _usage_error(message: str):
+    print("usage: planarlp {solve,sensitivity} FILE [OPTION ...]", file=sys.stderr)
+    print(f"planarlp: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv) -> tuple[str, str, dict]:
+    """The command, FILE and run_* keywords that argv gives.  -h or --help
+    prints the module docstring and exits 0; a misuse exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        raise SystemExit(0)
+    args = iter(argv)
+    command = next(args, None)
+    options = _OPTIONS.get(command)
+    if options is None:
+        _usage_error("no command" if command is None else f"unknown command {command!r}")
+    files, keywords = [], {}
+    for arg in args:
+        if not arg.startswith("-"):
+            files.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            _usage_error(f"{command} takes no option {name}")
+        keyword, read = options[name]
+        if read is None:
+            if eq:
+                _usage_error(f"argument {name}: takes no value")
+            keywords[keyword] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                _usage_error(f"argument {name}: expected a value")
+        try:
+            keywords[keyword] = read(value)
+        except ValueError as exc:
+            _usage_error(f"argument {name}: {exc}")
+    if len(files) != 1:
+        _usage_error(f"{command} takes one FILE, got {len(files)}")
+    return command, files[0], keywords
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, path, keywords = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "solve":
-            return run_solve(args.file, args.tol)
-        return run_sensitivity(
-            args.file,
-            json_mode=args.json,
-            radians=args.radians,
-            svg_path=args.svg,
-            clip=args.clip_first_quadrant,
-            check_sweep_deg=args.check_sweep,
-            tol=args.tol,
-        )
+        if command == "solve":
+            return run_solve(path, **keywords)
+        return run_sensitivity(path, **keywords)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 

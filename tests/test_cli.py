@@ -217,6 +217,88 @@ def test_cli_rejects_bad_sweep_step(step, capsys):
     assert "--check-sweep" in capsys.readouterr().err
 
 
+# The parser's contract: each accepted form runs as its canonical argv does.
+_SOLVE = ["solve", PAPER, "--tol", "1e-6"]
+_JSON = ["sensitivity", PAPER, "--json", "--check-sweep", "0.5", "--tol", "1e-6"]
+_TEXT = ["sensitivity", PAPER, "--radians", "--clip-first-quadrant"]
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    (["solve", PAPER, "--tol=1e-6"], _SOLVE),
+    (["solve", "--tol", "1e-6", PAPER], _SOLVE),
+    (["solve", "--tol", "1", PAPER, "--tol=1e-6"], _SOLVE),
+    (["sensitivity", "--check-sweep=0.5", "--json", PAPER, "--tol=1e-6"], _JSON),
+    (["sensitivity", "--tol", "1", "--check-sweep", "2", "--json", PAPER,
+      "--json", "--check-sweep", "0.5", "--tol", "1e-6"], _JSON),
+    (["sensitivity", "--clip-first-quadrant", PAPER, "--radians"], _TEXT),
+], ids=["solve-equals", "solve-before-file", "solve-repeated", "json-equals",
+        "json-last-wins", "text-flags-around-file"])
+def test_cli_accepts_each_form_of_an_option(argv, canonical, capsys):
+    runs = []
+    for args in (canonical, argv):
+        code = cli.main(args)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+# Each rejected form is a usage error: exit 2, the usage line, and a message
+# that names the fault.
+_MISUSES = [
+    ([], "no command"),
+    (["bogus", PAPER], "unknown command 'bogus'"),
+    (["--tol", "1", "solve", PAPER], "unknown command '--tol'"),
+    (["sensitivity", PAPER, "--js"], "--js"),
+    (["sensitivity", PAPER, "--no-such=1"], "--no-such"),
+    (["solve", PAPER, "--json"], "--json"),
+    (["solve", "--check-sweep", "1", PAPER], "--check-sweep"),
+    (["solve", PAPER, "--tol"], "--tol"),
+    (["sensitivity", PAPER, "--svg"], "--svg"),
+    (["sensitivity", PAPER, "--svg", "--json"], "--svg"),
+    (["sensitivity", PAPER, "--json=1"], "--json"),
+    (["sensitivity", PAPER, "--radians="], "--radians"),
+    (["solve", PAPER, "--tol=x"], "--tol"),
+    (["solve", PAPER, "--tol="], "--tol"),
+    (["solve"], "FILE"),
+    (["sensitivity", "--json"], "FILE"),
+    (["solve", PAPER, PAPER], "FILE"),
+    (["solve", PAPER, "-x"], "-x"),
+    (["solve", "-1", PAPER], "-1"),
+    (["solve", PAPER, "-"], "option -"),
+]
+
+
+@pytest.mark.parametrize("argv, fault", _MISUSES, ids=[
+    " ".join(argv).replace(PAPER, "F") or "none" for argv, _ in _MISUSES
+])
+def test_cli_usage_errors_name_the_fault(argv, fault, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, message = err.splitlines()
+    assert usage == "usage: planarlp {solve,sensitivity} FILE [OPTION ...]"
+    assert message.startswith("planarlp: error: ") and fault in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["solve", "-h"], ["sensitivity", PAPER, "--json", "--help"],
+])
+def test_cli_help_prints_the_synopsis(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == cli.__doc__ and err == ""
+    assert "planarlp solve <file.lp>" in out and "Exit codes:" in out
+
+
+def test_cli_help_names_every_option_of_the_parser():
+    for command, options in cli._OPTIONS.items():
+        assert f"planarlp {command} <file.lp>" in cli.__doc__
+        assert all(f"[{name}" in cli.__doc__ for name in options), command
+
+
 def test_cli_solve_infeasible(tmp_path, capsys):
     f = tmp_path / "inf.lp"
     f.write_text("maximize: 1 1\nconstraints:\n1 1 -1\n")
@@ -551,12 +633,14 @@ def test_cli_does_not_import_numpy(tmp_path):
 def test_cli_import_budget(tmp_path):
     # Start-up time: the CLI commands load none of these modules, except
     # that --json loads json; the package never imports numpy, a dependency
-    # of the tests only.  Modules the interpreter loaded before the package
-    # (site hooks) do not count.
+    # of the tests only, and its parser needs no argparse (nor the gettext
+    # and locale that argparse loads).  Modules the interpreter loaded
+    # before the package (site hooks) do not count.
     svg = str(tmp_path / "out.svg")
     code = "\n".join([
         "import contextlib, io, sys",
-        "heavy = {'numpy', 'dataclasses', 'inspect', 'fractions', 'json'}",
+        "heavy = {'numpy', 'dataclasses', 'inspect', 'fractions', 'json',",
+        "         'argparse', 'gettext', 'locale'}",
         "heavy -= set(sys.modules)",
         "from planarlp import cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
