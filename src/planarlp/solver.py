@@ -5,14 +5,16 @@ arguments and sorts the row normals once, then certifies in one O(m) pass
 the corner of the two rows whose normals bracket c; only where that fails
 does Seidel's incremental LP walk from it, O(m) expected, to a corner that
 is certified again.  The answer is the certificate's where it holds; only
-where it does not does _optimum build the feasible polygon from the same
-sort, by half-plane intersection, and rank its vertices.  The sort also
-decides boundedness, by a gap of a half turn; enumerate_vertices always
-builds the polygon.  solve_simplex is a two-phase revised simplex with
-Bland's rule whose basis is the pair of tight constraints, in both phases,
-so a pivot is a 2 x 2 solve and one O(m) pass over the rows.  Neither needs
-numpy.  They share no code on the solve path, which is what makes
-cross-checking one against the other meaningful.
+where it does not does _optimum convert the sorted records for the sweep
+and build the feasible polygon from them, by half-plane intersection, and
+rank its vertices.  enumerate_vertices always builds the polygon: it makes
+each row's sweep record once and sorts those.  Either sort, _fan, also
+decides boundedness, by a gap of a half turn.  solve_simplex is a
+two-phase revised simplex with Bland's rule whose basis is the pair of
+tight constraints, in both phases, so a pivot is a 2 x 2 solve and one
+O(m) pass over the rows.  Neither needs numpy.  They share no code on the
+solve path, which is what makes cross-checking one against the other
+meaningful.
 """
 
 from __future__ import annotations
@@ -84,12 +86,12 @@ def active_rows_at(lp: LinearProgram2D, p: Vec2, tol: float = FEAS_TOL) -> froze
 
 
 def _sorted_normals(lp: LinearProgram2D, tol: float):
-    """One record per row, the two x >= 0 rows included, sorted by normal
-    angle: (angle, index, a1, a2, b, room), angle the normal's atan2 in
-    [-pi, pi] and index the row's (X1_NONNEG and X2_NONNEG for x >= 0).
-    Then the position just after the widest counterclockwise gap between
-    consecutive normals; whether that gap leaves the region bounded, that
-    is, falls short of pi - _RECESSION_TOL (see check_recession); and tol.
+    """The rows route's records, sorted, with their start, bounded and tol,
+    as _fan returns them: one record per row, the two x >= 0 rows included,
+    (angle, index, a1, a2, b, room), angle the normal's atan2 in [-pi, pi]
+    and index the row's (X1_NONNEG and X2_NONNEG for x >= 0).
+    enumerate_vertices builds records of its own, with |a| and the limit
+    in place of the room.
 
     room = 4 max(tol, MERGE_TOL) (1 + a1^2 + a2^2 + b^2) is plain
     arithmetic, and bounds from above the need of _clears, 2 max(limit,
@@ -114,12 +116,28 @@ def _sorted_normals(lp: LinearProgram2D, tol: float):
     # x >= 0 written out: from ConstraintRows, small LPs cost 20 % or more.
     rows.append((math.pi, X1_NONNEG, -1.0, 0.0, 0.0, 2.0 * scale))
     rows.append((-0.5 * math.pi, X2_NONNEG, 0.0, -1.0, 0.0, 2.0 * scale))
+    return _fan(rows, tol)
+
+
+def _fan(rows, tol: float):
+    """(rows, start, bounded, tol) for records whose first field is the
+    row's normal angle: rows sorted by that angle in place; start the
+    position just after the widest counterclockwise gap between consecutive
+    normals, the first of equal gaps and the one round the turn last; and
+    whether that gap leaves the region bounded, that is, falls short of
+    pi - _RECESSION_TOL (see check_recession)."""
     rows.sort(key=itemgetter(0))
-    gaps = [s[0] - r[0] for r, s in zip(rows, rows[1:])]
-    gaps.append(rows[0][0] + TAU - rows[-1][0])
-    widest = gaps.index(max(gaps))
-    bounded = gaps[widest] < math.pi - _RECESSION_TOL
-    return rows, (widest + 1) % len(rows), bounded, tol
+    prev = rows[0][0]
+    widest, start = -1.0, 0
+    for k in range(1, len(rows)):
+        angle = rows[k][0]
+        if angle - prev > widest:
+            widest, start = angle - prev, k
+        prev = angle
+    gap = rows[0][0] + TAU - prev
+    if gap > widest:
+        widest, start = gap, 0
+    return rows, start, widest < math.pi - _RECESSION_TOL, tol
 
 
 def check_recession(lp: LinearProgram2D) -> Recession:
@@ -129,7 +147,7 @@ def check_recession(lp: LinearProgram2D) -> Recession:
     row normals, the two x >= 0 rows included, lie in one closed half-plane:
     when the sorted normal angles leave a gap of at least pi (Rockafellar,
     Convex Analysis, 1970, section 8).  enumerate_vertices, analyze and
-    solve_enumeration decide it from the same sort.
+    solve_enumeration decide it by the same test, _fan's, on their sort.
 
     A gap counts from pi - _RECESSION_TOL on.  That is the edge of the test
     a . d <= _RECESSION_TOL |a| for every row a, with d perpendicular to one
@@ -141,10 +159,11 @@ def check_recession(lp: LinearProgram2D) -> Recession:
 
 
 # The sweep below works on one record per row, (angle, index, a1, a2, b, |a|,
-# limit): _polygon makes it from a record of _sorted_normals, (angle, index,
-# a1, a2, b, room), with |a| = hypot(a1, a2) and limit tol * row.scale().
-# The rows route reads the shorter records and computes |a| and the limit
-# only where it needs them.  Corners are (x1, x2) float pairs.  Each
+# limit), with |a| = hypot(a1, a2) and limit tol * row.scale():
+# enumerate_vertices builds them, and _optimum's fallback converts the
+# records of _sorted_normals, (angle, index, a1, a2, b, room), to the same
+# bits.  The rows route reads the shorter records and computes |a| and the
+# limit only where it needs them.  Corners are (x1, x2) float pairs.  Each
 # expression keeps the order of operations of the ConstraintRow and Vec2
 # methods it stands for, and a corner that overflows raises NonFiniteEntry
 # as Vec2 would.
@@ -303,7 +322,8 @@ def _sweep(lines, closed: bool):
 def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> FeasibleRegion:
     """Build the feasible polygon by sorted half-plane intersection, O(m log m).
 
-    The constraint rows and the two x >= 0 rows are sorted by normal angle
+    Each constraint row and the two x >= 0 rows get one sweep record, with
+    |a| and the limit, built once; the records are sorted by normal angle
     and swept once with a deque (Preparata & Shamos 1985; de Berg et al.,
     ch. 4).  A point is outside a row when its residual exceeds
     tol * row.scale(), as in is_feasible; corners within MERGE_TOL of each
@@ -325,34 +345,42 @@ def enumerate_vertices(lp: LinearProgram2D, *, tol: float = FEAS_TOL) -> Feasibl
     validate(lp)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
-    poly = _polygon(_sorted_normals(lp, tol))
+    # _atan2 and _limit written out: this runs once per row.
+    atan2, hypot = math.atan2, math.hypot
+    rows = [
+        (atan2(a2 + 0.0, a1), idx, a1, a2, b, hypot(a1, a2), tol * big if big > 1.0 else tol)
+        for idx, row in enumerate(lp.constraints)
+        for a1, a2, b in ((row.a1, row.a2, row.b),)
+        for big in (abs(a1),)
+        for big in (abs(a2) if abs(a2) > big else big,)
+        for big in (abs(b) if abs(b) > big else big,)
+    ]
+    rows.append((math.pi, X1_NONNEG, -1.0, 0.0, 0.0, 1.0, tol))
+    rows.append((-0.5 * math.pi, X2_NONNEG, 0.0, -1.0, 0.0, 1.0, tol))
+    poly = _polygon(_fan(rows, tol))
     xs, ys = poly[0], poly[1]
     # _polygon has checked the cycle as FeasibleRegion would.
     return _checked_region(xs, ys, lambda: tuple(_vertices(poly, range(len(xs)))))
 
 
-def _polygon(normals):
-    """enumerate_vertices' cycle from the _sorted_normals result normals,
+def _polygon(fan):
+    """enumerate_vertices' cycle from fan, the _fan result of sweep records,
     checked as FeasibleRegion checks it, as (xs, ys, rows, edges): vertex k
     is (xs[k], ys[k]), entered along the row of record edges[k]; and rows
-    holds a sweep record, with |a| and the limit, for each record of
-    normals, x >= 0 rows included, in normal-angle order from the one after
-    the widest gap.  The cycle keeps the normal fan's order from the vertex
-    whose out-edge row, edges[1], has the least normal angle."""
+    holds the records, x >= 0 rows included, in normal-angle order from the
+    one after the widest gap.  The cycle keeps the normal fan's order from
+    the vertex whose out-edge row, edges[1], has the least normal angle."""
     # Start after the widest gap between normals, so that an unbounded
     # region's boundary is a chain from the first line to the last.
-    sorted_rows, start, bounded, tol = normals
-    hypot = math.hypot
-    # Each record gains |a| and the limit.  Of rows whose normals point the
-    # same way, to within _DET_TOL, only the tightest where the normal
-    # through the origin meets it bounds; of two not exactly parallel, that
-    # need not be the one that binds.  lines[-1] is (.., k1, k2, kb, kn, ..).
-    rows = []
+    rows, start, bounded, _ = fan
+    rows = rows[start:] + rows[:start]
+    # Of rows whose normals point the same way, to within _DET_TOL, only the
+    # tightest where the normal through the origin meets it bounds; of two
+    # not exactly parallel, that need not be the one that binds.  lines[-1]
+    # is (.., k1, k2, kb, kn, ..).
     lines = []
-    for angle, idx, a1, a2, b, _ in chain(sorted_rows[start:], sorted_rows[:start]):
-        norm = hypot(a1, a2)
-        rec = angle, idx, a1, a2, b, norm, _limit(a1, a2, b, tol)
-        rows.append(rec)
+    for rec in rows:
+        _, _, a1, a2, b, norm, _ = rec
         if (
             lines
             and abs(k1 * a2 - k2 * a1) <= _DET_TOL * (kn * norm)
@@ -383,33 +411,33 @@ def _polygon(normals):
         0,
     )
     # A run that starts at corner k, where lines[k] meets lines[k + 1], is
-    # entered along lines[k].
-    runs = [[corners[first]]]
-    edges = [lines[first]]
+    # entered along lines[k].  A run of one corner is its vertex, + 0.0;
+    # the corners of a longer run are kept, by vertex, to take their mean.
+    q = corners[first]
+    px, py, edges = [q[0] + 0.0], [q[1] + 0.0], [lines[first]]
+    runs, run = [], None
+    hypot = math.hypot
     for k in chain(range(first + 1, n_corners), range(first)):
-        p, q = corners[k], runs[-1][0]
+        p = corners[k]
         # _distance, which checks the difference, only where hypot overflowed.
         d = hypot(p[0] - q[0], p[1] - q[1])
         if d == math.inf:
             d = _distance(p, q)
         if d <= MERGE_TOL:
-            runs[-1].append(p)
+            if run is None:
+                run = [q]
+                runs.append((len(px) - 1, run))
+            run.append(p)
         else:
-            runs.append([p])
+            q, run = p, None
+            px.append(p[0] + 0.0)
+            py.append(p[1] + 0.0)
             edges.append(lines[k])
     # A run's mean is sum(xs) / len(run).  sum() starts from 0, so a mean of
-    # -0.0 is 0.0; for one corner, x + 0.0 gives the same.
-    px: list[float] = []
-    py: list[float] = []
-    for run in runs:
-        if len(run) == 1:
-            x, y = run[0]
-            x, y = x + 0.0, y + 0.0
-        else:
-            xs, ys = zip(*run)
-            x, y = _pair(sum(xs) / len(run), sum(ys) / len(run))
-        px.append(x)
-        py.append(y)
+    # -0.0 is 0.0, as x + 0.0 makes it for one corner.
+    for j, run in runs:
+        xs, ys = zip(*run)
+        px[j], py[j] = _pair(sum(xs) / len(run), sum(ys) / len(run))
     n = len(px)
     if n < 3:
         raise DegenerateRegion(f"feasible set has only {n} distinct corner(s)")
@@ -441,7 +469,7 @@ def _polygon(normals):
 
 def _vertices(poly, ks) -> list[Vertex]:
     """Vertices ks of a _polygon result, each with the rows within their limit
-    there, as active_rows_at finds them, by the limits _polygon computed: a . x
+    there, as active_rows_at finds them, by the limits of its records: a . x
     is unimodal round the convex cycle, so a row is tested at its owner, the
     vertex whose cone in the normal fan holds the row's normal angle, and on
     each side past the vertices beyond the limit (the float cycle may violate
@@ -700,7 +728,14 @@ def _optimum(lp: LinearProgram2D, tol: float, around):
             vertices.append(_corner_vertex(*corner[1 + d], tol))
         into, out = corner[1][1]
         return vertices, into, out, False, None
-    poly = _polygon(normals)
+    # The polygon's sweep records, converted from the same sort, in its
+    # order: the bits enumerate_vertices builds.
+    rows, start, bounded, _ = normals
+    records = [
+        (angle, idx, a1, a2, b, math.hypot(a1, a2), _limit(a1, a2, b, tol))
+        for angle, idx, a1, a2, b, _ in rows
+    ]
+    poly = _polygon((records, start, bounded, tol))
     xs, edges = poly[0], poly[3]
     best, tied = _ranked(lp.objective, xs, poly[1])
     n = len(xs)

@@ -84,6 +84,27 @@ def test_enumerate_is_ccw(ref_region):
         assert pl.cross(e1, e2) > 0.0
 
 
+def _polygon_inputs(entry, lp, tol):
+    """The fan each call of solver._polygon is given in entry(lp, tol=tol),
+    with _optimal_corner refusing, so that _optimum's fallback builds the
+    polygon too.  An error entry raises is dropped."""
+    fans = []
+    polygon = solver._polygon
+
+    def recording(fan):
+        fans.append(fan)
+        return polygon(fan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_polygon", recording)
+        mp.setattr(solver, "_optimal_corner", lambda lp, normals: None)
+        try:
+            entry(lp, tol=tol)
+        except pl.errors.PlanarLPError:
+            pass
+    return fans
+
+
 @pytest.mark.parametrize("m", [3, 4, 8, 16, 64, 256])
 def test_enumerate_starts_the_cycle_at_the_least_normal_angle(m):
     # The cycle runs in the normal fan's order: the edge from vertex 0 to
@@ -91,8 +112,9 @@ def test_enumerate_starts_the_cycle_at_the_least_normal_angle(m):
     # oracle's fan, which starts at the least edge normal, starts at vertex 0.
     for seed in (1, 2, 3):
         for t in tangent_pool(seed, m, 16):
+            (fan,) = _polygon_inputs(pl.enumerate_vertices, t.lp, pl.FEAS_TOL)
             try:
-                edges = solver._polygon(solver._sorted_normals(t.lp, pl.FEAS_TOL))[3]
+                edges = solver._polygon(fan)[3]
             except UnboundedRegion:  # some of the three-row LPs
                 continue
             assert edges[1][0] == min(e[0] for e in edges)
@@ -556,8 +578,9 @@ def test_analyze_tie_builds_only_the_tied_vertices(ref_lp, monkeypatch):
 @pytest.mark.parametrize("entry", [pl.analyze, pl.solve_enumeration, pl.enumerate_vertices])
 @pytest.mark.parametrize("c", [(2.0, 3.0), (2.0, 1.0)])  # x0 from the rows; a tie
 def test_entry_points_validate_and_sort_once(ref_lp, monkeypatch, entry, c):
-    # the polygon, where an entry point builds it, reuses the one sort
-    counts = dict.fromkeys(("validate", "_sorted_normals", "_polygon"), 0)
+    # the polygon, where an entry point builds it, reuses the one sort: the
+    # tie takes _optimum's fallback, which converts the rows route's records
+    counts = dict.fromkeys(("validate", "_fan", "_polygon"), 0)
     for name in counts:
 
         def counting(*args, name=name, call=getattr(solver, name)):
@@ -570,7 +593,7 @@ def test_entry_points_validate_and_sort_once(ref_lp, monkeypatch, entry, c):
     except pl.errors.DegenerateOptimum:
         assert entry is pl.analyze and c == (2.0, 1.0)
     polygon = entry is pl.enumerate_vertices or c == (2.0, 1.0)
-    assert counts == {"validate": 1, "_sorted_normals": 1, "_polygon": int(polygon)}
+    assert counts == {"validate": 1, "_fan": 1, "_polygon": int(polygon)}
 
 
 def _corner_with_rooms(lp, tol, room=None):
@@ -1233,6 +1256,46 @@ def _near_parallel_lp(draw):
 #: region_digest's concurrent family: 3 to 5 unit rows through one point,
 #: each b moved by up to 3 ulps
 _concurrent = st.builds(_concurrent_lp, st.randoms(use_true_random=False))
+
+
+def _hexed(fan):
+    """A _fan result with each float as its float.hex, to compare bits."""
+    rows, start, bounded, tol = fan
+    rows = [tuple(x.hex() if isinstance(x, float) else x for x in rec) for rec in rows]
+    return rows, start, bounded, tol.hex()
+
+
+def _widest_gap_start(angles):
+    """start and bounded as a list of the gaps finds them, the first widest
+    gap taken, the one round the turn listed last."""
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + math.tau - angles[-1])
+    widest = gaps.index(max(gaps))
+    return (widest + 1) % len(angles), gaps[widest] < math.pi - _RECESSION_TOL
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.builds(
+        lambda make, seed: make(random.Random(seed)),
+        st.sampled_from([_integer_lp, _mixed_lp, _extreme_lp, _concurrent_lp]),
+        st.integers(0, 2**32 - 1),
+    )
+    | _near_parallel_lp()
+    | st.sampled_from(_TANGENT_LPS),
+    st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+@example(square_lp(), 1e-9)  # four gaps of exactly pi / 2: the first is taken
+def test_builder_and_fallback_make_the_same_sweep_records(lp, tol):
+    # enumerate_vertices builds its sweep records; _optimum's fallback
+    # converts those of _sorted_normals.  Records, start and bounded agree
+    # bit for bit, and start is the first widest gap's.
+    lp = pl.LinearProgram2D(pl.Vec2(1.0, 1.0), lp.constraints)  # c plays no part
+    built = _polygon_inputs(pl.enumerate_vertices, lp, tol)
+    converted = _polygon_inputs(pl.solve_enumeration, lp, tol)
+    assert [_hexed(fan) for fan in built] == [_hexed(fan) for fan in converted]
+    for rows, start, bounded, _ in built:
+        assert (start, bounded) == _widest_gap_start([r[0] for r in rows])
 
 
 def _violations(lp, x):
