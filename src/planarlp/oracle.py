@@ -16,20 +16,18 @@ angle of a cycle that FeasibleRegion's exact convexity check
 coordinates (_coords); a region built by FeasibleRegion or
 enumerate_vertices has passed that check, and builds no Vertex here, so
 the check runs again only for an unchecked region (see _limits).  To
-bracket x0's cone the sweep reads only a window of the grid around it,
-guessed to be three runs: x0's predecessor, x0, and its successor.  Each
-run, cut at the grid's seam, is certified by _walk's own end test at its
-two end angles, whose proof covers any guessed winner, and the window is
-walked only where a test fails.  A few angles of the rest of the turn
-prove that a neighbour of x0 beats it there (see _window_runs); the whole
+bracket x0's cone the sweep walks no grid: it proves x0's one run from a
+few angles (see _window_runs).  The grid angles beside each cone edge are
+decided one by one by the bisection's test; at the ends of a few pieces
+of the rest of the turn, _walk's end test shows that x0 wins inside its
+cone, and a like test that a neighbour of x0 beats it outside.  The whole
 walk runs where that proof fails, and otherwise at the first read of the
-result's argmax.  The
-sweeps walk an arithmetic grid that computes each angle when asked
-(_Grid), and a SweepResult keeps that grid as its phis and the runs as
-its argmax (_Runs): read-only sequences that compute each value when
-read, so no array is built, and the module needs no numpy.  The fan's
-edge-normal angles come from vertex differences
-by stable_angle_interval's formula (sensitivity._normal_angle), while
+result's argmax.  The sweeps walk an arithmetic grid that computes each
+angle when asked (_Grid), and a SweepResult keeps that grid as its phis
+and the runs as its argmax (_Runs): read-only sequences that compute each
+value when read, so no array is built, and the module needs no numpy.
+The fan's edge-normal angles come from vertex differences by
+stable_angle_interval's formula (sensitivity._normal_angle), while
 analyze reads its cone from the constraint rows, so --check-sweep compares
 two independent derivations.  The angles are only the kernel's guess:
 every result is certified against _scan, so a fault in that formula cannot
@@ -250,21 +248,16 @@ def _walk(
     vx: list[float],
     vy: list[float],
     rel_tol: float,
-    limit: list[float] | None = None,
-    fan: tuple[int, list[float]] | None = None,
+    limit: list[float],
 ) -> list[tuple[int, int, int]]:
     """_scan at every angle of a nondecreasing grid, as maximal runs.
 
     grid is indexable, has a length, and has searchsorted(x), the least k
     with grid[k] >= x (len(grid) if none), such as a _Grid or a sorted
-    numpy array.
-    limit is _limits(vx, vy, rel_tol), computed here unless given.  fan is
-    (k0, edges), increasing angles of which the last is at least pi: vertex
-    k0 + i is guessed to win from edges[i - 1] to edges[i].  Unless given,
-    it is the whole normal fan, computed here.  The
-    result is a list of (start, end, winner) in grid order that covers 0,
-    ..., len(grid) - 1, with _scan(grid[k]) == winner for start <= k <= end
-    and a different winner in each neighbouring run.
+    numpy array.  limit is _limits(vx, vy, rel_tol).  The result is a list
+    of (start, end, winner) in grid order that covers 0, ..., len(grid) -
+    1, with _scan(grid[k]) == winner for start <= k <= end and a different
+    winner in each neighbouring run.
 
     On a convex counterclockwise cycle the exact values g_j = x_j c + y_j s
     rise and then fall once around the cycle, for any (c, s) != 0, so if
@@ -280,11 +273,11 @@ def _walk(
     are multiples of 2**-1074, so again fl(f_p - f_j) > t: the scan gives p.
 
     The walk starts a run at the first angle a not yet covered.  p is
-    guessed from the fan (the normal fan's edge-normal angles, rotated to
-    start at their least) by atan2(s, c), and the run is to end at b, the
-    last grid angle before p's upper fan edge, found by searchsorted, with
-    fl(b - a) <= 3 < pi.  For the exact cos and sin, g_p - g_q is a sinusoid h(phi),
-    concave on the arc of length pi where it is positive; an interval
+    guessed from the normal fan (its edge-normal angles, rotated to start
+    at their least) by atan2(s, c), and the run is to end at b, the last
+    grid angle before p's upper fan edge, found by searchsorted, with fl(b
+    - a) <= 3 < pi.  For the exact cos and sin, g_p - g_q is a sinusoid
+    h(phi), concave on the arc of length pi where it is positive; an interval
     shorter than pi with both ends in that arc lies in it, so h > K >= 0 at
     a and b gives h > K on [a, b].  A libm cos or sin within 1 ulp errs by
     at most 2**-52, so g_p - g_q misses h by at most 2**-51 M, M = max_j
@@ -318,18 +311,14 @@ def _walk(
         runs.append((start, end, p))
 
     n, count = len(vx), len(grid)
-    if limit is None:
-        limit = _limits(vx, vy, rel_tol)
     if not limit:
         for k in range(count):
             emit(k, k, _scan(float(grid[k]), vx, vy, rel_tol))
         return runs
-    if fan is None:
-        normals = [_normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)]
-        k0 = normals.index(min(normals))
-        # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
-        fan = k0, normals[k0:] + normals[:k0] + [normals[k0] + TAU]
-    k0, fan = fan
+    normals = [_normal_angle(vx[k + 1 - n] - vx[k], vy[k + 1 - n] - vy[k]) for k in range(n)]
+    k0 = normals.index(min(normals))
+    # bisect_left gives i in [0, n]: vertex k0 + i wins up to fan[i].
+    fan = normals[k0:] + normals[:k0] + [normals[k0] + TAU]
 
     k = 0
     while k < count:
@@ -410,129 +399,90 @@ def _cyclic_runs(runs: list[tuple[int, int, int]], p: int, count: int) -> list[t
     return own
 
 
-#: Grid angles the window reaches past each edge of x0's cone.
-_PAST = 2
-
-
 def _turns(a: int, b: int, n: int):
-    """(start, end, turn) for each stretch of the indices a..b of a cyclic
-    grid of n angles, unwrapped, that lies in one turn, in order: index k of
+    """(start, end) for each stretch of the indices a..b of a cyclic grid
+    of n angles, unwrapped, that lies in one turn, in order: index k of
     turn t is the grid's k - t n, its angle plus t 2 pi."""
     while a <= b:
         turn = a // n
         stop = min(b, turn * n + n - 1)
-        yield a - turn * n, stop - turn * n, turn
+        yield a - turn * n, stop - turn * n
         a = stop + 1
 
 
-def _holds(runs, grid: _Grid, vx: list[float], vy: list[float], limit: list[float]) -> bool:
-    """Whether _walk's end test holds for each run (a, b, q) of runs, grid
-    indices a <= b in one turn and a guessed winner q: grid[b] - grid[a] <=
-    3 and _margin(q) > limit[q] at both, so that _scan gives q at every
-    grid angle from a to b (see _walk).  grid's indices step by 1."""
-    cos, sin = math.cos, math.sin
-    at, step, j0 = grid.first, grid.step, grid.indices.start
-    for a, b, q in runs:
-        u, v = at + step * (a + j0), at + step * (b + j0)
-        if not (
-            v - u <= 3.0
-            and _margin(q, cos(u), sin(u), vx, vy) > limit[q]
-            and _margin(q, cos(v), sin(v), vx, vy) > limit[q]
-        ):
-            return False
-    return True
-
-
 def _window_runs(
-    grid: _Grid, p: int, vx: list[float], vy: list[float], limit: list[float]
-) -> list[tuple[int, int, int]] | None:
-    """_walk's runs over a window of the cyclic grid around vertex p's
-    cone, in grid order, and a proof that p wins at no grid angle outside
-    the window; None where either fails, and the caller walks the grid.
-    grid's indices step by 1, as stable_interval_by_sweep's do.
+    grid: _Grid, p: int, vx: list[float], vy: list[float], limit: list[float], wins
+) -> list[tuple[int, int]] | None:
+    """Vertex p's maximal runs on the cyclic grid, as _cyclic_runs gives
+    them from _walk's runs (one run, or none where p wins at no grid
+    angle), proved from a few angles around p's cone; None where the proof
+    fails, and the caller walks the grid.  wins is _wins(p, vx, vy,
+    VALUE_TIE_REL, limit); grid's indices step by 1, as
+    stable_interval_by_sweep's do.
 
     p's cone runs counterclockwise from lo, the normal angle of its edge
     in, to hi, that of its edge out (sensitivity._normal_angle, as _walk's
-    fan).  The window runs, with indices unwrapped past either end of the
-    grid, from _PAST angles before lo to _PAST angles past hi.  It is
-    guessed to be three runs: p's predecessor on the angles before lo, p
-    on those from lo up to hi, and p's successor on those past hi.  Each
-    run is cut into pieces that lie in one turn, and each piece must pass
-    _walk's own end test at both of its end angles (_holds).  _walk's
-    proof of that test holds for any guessed winner, so then _scan gives
-    the guessed winner at every angle of the window, and the three runs,
-    whose neighbours have different winners, are _scan's maximal runs, as
-    _walk gives them.
+    fan); its grid angles are s..e, indices unwrapped past either end of
+    the grid.  The proof splits the turn s - 1, ..., s + n - 2 in three:
 
-    A piece fails where a cone edge lies on a grid angle (two values tie
-    there), where p's run spans more than 3 rad, or where p's run holds no
-    grid angle.  Then the window is walked one turn at a time with a fan
-    of p's two edges alone: p's predecessor is guessed before lo and its
-    successor past hi, and a wrong guess only fails a test.  _walk's runs
-    are the maximal runs of _scan, so p's runs in the window are the whole
-    walk's, unless the window's first or last run is p's, which gives
-    None; so does a window as long as the grid, or limit = [].
+    - the edge angles s - 1, s, e and e + 1, beside lo and hi, where a tie
+      band can hold a grid angle, each decided by wins;
+    - s + 1, ..., e - 1, where p beats both its neighbours: _margin(p) >
+      limit[p], _walk's end test;
+    - the rest of the turn, e + 2, ..., s + n - 2, split at its middle:
+      before it p's successor q beats p, fl(f_q - f_p) > limit[p], and from
+      it on p's predecessor does.
 
-    The rest of the turn is split at its middle, about hi + (2 pi - (hi -
-    lo)) / 2: before it q is p's successor, after it p's predecessor.  Each
-    part is cut into pieces that lie in one turn and span at most
-    int(3 / step) steps, so that their end angles a <= b differ by about 3
-    at most, less than pi.  A piece holds when fl(f_q - f_p) > limit[p] at
-    a and at b, with _scan's f_j = fl(fl(x_j c) + fl(y_j s)), c =
-    math.cos(phi) and s = math.sin(phi).  Proof, in _walk's terms:
-    limit[p] = fl(T_p + S) >= S, and rounding is monotone, so f_q - f_p > S
-    at a and b.  For the exact cos and sin, g_q - g_p is a sinusoid h,
-    concave on the arc of length pi where it is positive, and f_q - f_p
-    misses h by at most 2E + 2**-51 M.  So h > S - 2E - 2**-51 M > 0 at a
-    and b; [a, b] is shorter than pi, so it lies in that arc, and h exceeds
-    the same bound on it.  Every grid angle of the piece lies in [a, b], as
-    the grid is nondecreasing, and there f_q - f_p > S - 4E - 2**-50 M >=
-    0: f_p is not the greatest value, and _scan does not give p.  A failed
-    test gives None.
+    Each claim is tested at the end angles a <= b of pieces that lie in one
+    turn and span at most int(3 / step) steps, so that b - a is about 3 at
+    most, less than pi.  Every grid angle of a piece lies in [a, b], as the
+    grid is nondecreasing.  _walk shows that the first claim at a and b
+    gives _scan == p on [a, b].  For the others, in _walk's terms, with
+    _scan's f_j = fl(fl(x_j c) + fl(y_j s)), c = math.cos(phi) and s =
+    math.sin(phi): limit[p] = fl(T_p + S) >= S, and rounding is monotone,
+    so f_q - f_p > S at a and b.  For the exact cos and sin, g_q - g_p is a
+    sinusoid h, concave on the arc of length pi where it is positive, and
+    f_q - f_p misses h by at most 2E + 2**-51 M.  So h > S - 2E - 2**-51 M
+    > 0 at a and b; [a, b] is shorter than pi, so it lies in that arc, and
+    h exceeds the same bound on it.  There f_q - f_p > S - 4E - 2**-50 M >=
+    0: f_p is not the greatest value, and _scan does not give p.
+
+    So where every claim holds, p wins at neither s - 1 nor e + 1, and the
+    three parts do not overlap (e - s + 3 <= n), p's only run is
+    first..last: first is s where p wins there and s + 1 otherwise, last is
+    e or e - 1 likewise, and there is none where first > last.  Anything
+    else fails the proof, as does limit = [].
     """
     n, nv = len(grid), len(vx)
     lo = _normal_angle(vx[p] - vx[p - 1], vy[p] - vy[p - 1])
     hi = _normal_angle(vx[p + 1 - nv] - vx[p], vy[p + 1 - nv] - vy[p])
     s, e = grid.searchsorted(lo), grid.searchsorted(hi) - 1
-    if hi < lo:  # the cone holds the seam: hi lies a turn on
-        hi, e = hi + TAU, e + n
-    first, last = s - _PAST, e + _PAST
-    if not limit or last - first + 1 >= n:
+    if hi < lo:  # the cone holds the seam: e lies a turn on
+        e += n
+    if not limit or e - s + 3 > n:
         return None
-    pred, succ = (p - 1) % nv, (p + 1) % nv
-    runs = [
-        (a, b, q)
-        for start, end, q in ((first, s - 1, pred), (s, e, p), (e + 1, last, succ))
-        for a, b, _ in _turns(start, end, n)
-    ]
-    if s <= e and _holds(runs, grid, vx, vy, limit):
-        runs.sort()
-    else:
-        parts = []
-        for a, b, turn in _turns(first, last, n):
-            fan = (p - 1, [lo - TAU * turn, hi - TAU * turn, math.inf])
-            part = _walk(grid[a : b + 1], vx, vy, VALUE_TIE_REL, limit, fan)
-            parts.append([(start + a, end + a, q) for start, end, q in part])
-        if parts[0][0][2] == p or parts[-1][-1][2] == p:
-            return None
-        runs = [run for part in sorted(parts) for run in part]
 
     cos, sin = math.cos, math.sin
     at, step, j0 = grid.first, grid.step, grid.indices.start
     px, py, lim, chunk = vx[p], vy[p], limit[p], int(3.0 / step)
-    middle = (last + first + n + 1) // 2
-    for start, end, q in ((last + 1, middle - 1, succ), (middle, first + n - 1, pred)):
+    middle = (e + s + n + 1) // 2
+    claims = ((s + 1, e - 1, p), (e + 2, middle - 1, (p + 1) % nv), (middle, s + n - 2, p - 1))
+    for start, end, q in claims:
         qx, qy = vx[q], vy[q]
-        for a, b, _ in _turns(start, end, n):
+        for a, b in _turns(start, end, n):
             for k in range(a, b + 1, chunk + 1):
-                u, v = at + step * (k + j0), at + step * (min(k + chunk, b) + j0)
-                cu, su, cv, sv = cos(u), sin(u), cos(v), sin(v)
-                if not (
-                    qx * cu + qy * su - (px * cu + py * su) > lim
-                    and qx * cv + qy * sv - (px * cv + py * sv) > lim
-                ):
-                    return None
-    return runs
+                for phi in (at + step * (k + j0), at + step * (min(k + chunk, b) + j0)):
+                    c, si = cos(phi), sin(phi)
+                    if q == p:
+                        lead = _margin(p, c, si, vx, vy)
+                    else:
+                        lead = qx * c + qy * si - (px * c + py * si)
+                    if not lead > lim:
+                        return None
+    if wins(grid[(s - 1) % n]) or wins(grid[(e + 1) % n]):
+        return None
+    first, last = s + (not wins(grid[s % n])), e - (not wins(grid[e % n]))
+    return [(first % n, last % n)] if first <= last else []
 
 
 def _bisect(inside: float, outside: float, wins, tol: float) -> float:
@@ -560,9 +510,9 @@ def stable_interval_by_sweep(
     step/1024.  Raises VertexNeverOptimal when no sample picks x0, and
     GridTooCoarse when every sample does.
 
-    x0's runs come from a window of the grid around its cone, with a proof
-    from a few angles that x0 wins nowhere else (_window_runs), or, where
-    that fails, from the whole walk, which argmax keeps.  After the window,
+    x0's runs come from a proof, from a few angles around its cone, that
+    x0 wins on one run and nowhere else (_window_runs), or, where that
+    fails, from the whole walk, which argmax keeps.  After the proof,
     argmax is deferred: the whole walk runs at its first read.  Either way
     every output has the same bits.
     """
@@ -584,11 +534,10 @@ def stable_interval_by_sweep(
     argmax = _Runs.deferred(
         lambda: tuple(_walk(grid, vx, vy, VALUE_TIE_REL, limit)), indices=range(n)
     )
-    runs = _window_runs(grid, x0_idx, vx, vy, limit)
-    if runs is None:
-        runs = argmax.runs
-
-    own = _cyclic_runs(runs, x0_idx, n)
+    wins = _wins(x0_idx, vx, vy, VALUE_TIE_REL, limit)
+    own = _window_runs(grid, x0_idx, vx, vy, limit, wins)
+    if own is None:
+        own = _cyclic_runs(argmax.runs, x0_idx, n)
     if not own:
         raise VertexNeverOptimal(
             f"vertex {x0_idx} never wins at step {step}; its cone may be "
@@ -610,7 +559,6 @@ def stable_interval_by_sweep(
     s, e = max(own, key=run_len)  # ties: first wins (max is stable)
     last = s + (e - s) % n  # e, unwrapped when the run wraps the seam
     tol = step / 1024.0
-    wins = _wins(x0_idx, vx, vy, VALUE_TIE_REL, limit)
     lo = _bisect(at(s), at(s - 1), wins, tol)
     hi = _bisect(at(last), at(last + 1), wins, tol)
     shift = wrap_angle(lo) - lo

@@ -17,9 +17,7 @@ script rather than a test because math.cos and math.sin, and so the tie
 angles, may differ between C libraries.
 
 With --window-share it prints instead how many of the stable_interval_by_sweep
-calls above the window around x0's cone answered, without the whole walk,
-and how many of them its three certified runs answered, without walking the
-window.
+calls above the window around x0's cone answered without a walk of the grid.
 """
 
 from __future__ import annotations
@@ -48,26 +46,19 @@ def lps():
 def window_share() -> None:
     from planarlp import oracle
 
-    window, walk = oracle._window_runs, oracle._walk
-    answered, certified, walks = [], [], []
-
-    def counting(*args):
-        walks.clear()
-        runs = window(*args)
-        answered.append(runs is not None)
-        certified.append(runs is not None and not walks)
-        return runs
+    walk, walks, answered = oracle._walk, [], []
 
     def counting_walk(*args):
         walks.append(args)
         return walk(*args)
 
-    oracle._window_runs, oracle._walk = counting, counting_walk
+    oracle._walk = counting_walk
     for lp in lps():
         region = pl.enumerate_vertices(lp)
+        walks.clear()
         pl.stable_interval_by_sweep(region, pl.analyze(lp).optimal_vertex, STEP)
-    print(f"window answered {sum(answered)} of {len(answered)} sweeps")
-    print(f"three runs answered {sum(certified)} of {len(certified)} sweeps without a walk")
+        answered.append(not walks)
+    print(f"window answered {sum(answered)} of {len(answered)} sweeps without a walk")
 
 
 def main() -> None:

@@ -345,9 +345,8 @@ def test_cli_sensitivity_check_sweep(capsys):
 
 
 def test_cli_check_sweep_walks_a_window(monkeypatch, capsys):
-    # --check-sweep 0.01 certifies a window of the 36,000-angle grid around
-    # x0 = (80, 40) as three runs, and walks none of it: no edge of x0's
-    # cone lies on a grid angle
+    # --check-sweep 0.01 proves x0 = (80, 40)'s run on the 36,000-angle grid
+    # from a few angles, and walks none of it
     lengths = walked_lengths(monkeypatch)
     assert cli.main(["sensitivity", PAPER, "--check-sweep", "0.01"]) == 0
     assert "agree" in capsys.readouterr().out

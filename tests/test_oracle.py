@@ -180,7 +180,8 @@ def test_simplex_confirms_cone_edges(ref_lp, ref_region):
 
 def _walk_winners(phis, vx, vy, rel_tol):
     # the walk's winner at every angle of a sorted array, as a view of its runs
-    return oracle._Runs(oracle._walk(phis, vx, vy, rel_tol), range(len(phis)))
+    limit = oracle._limits(vx, vy, rel_tol)
+    return oracle._Runs(oracle._walk(phis, vx, vy, rel_tol, limit), range(len(phis)))
 
 
 def test_backends_agree(ref_region):
@@ -343,7 +344,7 @@ def test_arithmetic_grid_equals_numpy(first, log_step, start, count, probes, see
     for x in np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)]):
         assert grid.searchsorted(float(x)) == np.searchsorted(phis, x)
     vx, vy, _ = oracle._coords(pl.enumerate_vertices(tangent_circle_lp(rng_for(seed), 8)))
-    runs = oracle._walk(grid, vx, vy, VALUE_TIE_REL)
+    runs = oracle._walk(grid, vx, vy, VALUE_TIE_REL, oracle._limits(vx, vy, VALUE_TIE_REL))
     assert [s for s, _, _ in runs] == [0] + [e + 1 for _, e, _ in runs[:-1]]
     assert runs[-1][1] == count - 1
     assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
@@ -379,6 +380,7 @@ def test_grid_work_does_not_grow_with_density(m, monkeypatch):
     # scans included, at any grid density; one per angle would be 36,000
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(m), m))
     vx, vy, _ = oracle._coords(region)
+    limit = oracle._limits(vx, vy, 1e-9)
     n = len(vx)
     grids = [
         (oracle._Grid(-math.pi, step, range(round(turns * math.tau / step) + 1)), turns)
@@ -388,7 +390,7 @@ def test_grid_work_does_not_grow_with_density(m, monkeypatch):
     monkeypatch.setattr(oracle, "math", counting)
     for grid, turns in grids:
         counting.cos_calls = 0
-        oracle._walk(grid, vx, vy, 1e-9)
+        oracle._walk(grid, vx, vy, 1e-9, limit)
         assert counting.cos_calls <= (4 * n + 4) * turns
 
 
@@ -402,6 +404,7 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
     else:
         region = pl.enumerate_vertices(tangent_circle_lp(rng_for(16), 16))
     vx, vy, _ = oracle._coords(region)
+    limit = oracle._limits(vx, vy, 1e-9)
     n = len(vx)
     res = pl.sweep_argmax(region, -math.pi, math.pi, STEP)
     scans = []
@@ -415,7 +418,7 @@ def test_grid_full_scans_are_few(which, ref_region, monkeypatch):
     argmax = res.argmax
     for grid in (oracle._Grid(-math.pi, STEP, range(len(argmax))), np.asarray(res.phis) + math.tau):
         scans.clear()
-        runs = oracle._walk(grid, vx, vy, 1e-9)
+        runs = oracle._walk(grid, vx, vy, 1e-9, limit)
         assert len(scans) <= 1 + 2 * n
         assert list(oracle._Runs(runs, range(len(grid)))) == list(argmax)
 
@@ -590,9 +593,9 @@ def test_wins_falls_back_to_the_full_scan(ref_region, monkeypatch):
 
 @pytest.mark.parametrize("m", [16, 64, 1024])
 def test_sweep_work_does_not_grow_with_vertices(m, monkeypatch):
-    # with argmax unread, one sweep walks a window around x0's cone, proves
-    # x0 loses elsewhere from a few angles, and bisects: a bounded number of
-    # cos calls at any m, where the whole walk makes up to 4n + 4
+    # with argmax unread, one sweep proves x0's run and that x0 loses
+    # elsewhere from a few angles, and bisects: a bounded number of cos
+    # calls at any m, where the whole walk makes up to 4n + 4
     region = pl.enumerate_vertices(tangent_circle_lp(rng_for(m), m))
     counting = _CountingMath()
     monkeypatch.setattr(oracle, "math", counting)
@@ -630,15 +633,14 @@ def _full_walk_outcome(region, x0, step):
 
 
 def test_window_splits_at_the_seam(ref_region, monkeypatch):
-    # the cone of (0, 0) starts at -pi, and both its edges lie on grid
-    # angles, so its three runs are not certified: the window is walked in
-    # two parts, one on each side of the seam, and gives the whole walk's
-    # answer
+    # the cone of (0, 0) starts at -pi, and both its edges lie within an ulp
+    # of grid angles, where x0 ties a neighbour: those angles are decided
+    # one by one, x0's run is proved on both sides of the seam with no
+    # walk, and the sweep gives the whole walk's answer
     x0 = vertex_at(ref_region, 0, 0)
     lengths = walked_lengths(monkeypatch)
     res = pl.stable_interval_by_sweep(ref_region, x0, STEP)
-    assert len(lengths) == 2 and sum(lengths) < len(res.phis) // 3
-    assert not _holds_runs(res.argmax)
+    assert lengths == [] and not _holds_runs(res.argmax)
     iv = res.estimated_interval
     assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == _full_walk_outcome(
         ref_region, x0, STEP
@@ -646,10 +648,9 @@ def test_window_splits_at_the_seam(ref_region, monkeypatch):
 
 
 def test_window_runs_split_at_the_seam(monkeypatch):
-    # x0's cone holds the seam on entry 13 of the certify-sweep pool: its
-    # run is cut into two pieces, one on each side of the seam, and the
-    # three runs are certified with no walk; they give the whole walk's
-    # answer
+    # x0's cone holds the seam on entry 13 of the certify-sweep pool: the
+    # window proves, with no walk, one run of x0 that wraps the seam, the
+    # whole walk's, and the sweep gives the whole walk's answer
     t = tangent_pool(1, 16, 16)[13]
     region, x0 = pl.enumerate_vertices(t.lp), pl.analyze(t.lp).optimal_vertex
     window, answers = oracle._window_runs, []
@@ -661,11 +662,11 @@ def test_window_runs_split_at_the_seam(monkeypatch):
     monkeypatch.setattr(oracle, "_window_runs", recording)
     lengths = walked_lengths(monkeypatch)
     res = pl.stable_interval_by_sweep(region, x0, STEP)
+    assert lengths == [] and not _holds_runs(res.argmax)
+    [[(first, last)]] = answers
+    assert first > last
     p, n = region.index_of(x0), len(res.phis)
-    [runs] = answers
-    assert lengths == [] and [q for _, _, q in runs] == [p, (p + 1) % 16, (p - 1) % 16, p]
-    assert runs[0][0] == 0 and runs[-1][1] == n - 1
-    assert not _holds_runs(res.argmax)
+    assert [(first, last)] == oracle._cyclic_runs(res.argmax.runs, p, n)
     iv = res.estimated_interval
     assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == _full_walk_outcome(region, x0, STEP)
 
@@ -676,30 +677,54 @@ TILTED = [(0.0, 0.0), (10.0, 1e-11), (-3.0, 7.0)]
 SHARP = [(0.0, 0.0), (-10.0, -0.3), (-10.0, -0.7)]
 
 
-@pytest.mark.parametrize("case", ["square", "tilted", "sharp"])
-def test_window_walks_where_its_runs_fail(case, monkeypatch):
+@pytest.mark.parametrize(
+    "case, k, degrees",
+    [
+        pytest.param("square", 2, 1.0, id="square"),
+        pytest.param("tilted", 0, 1.0, id="tilted"),
+        pytest.param("sharp", 0, 1.0, id="sharp"),
+        pytest.param("paper.lp", 1, 90.0, id="coarse"),
+        pytest.param("never", 1, 0.37, id="never"),
+    ]
+    + [
+        pytest.param(name, k, degrees, id=f"{name}-{k}-{degrees:g}")
+        for name, count in (("paper.lp", 5), ("sharp.lp", 3))
+        for k in range(count)
+        for degrees in (0.01, 1.0, 2.0)
+    ],
+)
+def test_window_needs_no_walk(case, k, degrees, monkeypatch):
     # at 1 degree every cone edge of the unit square lies on a grid angle,
-    # TILTED's x0 ties its successor at the last angle of its guessed run,
-    # and SHARP's x0 wins on a run longer than the 3 rad a certified piece
-    # may span: a test of the window's three runs fails, and the window is
-    # walked one turn at a time, with the whole walk's answer
+    # TILTED's x0 = (0, 0) ties its successor at the last grid angle of its
+    # cone, SHARP's x0 wins on a run longer than the 3 rad a piece may span,
+    # at 90 degrees x0 = (100, 0) of paper.lp ties at one of its two grid
+    # angles, and test_sweep_never_optimal's sliver corner wins at no angle
+    # of the 0.37 degree grid.  Here and at every vertex of paper.lp and
+    # sharp.lp the window proves x0's runs with no walk, and the sweep gives
+    # the whole walk's answer
     if case == "square":
         region = pl.enumerate_vertices(square_lp())
-        x0 = vertex_at(region, 1.0, 1.0)
-    else:
+        assert region.vertices[k].point == pl.Vec2(1.0, 1.0)
+    elif case in ("tilted", "sharp"):
         region = region_of_points(TILTED if case == "tilted" else SHARP)
-        x0 = region.vertices[0]
-    step = math.radians(1.0)
+    elif case == "never":
+        region = region_of_points([(0.0, 0.0), (1.0, 0.0), (2.0, 1e-5), (0.0, 1.0)])
+    else:
+        region = pl.enumerate_vertices(pl.load_lp(FIXTURES / case))
+    x0, step = region.vertices[k], math.radians(degrees)
     want = _full_walk_outcome(region, x0, step)
     lengths = walked_lengths(monkeypatch)
-    res = pl.stable_interval_by_sweep(region, x0, step)
-    assert lengths and sum(lengths) < len(res.phis)
-    assert not _holds_runs(res.argmax)
-    iv = res.estimated_interval
-    assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == want
+    try:
+        res = pl.stable_interval_by_sweep(region, x0, step)
+    except (VertexNeverOptimal, GridTooCoarse) as err:
+        assert lengths == [] and type(err) is want
+    else:
+        assert lengths == [] and not _holds_runs(res.argmax)
+        iv = res.estimated_interval
+        assert (iv.lo.hex(), iv.hi.hex(), res.argmax.tobytes()) == want
     if case == "sharp":
         vx, vy, _ = oracle._coords(region)
-        lo, hi = (_normal_angle(vx[k] - vx[k - 1], vy[k] - vy[k - 1]) for k in (0, 1))
+        lo, hi = (_normal_angle(vx[j] - vx[j - 1], vy[j] - vy[j - 1]) for j in (0, 1))
         assert 3.0 < hi - lo < math.pi
 
 
@@ -708,24 +733,30 @@ def test_window_walks_where_its_runs_fail(case, monkeypatch):
 NEEDLE = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-10), (0.0, 1.0)]
 
 
-@pytest.mark.parametrize("case", ["needle", "coarse", "past-gate", "fan-late", "fan-early"])
+@pytest.mark.parametrize(
+    "case", ["needle", "coarse", "past-gate", "fan-late", "fan-early", "fan-beside"]
+)
 def test_window_falls_back_to_the_full_walk(case, ref_region, monkeypatch):
-    # a failed proof, a window as long as the grid, a cycle that _limits
-    # refuses, and a fan formula 0.01 rad off, so that x0 wins at the first
-    # or the last angle of the window, each take the whole walk, with an
-    # eager argmax and the same answer
+    # a failed proof, a cone whose grid angles and rest overlap in the turn,
+    # a cycle that _limits refuses, a fan formula 0.01 rad off, so that a
+    # piece of x0's run fails, and one 1e-4 rad off, under a step, so that
+    # x0 wins at the grid angle beside its guessed cone, each take the whole
+    # walk, with an eager argmax and the same answer
     region, x0, step = ref_region, vertex_at(ref_region, 80, 40), STEP
     if case == "needle":
         region = region_of_points(NEEDLE)
         x0, step = region.vertices[1], math.radians(1.0)
-    elif case == "coarse":
-        x0, step = vertex_at(ref_region, 100, 0), math.radians(90.0)
+    elif case == "coarse":  # both grid angles lie in x0's cone
+        lp = pl.load_lp(FIXTURES / "sharp.lp")
+        region, x0 = pl.enumerate_vertices(lp), pl.analyze(lp).optimal_vertex
+        step = math.radians(162.0)
     elif case == "past-gate":
         region = region_of_points(_scaled(zip(*oracle._coords(ref_region)[:2]), 1003))
         x0 = region.vertices[ref_region.index_of(x0.point)]
     want = _full_walk_outcome(region, x0, step)
     if case.startswith("fan"):
-        skew, normal_angle = (0.01 if case == "fan-late" else -0.01), oracle._normal_angle
+        skew = {"fan-late": 0.01, "fan-early": -0.01, "fan-beside": 1e-4}[case]
+        normal_angle = oracle._normal_angle
         monkeypatch.setattr(oracle, "_normal_angle", lambda e1, e2: normal_angle(e1, e2) + skew)
     lengths = walked_lengths(monkeypatch)
     try:
@@ -884,7 +915,7 @@ def test_grid_memory_is_blockwise(turns):
     grid = oracle._Grid(-math.pi, STEP, range(1, 1 + turns * 36000))
     tracemalloc.start()
     try:
-        oracle._walk(grid, vx, vy, 1e-9)
+        oracle._walk(grid, vx, vy, 1e-9, oracle._limits(vx, vy, 1e-9))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
